@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParameterError, UnboundedOptimumError, UnsupportedRegimeError
 from .geometry import LinkGains, Region, SystemParams, gains, region_classify, sign_b_minus_rho_a
 
@@ -25,6 +27,7 @@ __all__ = [
     "zero_region_predicate",
     "jam_derivative_coeffs",
     "opt_jam",
+    "p_j_opt_array",
     "worst_location",
 ]
 
@@ -149,12 +152,36 @@ class OptJamResult:
     region: Region
 
 
+def p_j_opt_array(a, b, rho: float, p_t: float) -> np.ndarray:
+    """opt_jam's p_j_opt over arrays of finite gains, with its branches as masks.
+
+    [gamma + sqrt(gamma^2 + beta)]^+ where b - rho*a > 0, clipped to 0 in R1
+    when c0 <= 0; 0 on the b - rho*a <= 0 side (R3/R4).  The arithmetic
+    keeps the order of gamma_coeff and jam_derivative_coeffs, so each cell
+    equals the scalar closed form bit for bit; opt_jam takes p_j_opt from here.
+    """
+    if rho == 0:
+        raise UnboundedOptimumError("rho = 0: secrecy increases in P_J without bound")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if np.any(np.isinf(a)) or np.any(np.isinf(b)):
+        raise InvalidParameterError("opt_jam needs finite gains")
+    if not (rho > 0 and p_t > 0):
+        raise InvalidParameterError(f"p_j_opt_array needs rho > 0 and p_t > 0, got rho={rho}, p_t={p_t}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gam = (a - 1.0) / (b - rho * a)
+        c0 = a * b - rho + a * p_t * (b - rho)
+        beta = c0 / (rho * b * (b - rho * a))
+        root = gam + np.sqrt(gam * gam + beta)
+    return np.where((b - rho * a > 0) & ~((a < 1.0) & (c0 <= 0)), root, 0.0)
+
+
 def opt_jam(g: LinkGains, rho: float, p_t: float) -> OptJamResult:
     """Jamming power maximizing secrecy_ab for fixed gains.
 
     Closed form [gamma + sqrt(gamma^2 + beta)]^+ in R1/R2 with the R1 clip
-    at c0 <= 0; zero in R3/R4.  rho = 0 makes secrecy strictly increasing in
-    P_J on the positive side, so no finite maximizer exists.
+    at c0 <= 0; zero in R3/R4 (p_j_opt_array).  rho = 0 makes secrecy
+    strictly increasing in P_J on the positive side, so no finite maximizer
+    exists.
     """
     if math.isinf(g.a) or math.isinf(g.b):
         raise InvalidParameterError("opt_jam needs finite gains")
@@ -162,20 +189,13 @@ def opt_jam(g: LinkGains, rho: float, p_t: float) -> OptJamResult:
         raise InvalidParameterError(f"p_t must be > 0, got {p_t}")
     if not rho >= 0:
         raise InvalidParameterError(f"rho must be >= 0, got {rho}")
-    if rho == 0:
-        raise UnboundedOptimumError("rho = 0: secrecy increases in P_J without bound")
+    p_j_opt = float(p_j_opt_array(g.a, g.b, rho, p_t))
     region = region_classify(g, rho)
-    if region in (Region.R3, Region.R4):
-        s = sign_b_minus_rho_a(g.a, g.b, rho)
-        gam = gamma_coeff(g, rho) if s != 0 else math.nan
-        return OptJamResult(p_j_opt=0.0, gamma=gam, beta=math.nan, region=region)
-    gam = gamma_coeff(g, rho)
-    c2, c1, c0 = jam_derivative_coeffs(g, rho, p_t)
-    beta = c0 / c2
-    if region is Region.R1 and c0 <= 0:
-        return OptJamResult(p_j_opt=0.0, gamma=gam, beta=beta, region=region)
-    p_j_opt = gam + math.sqrt(gam * gam + beta)
-    return OptJamResult(p_j_opt=p_j_opt, gamma=gam, beta=beta, region=region)
+    beta = math.nan
+    if region in (Region.R1, Region.R2):
+        c2, _, c0 = jam_derivative_coeffs(g, rho, p_t)
+        beta = c0 / c2
+    return OptJamResult(p_j_opt=p_j_opt, gamma=gamma_coeff(g, rho), beta=beta, region=region)
 
 
 def worst_location(params: SystemParams):

@@ -72,7 +72,8 @@ def v_terms(g: LinkGains, params: SystemParams, a_tilde: float, b_tilde: float) 
         v1 = math.inf if b * a_tilde > 0 else 0.0
         return ZeroSecrecyTermsColluding(v1, a_tilde / a)
     den = a * (1.0 + rho * b_tilde * p_j)
-    v1 = math.inf if (math.isinf(b) and p_j > 0) else b * a_tilde * p_j / den
+    # without jamming v1 vanishes, even at b = inf
+    v1 = 0.0 if p_j == 0 else (math.inf if math.isinf(b) else b * a_tilde * p_j / den)
     return ZeroSecrecyTermsColluding(v1, a_tilde / den)
 
 
@@ -84,34 +85,42 @@ def cond_prob_zero(g: LinkGains, params: SystemParams, a_tilde: float, b_tilde: 
     return math.exp(-t.v2) / (1.0 + t.v1)
 
 
-def _cond_prob_zero_array(
-    g: LinkGains, params: SystemParams, a_t: np.ndarray, b_t: np.ndarray
-) -> np.ndarray:
-    a, b, rho, p_j = g.a, g.b, params.rho, params.p_j
-    if math.isinf(a):
-        return np.ones_like(a_t)
-    if math.isinf(b) and p_j > 0:
-        return np.zeros_like(a_t)
-    if math.isinf(p_j):
-        with np.errstate(divide="ignore"):
-            v1 = (b / a) * a_t / (rho * b_t)
-        return 1.0 / (1.0 + v1)
-    den = a * (1.0 + rho * b_t * p_j)
-    v1 = b * a_t * p_j / den
-    v2 = a_t / den
-    return np.exp(-v2) / (1.0 + v1)
+def _v_arrays(a, b, rho: float, p_j, a_t: np.ndarray, b_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v1, v2) over fading arrays; gains and P_J may be arrays that broadcast.
+
+    P_J = inf drops v2 and P_J = 0 drops v1 (also at b = inf).  Both terms
+    vanish at a = inf up to 0/0 cases, so callers mask a = inf themselves.
+    """
+    inf_pj, no_pj = np.isinf(p_j), p_j == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = a * (1.0 + rho * b_t * p_j)
+        v1, v2 = b * a_t * p_j / den, a_t / den
+        if np.any(inf_pj):
+            v1 = np.where(inf_pj, (b / a) * a_t / (rho * b_t), v1)
+            v2 = np.where(inf_pj, 0.0, v2)
+    return (np.where(no_pj, 0.0, v1) if np.any(no_pj) else v1), v2
+
+
+def _cond_prob_zero_array(a, b, rho: float, p_j, a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
+    """exp(-v2)/(1+v1) over fading arrays; 1 where a = inf."""
+    v1, v2 = _v_arrays(a, b, rho, p_j, a_t, b_t)
+    with np.errstate(invalid="ignore"):
+        p = np.exp(-v2) / (1.0 + v1)
+    return np.where(np.isinf(a), 1.0, p) if np.any(np.isinf(a)) else p
 
 
 def sample_cond_prob_zero(g: LinkGains, params: SystemParams, mc: MCConfig) -> np.ndarray:
     """Conditional zero-secrecy probabilities over sampled (a_tilde, b_tilde)."""
     u = sample_matrix(mc, 2)
-    return _cond_prob_zero_array(g, params, u[:, 0], u[:, 1])
+    return _cond_prob_zero_array(g.a, g.b, params.rho, params.p_j, u[:, 0], u[:, 1])
 
 
 def uncond_prob_zero(g: LinkGains, params: SystemParams, mc: MCConfig) -> Estimate:
     """Monte Carlo mean of cond_prob_zero over (a_tilde, b_tilde) ~ Exp(1)^2."""
     return estimate(
-        lambda u: _cond_prob_zero_array(g, params, u[:, 0], u[:, 1]), mc, draws_per_sample=2
+        lambda u: _cond_prob_zero_array(g.a, g.b, params.rho, params.p_j, u[:, 0], u[:, 1]),
+        mc,
+        draws_per_sample=2,
     )
 
 
@@ -119,17 +128,8 @@ def uncond_upper_bound(g: LinkGains, params: SystemParams, mc: MCConfig) -> Esti
     """Estimate of E{1/(1+v1)}, which dominates uncond_prob_zero samplewise."""
 
     def f(u: np.ndarray) -> np.ndarray:
-        a, b, rho, p_j = g.a, g.b, params.rho, params.p_j
-        if math.isinf(a):
-            return np.ones(u.shape[0])
-        if math.isinf(b) and p_j > 0:
-            return np.zeros(u.shape[0])
-        if math.isinf(p_j):
-            with np.errstate(divide="ignore"):
-                v1 = (b / a) * u[:, 0] / (rho * u[:, 1])
-        else:
-            v1 = b * u[:, 0] * p_j / (a * (1.0 + rho * u[:, 1] * p_j))
-        return 1.0 / (1.0 + v1)
+        v1, _ = _v_arrays(g.a, g.b, params.rho, params.p_j, u[:, 0], u[:, 1])
+        return np.where(math.isinf(g.a), 1.0, 1.0 / (1.0 + v1))
 
     return estimate(f, mc, draws_per_sample=2)
 

@@ -1,9 +1,13 @@
 """Rectangular grid sweeps of every scalar field, with CSV/JSON export.
 
-Grids are row-major with y as the slow axis.  Fading sweeps derive one
-counter-based stream per cell from (seed, cell index) so the values do not
-depend on evaluation order, and exports carry every parameter needed to
-regenerate them.
+Grids are row-major with y as the slow axis, and every field kind is
+computed with array operations over the whole grid.  A fading or prob-zero
+field draws from one counter-based stream, Philox keyed by the seed: cell i
+(row-major index) owns the i-th consecutive block of k*n uniforms (fading
+secrecy k = 2, n = 1; colluding prob-zero k = 2; pairwise prob-zero k = 3),
+each mapped to Exp(1) by -log1p(-u).  A cell's draws thus depend only on
+(seed, cell index, n, k), not on evaluation order or on mc.chunk.  Exports
+carry every parameter needed to regenerate a field.
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .colluding import opt_jam, secrecy_ab
-from .colluding_fading import _cond_prob_zero_array, secrecy_sample
+from .colluding import p_j_opt_array
+from .colluding_fading import _cond_prob_zero_array
 from .errors import InvalidParameterError
-from .geometry import LinkGains, SystemParams, gain_fields
+from .geometry import SystemParams, gain_fields
 from .montecarlo import MCConfig
-from .pairwise_fading import cond_prob_zero_pair_array, secrecy_sample_pair
+from .pairwise_fading import _cond_prob_zero_pair_kernel
 
 __all__ = [
     "GridSpec",
@@ -89,9 +93,16 @@ def _params_meta(params: SystemParams) -> dict:
     }
 
 
-def _cell_rng(seed: int, cell_index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, cell_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _field_rng(mc: MCConfig) -> np.random.Generator:
+    """The one stream of a fading or prob-zero field; cells consume it in row-major order."""
+    return np.random.Generator(np.random.Philox(key=mc.seed))
+
+
+def _exp_draws(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Exp(1) draws -log1p(-u), computed in place so one array is alive."""
+    u = rng.random(shape)
+    np.log1p(np.negative(u, out=u), out=u)
+    return np.negative(u, out=u)
 
 
 def build_field(
@@ -124,28 +135,21 @@ def build_field(
     if needs_mc and mc is None:
         raise InvalidParameterError("fading or prob-zero sweeps need an MCConfig")
 
-    xs, ys = grid.xs(), grid.ys()
-    xm, ym = np.meshgrid(xs, ys)
-    a_f, b_f = gain_fields(xm, ym, params.alpha)
-    values = np.empty((grid.ny, grid.nx))
+    a_f, b_f = gain_fields(*np.meshgrid(grid.xs(), grid.ys()), params.alpha)
+    p_j = params.p_j
+    if pj_per_cell == "opt":
+        p_j = p_j_opt_array(a_f, b_f, params.rho, params.p_t)
 
-    if quantity == "secrecy" and not fading and pj_per_cell == "fixed":
-        values = _static_secrecy_field(mode, params, a_f, b_f)
+    if quantity == "prob-zero":
+        values = _prob_zero_field(mode, params, a_f, b_f, p_j, mc)
+    elif fading:
+        # one draw of the unknown Eve-side coefficients per cell; the
+        # link-side coefficients stay at their means
+        e = _exp_draws(_field_rng(mc), (a_f.size, 2))
+        c, d = e[:, 0].reshape(a_f.shape), e[:, 1].reshape(a_f.shape)
+        values = _secrecy_field(mode, params, a_f, b_f, p_j, c, d)
     else:
-        for iy in range(grid.ny):
-            for ix in range(grid.nx):
-                g = LinkGains(a=float(a_f[iy, ix]), b=float(b_f[iy, ix]))
-                cell = iy * grid.nx + ix
-                p = params
-                if pj_per_cell == "opt":
-                    p = SystemParams(
-                        p_t=params.p_t,
-                        p_j=opt_jam(g, params.rho, params.p_t).p_j_opt,
-                        rho=params.rho,
-                        alpha=params.alpha,
-                        delta=params.delta,
-                    )
-                values[iy, ix] = _cell_value(mode, quantity, fading, g, p, mc, cell)
+        values = _secrecy_field(mode, params, a_f, b_f, p_j)
 
     meta = {
         "mode": mode,
@@ -160,70 +164,50 @@ def build_field(
     return FieldGrid(spec=grid, values=values, meta=meta)
 
 
-def _static_secrecy_field(mode: str, params: SystemParams, a_f: np.ndarray, b_f: np.ndarray) -> np.ndarray:
-    """Vectorized exact secrecy; endpoint cells get their limit values."""
-    p_t, p_j, rho = params.p_t, params.p_j, params.rho
-    snr_main = p_t if rho == 0 else (0.0 if math.isinf(p_j) else p_t / (1.0 + rho * p_j))
-    c_main = np.log1p(snr_main)
+def _secrecy_field(mode: str, params: SystemParams, a_f, b_f, p_j, c=1.0, d=1.0) -> np.ndarray:
+    """Secrecy per cell at Eve-side fading (c, d); c = d = 1 is the static field.
 
-    def one_direction(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    p_j is a scalar or one power per cell.  Endpoint cells and P_J in
+    {0, inf} get the limits of secrecy_ab and secrecy_sample[_pair].
+    """
+    p_t, rho = params.p_t, params.rho
+    c_main = np.log1p(p_t if rho == 0 else p_t / (1.0 + rho * p_j))
+
+    def one_direction(ga: np.ndarray, gb: np.ndarray, ce, de) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            if math.isinf(p_j):
-                snr_eve = np.zeros_like(ga)
-            elif p_j == 0:
-                snr_eve = ga * p_t
-            else:
-                snr_eve = ga * p_t / (1.0 + gb * p_j)
-            snr_eve = np.where(np.isinf(ga), np.inf, snr_eve)
-            out = np.maximum(0.0, (c_main - np.log1p(snr_eve)) / math.log(2.0))
-        return np.where(np.isinf(ga), 0.0, out)
+            jam = np.where((p_j == 0) | (de == 0), 0.0, de * gb * p_j)
+            snr_eve = np.where(np.isinf(ga), np.inf, ce * ga * p_t / (1.0 + jam))
+            snr_eve = np.where(ce == 0, 0.0, snr_eve)
+            return np.maximum(0.0, (c_main - np.log1p(snr_eve)) / math.log(2.0))
 
-    s_ab = one_direction(a_f, b_f)
+    s_ab = one_direction(a_f, b_f, c, d)
     if mode == "colluding":
         return s_ab
-    return 0.5 * (s_ab + one_direction(b_f, a_f))
+    return 0.5 * (s_ab + one_direction(b_f, a_f, d, c))
 
 
-def _cell_value(
-    mode: str,
-    quantity: str,
-    fading: bool,
-    g: LinkGains,
-    params: SystemParams,
-    mc: MCConfig | None,
-    cell: int,
-) -> float:
-    if quantity == "secrecy" and not fading:
-        if mode == "colluding":
-            return secrecy_ab(g, params)
-        return 0.5 * (secrecy_ab(g, params) + secrecy_ab(g.swapped(), params))
+def _prob_zero_field(mode: str, params: SystemParams, a_f, b_f, p_j, mc: MCConfig) -> np.ndarray:
+    """Per-cell mean of the conditional zero-secrecy probability.
 
-    assert mc is not None
-    rng = _cell_rng(mc.seed, cell)
-
-    if quantity == "secrecy":
-        # One fading realization of the unknown Eve-side coefficients; the
-        # link-side coefficients stay at their means.
-        c_t, d_t = -np.log1p(-rng.random(2))
-        if mode == "colluding":
-            return secrecy_sample(g, params, float(c_t), float(d_t))
-        return secrecy_sample_pair(g, params, float(c_t), float(d_t))
-
-    # prob-zero: average the conditional zero-secrecy probability over the
-    # fading the link knows, in chunks sized by the MCConfig.
-    total = 0.0
-    done = 0
-    while done < mc.n_samples:
-        m = min(mc.chunk, mc.n_samples - done)
-        if mode == "colluding":
-            draws = -np.log1p(-rng.random((m, 2)))
-            vals = _cond_prob_zero_array(g, params, draws[:, 0], draws[:, 1])
-        else:
-            draws = -np.log1p(-rng.random((m, 3)))
-            vals = cond_prob_zero_pair_array(g, params, draws[:, 0], draws[:, 1], draws[:, 2])
-        total += float(np.sum(vals))
-        done += m
-    return total / mc.n_samples
+    Cell i owns the i-th block of n*k uniforms of the field stream (k = 2
+    colluding, 3 pairwise).  Blocks of whole cells, at most mc.chunk
+    samples, go to the kernel at once with gains and P_J as (cells, 1)
+    columns against (cells, n) draws; a cell with n > chunk is summed over
+    sub-blocks of chunk samples.
+    """
+    kernel, k = (_cond_prob_zero_array, 2) if mode == "colluding" else (_cond_prob_zero_pair_kernel, 3)
+    n, rng = mc.n_samples, _field_rng(mc)
+    a, b = a_f.reshape(-1, 1), b_f.reshape(-1, 1)
+    p_j = np.reshape(p_j, (-1, 1)) if np.ndim(p_j) else p_j
+    per, sub = max(1, mc.chunk // n), min(n, mc.chunk)
+    total = np.zeros(a.shape[0])
+    for lo in range(0, a.shape[0], per):
+        cells = slice(lo, lo + per)
+        pj = p_j[cells] if np.ndim(p_j) else p_j
+        for done in range(0, n, sub):
+            e = _exp_draws(rng, (a[cells].shape[0], min(sub, n - done), k))
+            total[cells] += kernel(a[cells], b[cells], params.rho, pj, *np.moveaxis(e, -1, 0)).sum(axis=1)
+    return (total / n).reshape(a_f.shape)
 
 
 def build_region_grid(grid: GridSpec, rho: float, alpha: float = 2.0) -> FieldGrid:
@@ -243,45 +227,45 @@ def build_region_grid(grid: GridSpec, rho: float, alpha: float = 2.0) -> FieldGr
 
 def build_optjam_grid(grid: GridSpec, params: SystemParams) -> FieldGrid:
     """Optimal colluding jamming power per cell."""
-    xs, ys = grid.xs(), grid.ys()
-    values = np.empty((grid.ny, grid.nx))
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            a_f, b_f = gain_fields(np.asarray(x), np.asarray(y), params.alpha)
-            g = LinkGains(a=float(a_f), b=float(b_f))
-            values[iy, ix] = opt_jam(g, params.rho, params.p_t).p_j_opt
+    xm, ym = np.meshgrid(grid.xs(), grid.ys())
+    a_f, b_f = gain_fields(xm, ym, params.alpha)
+    values = p_j_opt_array(a_f, b_f, params.rho, params.p_t)
     meta = {"quantity": "opt-jam", **_params_meta(params)}
     return FieldGrid(spec=grid, values=values, meta=meta)
 
 
-def _arg_best(fg: FieldGrid, best: float) -> tuple[float, float, float]:
-    # Lexicographic (x, y) among exact ties; y is the slow axis, so scan
-    # x-major by transposing the index order.
+def _arg_best(fg: FieldGrid, pick) -> tuple[float, float, float]:
+    # NaN cells are skipped.  Lexicographic (x, y) among exact ties; y is
+    # the slow axis, so scan x-major by transposing the index order.
+    if np.all(np.isnan(fg.values)):
+        raise InvalidParameterError("every cell of the field is NaN")
+    best = float(pick(fg.values))
     xs, ys = fg.spec.xs(), fg.spec.ys()
     hits = np.argwhere(fg.values == best)
     order = np.lexsort((hits[:, 0], hits[:, 1]))  # sort by ix, then iy
     iy, ix = hits[order[0]]
-    return float(xs[ix]), float(ys[iy]), float(best)
+    return float(xs[ix]), float(ys[iy]), best
 
 
 def grid_argmin(fg: FieldGrid) -> tuple[float, float, float]:
-    """(x, y, value) of the smallest cell; ties break lexicographically by (x, y)."""
-    return _arg_best(fg, float(np.min(fg.values)))
+    """(x, y, value) of the smallest non-NaN cell; ties break lexicographically by (x, y)."""
+    return _arg_best(fg, np.nanmin)
 
 
 def grid_argmax(fg: FieldGrid) -> tuple[float, float, float]:
-    """(x, y, value) of the largest cell; ties break lexicographically by (x, y)."""
-    return _arg_best(fg, float(np.max(fg.values)))
+    """(x, y, value) of the largest non-NaN cell; ties break lexicographically by (x, y)."""
+    return _arg_best(fg, np.nanmax)
 
 
 def write_csv(fg: FieldGrid, path: str) -> None:
     """Rows are x,y,value with y varying slowest, full float round-trip."""
-    xs, ys = fg.spec.xs(), fg.spec.ys()
+    xm, ym = np.meshgrid(fg.spec.xs(), fg.spec.ys())
+    rows = np.column_stack([xm.ravel(), ym.ravel(), fg.values.ravel()])
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
-        for iy in range(fg.spec.ny):
-            for ix in range(fg.spec.nx):
-                fh.write(f"{xs[ix]:.17g},{ys[iy]:.17g},{fg.values[iy, ix]:.17g}\n")
+        for lo in range(0, rows.shape[0], 4096):  # one format call per block of rows
+            block = rows[lo : lo + 4096]
+            fh.write(("%.17g,%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path: str, spec: GridSpec) -> FieldGrid:
@@ -305,7 +289,7 @@ def write_json(fg: FieldGrid, path: str) -> None:
             "step": fg.spec.step,
         },
         "meta": fg.meta,
-        "values": [[float(v) for v in row] for row in fg.values],
+        "values": fg.values.tolist(),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)

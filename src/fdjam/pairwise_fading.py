@@ -158,8 +158,12 @@ def cond_prob_zero_pair_array(
     g: LinkGains, params: SystemParams, a_t: np.ndarray, b1_t: np.ndarray, b2_t: np.ndarray
 ) -> np.ndarray:
     """Vectorized cond_prob_zero_pair over fading arrays (finite gains)."""
-    a, b, rho, p_j = g.a, g.b, params.rho, params.p_j
-    if math.isinf(a) or math.isinf(b):
+    return _cond_prob_zero_pair_kernel(g.a, g.b, params.rho, params.p_j, a_t, b1_t, b2_t)
+
+
+def _cond_prob_zero_pair_kernel(a, b, rho: float, p_j: float, a_t, b1_t, b2_t) -> np.ndarray:
+    """cond_prob_zero_pair over fading arrays; the finite gains a, b may be arrays that broadcast."""
+    if np.any(np.isinf(a)) or np.any(np.isinf(b)):
         raise InvalidParameterError("array form needs finite gains")
     if math.isinf(p_j):
         d = rho**2 * b1_t * b2_t - a_t**2

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdjam.colluding import (
     gamma_coeff,
     jam_derivative_coeffs,
     lambda_factor,
     opt_jam,
+    p_j_opt_array,
     positivity,
     secrecy_ab,
     snr_ab,
@@ -18,7 +21,7 @@ from fdjam.colluding import (
     zero_region_predicate,
 )
 from fdjam.errors import InvalidParameterError, UnboundedOptimumError, UnsupportedRegimeError
-from fdjam.geometry import LinkGains, Region, SystemParams, gains
+from fdjam.geometry import LinkGains, Region, SystemParams, gains, region_classify
 from fdjam.oracles import golden_max_secrecy
 
 
@@ -151,3 +154,40 @@ def test_worst_location_preconditions() -> None:
         worst_location(SystemParams(p_t=100.0, p_j=1000.0, rho=0.01, delta=0.1))
     with pytest.raises(UnsupportedRegimeError):
         worst_location(SystemParams(p_t=100.0, p_j=100.0, rho=0.005, delta=0.1))
+
+
+_POS = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_POS, b=_POS, rho=st.floats(min_value=1e-6, max_value=10.0), p_t=_POS, on_boundary=st.booleans())
+@example(a=4.0, b=0.04, rho=0.01, p_t=100.0, on_boundary=True)  # b = rho*a
+@example(a=1.0, b=2.0, rho=0.1, p_t=10.0, on_boundary=False)  # a = 1, R2 side
+@example(a=1.0, b=0.05, rho=0.1, p_t=10.0, on_boundary=False)  # a = 1, R4 side
+@example(a=0.5, b=0.2, rho=0.3, p_t=10.0, on_boundary=False)  # R1 clip at c0 <= 0
+def test_p_j_opt_array_matches_scalar_exactly(a, b, rho, p_t, on_boundary) -> None:
+    if on_boundary:
+        b = rho * a
+    g = LinkGains(a, b)
+    # the closed form assembled from the scalar region and coefficient helpers
+    region = region_classify(g, rho)
+    c2, _, c0 = jam_derivative_coeffs(g, rho, p_t)
+    if region in (Region.R3, Region.R4) or (region is Region.R1 and c0 <= 0):
+        want = 0.0
+    else:
+        gam = gamma_coeff(g, rho)
+        want = gam + math.sqrt(gam * gam + c0 / c2)
+    got = p_j_opt_array(np.array([a, a]), np.array([b, b]), rho, p_t)
+    assert got.shape == (2,)
+    assert got[0] == want and got[1] == want
+    assert opt_jam(g, rho, p_t).p_j_opt == want
+
+
+def test_p_j_opt_array_typed_errors() -> None:
+    a, b = np.array([4.0, math.inf]), np.array([1.0, 0.25])
+    with pytest.raises(InvalidParameterError):
+        p_j_opt_array(a, b, 0.01, 100.0)  # an endpoint cell
+    with pytest.raises(UnboundedOptimumError):
+        p_j_opt_array(a[:1], b[:1], 0.0, 100.0)
+    with pytest.raises(InvalidParameterError):
+        p_j_opt_array(a[:1], b[:1], -0.1, 100.0)

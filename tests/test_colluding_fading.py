@@ -11,6 +11,7 @@ import pytest
 
 from fdjam.colluding_fading import (
     JamResponseKind,
+    _cond_prob_zero_array,
     cdf_lower_bound,
     classify_jam_response,
     cond_prob_zero,
@@ -45,6 +46,26 @@ def test_no_jamming_conditional() -> None:
     params = SystemParams(p_t=100.0, p_j=0.0, rho=0.1)
     assert cond_prob_zero(g, params, 1.0, 1.0) == pytest.approx(math.exp(-1.0))
     assert cond_prob_zero(g, params, 2.0, 7.0) == pytest.approx(math.exp(-2.0))
+
+
+def test_no_jamming_at_the_receiver_node() -> None:
+    # Eve on (0.5, 0): b = inf, and without jamming v1 = 0, v2 = A~/a
+    g = gains(0.5, 0.0, 2.0)
+    assert math.isinf(g.b) and g.a == 1.0
+    params = SystemParams(p_t=100.0, p_j=0.0, rho=0.1)
+    t = v_terms(g, params, 2.0, 7.0)
+    assert (t.v1, t.v2) == (0.0, 2.0)
+    assert cond_prob_zero(g, params, 2.0, 7.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+    a_t, b_t = np.array([0.5, 2.0]), np.array([1.0, 7.0])
+    arr = _cond_prob_zero_array(g.a, g.b, params.rho, params.p_j, a_t, b_t)
+    np.testing.assert_allclose(arr, np.exp(-a_t), rtol=1e-15)
+    mc = MCConfig(seed=4, n_samples=5000)
+    p = uncond_prob_zero(g, params, mc)
+    same_stream = estimate(lambda u: np.exp(-u[:, 0]), mc, draws_per_sample=2)
+    assert p.mean == pytest.approx(same_stream.mean, rel=1e-12)
+    assert p.stderr > 0.0
+    ub = uncond_upper_bound(g, params, mc)
+    assert (ub.mean, ub.stderr) == (1.0, 0.0)
 
 
 def test_infinite_jamming_conditional() -> None:
