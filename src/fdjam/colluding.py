@@ -54,12 +54,27 @@ def snr_ae(g: LinkGains, params: SystemParams) -> float:
     return g.a * params.p_t / (1.0 + g.b * params.p_j)
 
 
+def _secrecy_array(a, b, p_t: float, rho: float, p_j, c=1.0, d=1.0, a_t=1.0, b_t=1.0) -> np.ndarray:
+    """One-direction secrecy [log2(1+SNR_AB) - log2(1+SNR_AE)]^+ over arrays that broadcast.
+
+    SNR_AB = A~*P_T/(1+rho*B~*P_J) and SNR_AE = C~*a*P_T/(1+D~*b*P_J), with
+    (a_t, b_t) the link-side and (c, d) the eavesdropper-side fading; all
+    ones is the static secrecy.  p_j is a scalar or one power per element.
+    Limits: a jamming term with a zero factor is 0 (also at b or P_J = inf),
+    a = inf makes SNR_AE infinite unless C~ = 0, and P_J = inf silences
+    every jammed receiver.
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        jam_ab = np.where((p_j == 0) | (rho * b_t == 0), 0.0, rho * b_t * p_j)
+        jam_ae = np.where((p_j == 0) | (d == 0), 0.0, d * b * p_j)
+        snr_ae = np.where(np.isinf(a), np.inf, c * a * p_t / (1.0 + jam_ae))
+        snr_ae = np.where(c == 0, 0.0, snr_ae)
+        return np.maximum(0.0, (np.log1p(a_t * p_t / (1.0 + jam_ab)) - np.log1p(snr_ae)) / math.log(2.0))
+
+
 def secrecy_ab(g: LinkGains, params: SystemParams) -> float:
     """Secrecy capacity [C_AB - C_AE]^+ in bits per channel use."""
-    if math.isinf(g.a):
-        return 0.0
-    diff = math.log1p(snr_ab(params)) - math.log1p(snr_ae(g, params))
-    return max(0.0, diff * LOG2E)
+    return float(_secrecy_array(g.a, g.b, params.p_t, params.rho, params.p_j))
 
 
 def lambda_factor(g: LinkGains, params: SystemParams) -> float:

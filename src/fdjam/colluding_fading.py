@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .colluding import _secrecy_array
 from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams
 from .montecarlo import Estimate, MCConfig, estimate, sample_matrix
@@ -60,53 +61,41 @@ class ZeroSecrecyTermsColluding:
 
 def v_terms(g: LinkGains, params: SystemParams, a_tilde: float, b_tilde: float) -> ZeroSecrecyTermsColluding:
     """v1 = b*A~*P_J/(a*(1+rho*B~*P_J)), v2 = A~/(a*(1+rho*B~*P_J))."""
-    a, b, rho, p_j = g.a, g.b, params.rho, params.p_j
-    if math.isinf(a):
-        return ZeroSecrecyTermsColluding(0.0, 0.0)
-    if math.isinf(p_j):
-        rb = rho * b_tilde
-        if rb > 0:
-            v1 = (b / a) * (a_tilde / rb) if not math.isinf(b) else math.inf
-            return ZeroSecrecyTermsColluding(v1, 0.0)
-        # no effective self-interference: jamming is free, v1 runs away
-        v1 = math.inf if b * a_tilde > 0 else 0.0
-        return ZeroSecrecyTermsColluding(v1, a_tilde / a)
-    den = a * (1.0 + rho * b_tilde * p_j)
-    # without jamming v1 vanishes, even at b = inf
-    v1 = 0.0 if p_j == 0 else (math.inf if math.isinf(b) else b * a_tilde * p_j / den)
-    return ZeroSecrecyTermsColluding(v1, a_tilde / den)
+    v1, v2 = _v_arrays(g.a, g.b, params.rho, params.p_j, a_tilde, b_tilde)
+    return ZeroSecrecyTermsColluding(float(v1), float(v2))
 
 
 def cond_prob_zero(g: LinkGains, params: SystemParams, a_tilde: float, b_tilde: float) -> float:
     """P{zero secrecy | a_tilde, b_tilde} = exp(-v2)/(1+v1)."""
-    t = v_terms(g, params, a_tilde, b_tilde)
-    if math.isinf(t.v1):
-        return 0.0
-    return math.exp(-t.v2) / (1.0 + t.v1)
+    return float(_cond_prob_zero_array(g.a, g.b, params.rho, params.p_j, a_tilde, b_tilde))
 
 
-def _v_arrays(a, b, rho: float, p_j, a_t: np.ndarray, b_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _v_arrays(a, b, rho: float, p_j, a_t, b_t) -> tuple[np.ndarray, np.ndarray]:
     """(v1, v2) over fading arrays; gains and P_J may be arrays that broadcast.
 
-    P_J = inf drops v2 and P_J = 0 drops v1 (also at b = inf).  Both terms
-    vanish at a = inf up to 0/0 cases, so callers mask a = inf themselves.
+    Limits: a = inf gives (0, 0); P_J = 0 or A~ = 0 drops v1 (also at
+    b = inf); P_J = inf drops v2 where rho*B~ > 0 and leaves v1 =
+    b*A~/(a*rho*B~), and where rho*B~ = 0 sends v1 to inf and keeps A~/a.
     """
-    inf_pj, no_pj = np.isinf(p_j), p_j == 0
+    a_t, b_t, inf_pj = np.asarray(a_t, dtype=float), np.asarray(b_t, dtype=float), np.isinf(p_j)
     with np.errstate(divide="ignore", invalid="ignore"):
         den = a * (1.0 + rho * b_t * p_j)
         v1, v2 = b * a_t * p_j / den, a_t / den
         if np.any(inf_pj):
-            v1 = np.where(inf_pj, (b / a) * a_t / (rho * b_t), v1)
-            v2 = np.where(inf_pj, 0.0, v2)
-    return (np.where(no_pj, 0.0, v1) if np.any(no_pj) else v1), v2
+            rb = rho * b_t
+            v1 = np.where(inf_pj, np.where(rb > 0, (b / a) * a_t / rb, np.inf), v1)
+            v2 = np.where(inf_pj & (rb == 0), a_t / a, v2)
+    if np.any(inf_pj) or np.any(np.isinf(b)):
+        v1 = np.where((p_j == 0) | (a_t == 0), 0.0, v1)
+    if np.any(np.isinf(a)):
+        v1, v2 = np.where(np.isinf(a), 0.0, v1), np.where(np.isinf(a), 0.0, v2)
+    return v1, v2
 
 
-def _cond_prob_zero_array(a, b, rho: float, p_j, a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
-    """exp(-v2)/(1+v1) over fading arrays; 1 where a = inf."""
+def _cond_prob_zero_array(a, b, rho: float, p_j, a_t, b_t) -> np.ndarray:
+    """exp(-v2)/(1+v1) over fading arrays, with the limits of _v_arrays."""
     v1, v2 = _v_arrays(a, b, rho, p_j, a_t, b_t)
-    with np.errstate(invalid="ignore"):
-        p = np.exp(-v2) / (1.0 + v1)
-    return np.where(np.isinf(a), 1.0, p) if np.any(np.isinf(a)) else p
+    return np.exp(-v2) / (1.0 + v1)
 
 
 def sample_cond_prob_zero(g: LinkGains, params: SystemParams, mc: MCConfig) -> np.ndarray:
@@ -129,7 +118,7 @@ def uncond_upper_bound(g: LinkGains, params: SystemParams, mc: MCConfig) -> Esti
 
     def f(u: np.ndarray) -> np.ndarray:
         v1, _ = _v_arrays(g.a, g.b, params.rho, params.p_j, u[:, 0], u[:, 1])
-        return np.where(math.isinf(g.a), 1.0, 1.0 / (1.0 + v1))
+        return 1.0 / (1.0 + v1)
 
     return estimate(f, mc, draws_per_sample=2)
 
@@ -239,22 +228,4 @@ def secrecy_sample(
 
     SNR_AB = A~*P_T/(1+rho*B~*P_J) and SNR_AE = C~*a*P_T/(1+D~*b*P_J).
     """
-    a, b, rho, p_j, p_t = g.a, g.b, params.rho, params.p_j, params.p_t
-    if p_j == 0 or rho * b_tilde == 0:
-        s_ab = a_tilde * p_t
-    elif math.isinf(p_j):
-        s_ab = 0.0
-    else:
-        s_ab = a_tilde * p_t / (1.0 + rho * b_tilde * p_j)
-    if c_tilde == 0.0:
-        s_ae = 0.0
-    elif math.isinf(a):
-        s_ae = math.inf
-    elif p_j == 0 or d_tilde == 0:
-        s_ae = c_tilde * a * p_t
-    elif math.isinf(p_j) or math.isinf(b):
-        s_ae = 0.0
-    else:
-        s_ae = c_tilde * a * p_t / (1.0 + d_tilde * b * p_j)
-    diff = math.log1p(s_ab) - math.log1p(s_ae)
-    return max(0.0, diff * math.log2(math.e))
+    return float(_secrecy_array(g.a, g.b, params.p_t, params.rho, params.p_j, c_tilde, d_tilde, a_tilde, b_tilde))

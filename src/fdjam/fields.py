@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .colluding import p_j_opt_array
+from .colluding import _secrecy_array, p_j_opt_array
 from .colluding_fading import _cond_prob_zero_array
 from .errors import InvalidParameterError
 from .geometry import SystemParams, gain_fields
@@ -142,14 +142,16 @@ def build_field(
 
     if quantity == "prob-zero":
         values = _prob_zero_field(mode, params, a_f, b_f, p_j, mc)
-    elif fading:
-        # one draw of the unknown Eve-side coefficients per cell; the
-        # link-side coefficients stay at their means
-        e = _exp_draws(_field_rng(mc), (a_f.size, 2))
-        c, d = e[:, 0].reshape(a_f.shape), e[:, 1].reshape(a_f.shape)
-        values = _secrecy_field(mode, params, a_f, b_f, p_j, c, d)
     else:
-        values = _secrecy_field(mode, params, a_f, b_f, p_j)
+        c = d = 1.0
+        if fading:
+            # one draw of the unknown Eve-side coefficients per cell; the
+            # link-side coefficients stay at their means
+            e = _exp_draws(_field_rng(mc), (a_f.size, 2))
+            c, d = e[:, 0].reshape(a_f.shape), e[:, 1].reshape(a_f.shape)
+        values = _secrecy_array(a_f, b_f, params.p_t, params.rho, p_j, c, d)
+        if mode == "pairwise":
+            values = 0.5 * (values + _secrecy_array(b_f, a_f, params.p_t, params.rho, p_j, d, c))
 
     meta = {
         "mode": mode,
@@ -162,28 +164,6 @@ def build_field(
         meta["seed"] = mc.seed
         meta["n_samples"] = mc.n_samples
     return FieldGrid(spec=grid, values=values, meta=meta)
-
-
-def _secrecy_field(mode: str, params: SystemParams, a_f, b_f, p_j, c=1.0, d=1.0) -> np.ndarray:
-    """Secrecy per cell at Eve-side fading (c, d); c = d = 1 is the static field.
-
-    p_j is a scalar or one power per cell.  Endpoint cells and P_J in
-    {0, inf} get the limits of secrecy_ab and secrecy_sample[_pair].
-    """
-    p_t, rho = params.p_t, params.rho
-    c_main = np.log1p(p_t if rho == 0 else p_t / (1.0 + rho * p_j))
-
-    def one_direction(ga: np.ndarray, gb: np.ndarray, ce, de) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            jam = np.where((p_j == 0) | (de == 0), 0.0, de * gb * p_j)
-            snr_eve = np.where(np.isinf(ga), np.inf, ce * ga * p_t / (1.0 + jam))
-            snr_eve = np.where(ce == 0, 0.0, snr_eve)
-            return np.maximum(0.0, (c_main - np.log1p(snr_eve)) / math.log(2.0))
-
-    s_ab = one_direction(a_f, b_f, c, d)
-    if mode == "colluding":
-        return s_ab
-    return 0.5 * (s_ab + one_direction(b_f, a_f, d, c))
 
 
 def _prob_zero_field(mode: str, params: SystemParams, a_f, b_f, p_j, mc: MCConfig) -> np.ndarray:

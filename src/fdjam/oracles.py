@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .colluding_fading import v_terms
+from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams
 from .montecarlo import Estimate, MCConfig, estimate
 from .pairwise_fading import pair_terms
@@ -24,6 +25,7 @@ __all__ = [
     "quad_prob_zero_pair",
     "mc_cond_prob_zero_colluding",
     "mc_cond_prob_zero_pair",
+    "deriv_x_axis_even_alpha",
     "central_diff",
     "second_diff",
 ]
@@ -138,6 +140,44 @@ def mc_cond_prob_zero_pair(
         return (first & second).astype(float)
 
     return estimate(f, mc, draws_per_sample=2)
+
+
+def deriv_x_axis_even_alpha(d: float, params: SystemParams) -> float:
+    """d/dx of the pair secrecy along y = 0 via the explicit N(d)/D(d) polynomial.
+
+    The compact display assumes even alpha so that (1-d)^alpha is positive
+    on both sides of d = 1; an independent cross-check of
+    pairwise.deriv_x_axis.
+    """
+    alpha, p_t, p_j = params.alpha, params.p_t, params.p_j
+    if alpha != int(alpha) or int(alpha) % 2:
+        raise InvalidParameterError(f"literal polynomial form needs even alpha, got {alpha}")
+    if not d > 0 or d == 1.0:
+        raise InvalidParameterError(f"axis distance must be > 0 and != 1, got {d}")
+    e = d
+    f = 1.0 - d
+
+    def pw(base: float, k: float) -> float:
+        return base**k
+
+    n = (
+        -alpha * p_j * p_t**2 * (pw(e, alpha - 1) - pw(f, alpha - 1)) / (pw(e, 2 * alpha) * pw(f, 2 * alpha))
+        + alpha * p_t * (pw(e, alpha + 1) - pw(f, alpha + 1)) / (pw(e, alpha + 1) * pw(f, alpha + 1))
+        + 2 * alpha * p_j * p_t * (pw(e, 2 * alpha + 1) - pw(f, 2 * alpha + 1)) / (pw(e, 2 * alpha + 1) * pw(f, 2 * alpha + 1))
+        + alpha * p_j**2 * p_t * (
+            2 * (pw(e, alpha) - pw(f, alpha)) / (pw(e, 2 * alpha + 1) * pw(f, 2 * alpha + 1))
+            + (pw(e, 3 * alpha + 1) - pw(f, 3 * alpha + 1)) / (pw(e, 3 * alpha + 1) * pw(f, 3 * alpha + 1))
+        )
+        + alpha * p_j**3 * p_t * (pw(e, 2 * alpha) - pw(f, 2 * alpha)) / (pw(e, 3 * alpha + 1) * pw(f, 3 * alpha + 1))
+        + alpha * p_t**2 * (2 * d - 1.0) / (pw(e, alpha + 1) * pw(f, alpha + 1))
+    )
+    dd = (
+        (1.0 + p_j / pw(f, alpha) + p_t / pw(e, alpha))
+        * (1.0 + p_j / pw(f, alpha))
+        * (1.0 + p_j / pw(e, alpha) + p_t / pw(f, alpha))
+        * (1.0 + p_j / pw(e, alpha))
+    )
+    return -0.5 * math.log2(math.e) * n / dd
 
 
 def central_diff(f: Callable[[float], float], x: float, h: float) -> float:

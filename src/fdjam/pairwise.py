@@ -36,7 +36,6 @@ __all__ = [
     "origin_extremum_threshold",
     "origin_extremum_approx",
     "deriv_x_axis",
-    "deriv_x_axis_even_alpha",
     "singularity_asymptote",
     "lr_asymmetry",
     "lr_asymmetry_asymptotic",
@@ -206,44 +205,6 @@ def deriv_x_axis(d: float, params: SystemParams) -> float:
     f4 = 1.0 + a * p_j
     dlnt = (bp * p_j + ap * p_t) / f1 + (ap * p_j + bp * p_t) / f2 - bp * p_j / f3 - ap * p_j / f4
     return -0.5 * LOG2E * dlnt
-
-
-def deriv_x_axis_even_alpha(d: float, params: SystemParams) -> float:
-    """The same derivative via the explicit N(d)/D(d) polynomial (even alpha).
-
-    The compact display assumes even alpha so that (1-d)^alpha is positive
-    on both sides of d = 1; kept as an independent cross-check of
-    deriv_x_axis.
-    """
-    alpha, p_t, p_j = params.alpha, params.p_t, params.p_j
-    if alpha != int(alpha) or int(alpha) % 2:
-        raise InvalidParameterError(f"literal polynomial form needs even alpha, got {alpha}")
-    if not d > 0 or d == 1.0:
-        raise InvalidParameterError(f"axis distance must be > 0 and != 1, got {d}")
-    e = d
-    f = 1.0 - d
-
-    def pw(base: float, k: float) -> float:
-        return base**k
-
-    n = (
-        -alpha * p_j * p_t**2 * (pw(e, alpha - 1) - pw(f, alpha - 1)) / (pw(e, 2 * alpha) * pw(f, 2 * alpha))
-        + alpha * p_t * (pw(e, alpha + 1) - pw(f, alpha + 1)) / (pw(e, alpha + 1) * pw(f, alpha + 1))
-        + 2 * alpha * p_j * p_t * (pw(e, 2 * alpha + 1) - pw(f, 2 * alpha + 1)) / (pw(e, 2 * alpha + 1) * pw(f, 2 * alpha + 1))
-        + alpha * p_j**2 * p_t * (
-            2 * (pw(e, alpha) - pw(f, alpha)) / (pw(e, 2 * alpha + 1) * pw(f, 2 * alpha + 1))
-            + (pw(e, 3 * alpha + 1) - pw(f, 3 * alpha + 1)) / (pw(e, 3 * alpha + 1) * pw(f, 3 * alpha + 1))
-        )
-        + alpha * p_j**3 * p_t * (pw(e, 2 * alpha) - pw(f, 2 * alpha)) / (pw(e, 3 * alpha + 1) * pw(f, 3 * alpha + 1))
-        + alpha * p_t**2 * (2 * d - 1.0) / (pw(e, alpha + 1) * pw(f, alpha + 1))
-    )
-    dd = (
-        (1.0 + p_j / pw(f, alpha) + p_t / pw(e, alpha))
-        * (1.0 + p_j / pw(f, alpha))
-        * (1.0 + p_j / pw(e, alpha) + p_t / pw(f, alpha))
-        * (1.0 + p_j / pw(e, alpha))
-    )
-    return -0.5 * LOG2E * n / dd
 
 
 def singularity_asymptote(x: float, alpha: float) -> float:

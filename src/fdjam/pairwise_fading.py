@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .colluding import _secrecy_array
 from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams
 from .montecarlo import Estimate, MCConfig, estimate, sample_matrix
@@ -92,37 +93,22 @@ def pair_terms(
         r2 = rho * b2_tilde
         v1 = b * a_tilde / (a * r1) if r1 > 0 else (math.inf if a_tilde > 0 else 0.0)
         u1 = a * a_tilde / (b * r2) if r2 > 0 else (math.inf if a_tilde > 0 else 0.0)
+        v2 = u2 = 0.0
         prod = a_tilde * a_tilde / (r1 * r2) if r1 * r2 > 0 else (math.inf if a_tilde > 0 else 0.0)
-        if prod < 1.0:
-            c_min = 0.0
-            k = (
-                a * b * (r1 * r2 - a_tilde**2)
-                / ((a * a_tilde + rho * b * b2_tilde) * (b * a_tilde + rho * a * b1_tilde))
-            )
-        else:
-            c_min = math.inf
-            k = 0.0
-        return ZeroSecrecyTermsPair(
-            v1=v1, u1=u1, v2=0.0, u2=0.0, c_min=c_min, k=k, e_exp=0.0,
-            w1=math.inf, w2=math.inf, w3=math.inf,
-        )
-    q1 = 1.0 + rho * b1_tilde * p_j
-    q2 = 1.0 + rho * b2_tilde * p_j
-    v1 = b * a_tilde * p_j / (a * q1)
-    v2 = a_tilde / (a * q1)
-    u1 = a * a_tilde * p_j / (b * q2)
-    u2 = a_tilde / (b * q2)
-    prod = a_tilde**2 * p_j**2 / (q1 * q2)
-    c_min = (v2 + v1 * u2) / (1.0 - prod) if prod < 1.0 else math.inf
-    w1 = a * b * (q1 * q2 - a_tilde**2 * p_j**2)
-    w2 = (a * a_tilde * p_j + b * q2) * (b * a_tilde * p_j + a * q1)
-    w3 = a_tilde * (a * q1 + b * q2 + b * a_tilde * p_j + a * a_tilde * p_j)
-    if w1 > 0:
-        k = w1 / w2
-        e_exp = w3 / w1
     else:
-        k = 0.0
-        e_exp = math.inf
+        q1 = 1.0 + rho * b1_tilde * p_j
+        q2 = 1.0 + rho * b2_tilde * p_j
+        v1 = b * a_tilde * p_j / (a * q1)
+        v2 = a_tilde / (a * q1)
+        u1 = a * a_tilde * p_j / (b * q2)
+        u2 = a_tilde / (b * q2)
+        prod = a_tilde**2 * p_j**2 / (q1 * q2)
+    c_min = (v2 + v1 * u2) / (1.0 - prod) if prod < 1.0 else math.inf
+    w1, w2, w3 = (float(w) for w in _w_terms(a, b, rho, p_j, a_tilde, b1_tilde, b2_tilde))
+    live = w1 > _W1_GUARD * w2
+    k, e_exp = (min(w1 / w2, 1.0), w3 / w1) if live else (0.0, math.inf)
+    if math.isinf(p_j):
+        w1 = w2 = w3 = math.inf
     return ZeroSecrecyTermsPair(
         v1=v1, v2=v2, u1=u1, u2=u2, c_min=c_min, k=k, e_exp=e_exp, w1=w1, w2=w2, w3=w3
     )
@@ -133,54 +119,57 @@ def pair_terms(
 _W1_GUARD = 1e-30
 
 
-def cond_prob_zero_pair(
-    g: LinkGains, params: SystemParams, a_tilde: float, b1_tilde: float, b2_tilde: float
-) -> float:
-    """P{both phases have zero secrecy | a_tilde, b1_tilde, b2_tilde}."""
-    if math.isinf(g.a) or math.isinf(g.b):
-        if params.p_j > 0:
-            return 0.0
-        # no jamming: only the finite-gain phase can fail
-        inv = (1.0 / g.a if not math.isinf(g.a) else 0.0) + (
-            1.0 / g.b if not math.isinf(g.b) else 0.0
-        )
-        return math.exp(-a_tilde * inv)
-    t = pair_terms(g, params, a_tilde, b1_tilde, b2_tilde)
-    if math.isfinite(t.w1):
-        if not t.w1 > _W1_GUARD * t.w2:
-            return 0.0
-    elif t.k <= 0.0:
-        return 0.0
-    return t.k * math.exp(-t.e_exp)
+def _w_terms(a, b, rho: float, p_j: float, a_t, b1_t, b2_t) -> tuple:
+    """(w1, w2, w3) of the wedge probability K*exp(-E), K = w1/w2, E = w3/w1.
 
-
-def cond_prob_zero_pair_array(
-    g: LinkGains, params: SystemParams, a_t: np.ndarray, b1_t: np.ndarray, b2_t: np.ndarray
-) -> np.ndarray:
-    """Vectorized cond_prob_zero_pair over fading arrays (finite gains)."""
-    return _cond_prob_zero_pair_kernel(g.a, g.b, params.rho, params.p_j, a_t, b1_t, b2_t)
-
-
-def _cond_prob_zero_pair_kernel(a, b, rho: float, p_j: float, a_t, b1_t, b2_t) -> np.ndarray:
-    """cond_prob_zero_pair over fading arrays; the finite gains a, b may be arrays that broadcast."""
-    if np.any(np.isinf(a)) or np.any(np.isinf(b)):
-        raise InvalidParameterError("array form needs finite gains")
+    At P_J = inf the w's diverge; they are returned divided by P_J^2, whose
+    limits a*b*(rho^2*B1~*B2~ - A~^2), (a*A~ + rho*b*B2~)*(b*A~ + rho*a*B1~)
+    and 0 give the limits of K and E = 0.
+    """
     if math.isinf(p_j):
-        d = rho**2 * b1_t * b2_t - a_t**2
-        num = a * b * d
-        den = (a * a_t + rho * b * b2_t) * (b * a_t + rho * a * b1_t)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(d > 0, num / den, 0.0)
-        return out
+        w1 = a * b * (rho**2 * b1_t * b2_t - a_t**2)
+        return w1, (a * a_t + rho * b * b2_t) * (b * a_t + rho * a * b1_t), 0.0
     q1 = 1.0 + rho * b1_t * p_j
     q2 = 1.0 + rho * b2_t * p_j
     w1 = a * b * (q1 * q2 - a_t**2 * p_j**2)
     w2 = (a * a_t * p_j + b * q2) * (b * a_t * p_j + a * q1)
     w3 = a_t * (a * q1 + b * q2 + (a + b) * a_t * p_j)
+    return w1, w2, w3
+
+
+def cond_prob_zero_pair(
+    g: LinkGains, params: SystemParams, a_tilde: float, b1_tilde: float, b2_tilde: float
+) -> float:
+    """P{both phases have zero secrecy | a_tilde, b1_tilde, b2_tilde}."""
+    return float(_cond_prob_zero_pair_kernel(g.a, g.b, params.rho, params.p_j, a_tilde, b1_tilde, b2_tilde))
+
+
+def cond_prob_zero_pair_array(
+    g: LinkGains, params: SystemParams, a_t: np.ndarray, b1_t: np.ndarray, b2_t: np.ndarray
+) -> np.ndarray:
+    """Vectorized cond_prob_zero_pair over fading arrays."""
+    return _cond_prob_zero_pair_kernel(g.a, g.b, params.rho, params.p_j, a_t, b1_t, b2_t)
+
+
+def _cond_prob_zero_pair_kernel(a, b, rho: float, p_j: float, a_t, b1_t, b2_t) -> np.ndarray:
+    """cond_prob_zero_pair over fading arrays; the gains a, b may be arrays that broadcast.
+
+    K*exp(-E) where w1 > _W1_GUARD*w2, else 0.  At an endpoint node (a or
+    b infinite) the limit is 0 for P_J > 0 and exp(-A~*(1/a + 1/b)) without
+    jamming, where only the finite-gain phase can fail.
+    """
+    a_t, node = np.asarray(a_t, dtype=float), np.isinf(a) | np.isinf(b)
+    if np.any(node):
+        limit = np.exp(-a_t * (1.0 / a + 1.0 / b)) if p_j == 0 else 0.0
+        a, b = np.where(node, 1.0, a), np.where(node, 1.0, b)
+    w1, w2, w3 = _w_terms(a, b, rho, p_j, a_t, b1_t, b2_t)
     live = w1 > _W1_GUARD * w2
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        val = np.where(live, w1 / w2 * np.exp(-w3 / np.where(live, w1, 1.0)), 0.0)
-    return val
+        # K < 1 exactly; the clip removes rounding above 1 as A~ -> 0
+        val = np.where(live, np.minimum(w1 / w2, 1.0), 0.0)
+        if not math.isinf(p_j):  # E = 0 at P_J = inf
+            val = val * np.exp(-w3 / np.where(live, w1, 1.0))
+    return np.where(node, limit, val) if np.any(node) else val
 
 
 def prob_zero_nojam(g: LinkGains) -> float:
@@ -263,40 +252,23 @@ def semi_dynamic_cap(rho: float) -> float:
     return math.pi * rho / 4.0
 
 
-def _k_inf_grid(w: np.ndarray, u: np.ndarray, v: np.ndarray, a: float, b: float, rho: float) -> np.ndarray:
-    num = a * b * (rho**2 * u * v - w**2)
-    den = (a * w + rho * b * v) * (b * w + rho * a * u)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(num > 0, num / den, 0.0)
+def _window(u, v, rho: float, p_j: float):
+    """Upper end w0 of the A~ window outside which the wedge is empty at power P_J.
+
+    w0 = sqrt(rho^2*B1~*B2~ + (1+rho*(B1~+B2~)*P_J)/P_J^2), which shrinks to
+    rho*sqrt(B1~*B2~) as P_J grows; P_J = inf gives that limit.
+    """
+    if math.isinf(p_j):
+        return rho * np.sqrt(u * v)
+    return np.sqrt(rho**2 * u * v + (1.0 + rho * (u + v) * p_j) / p_j**2)
 
 
-def _semi_dynamic_integrand(u_col: np.ndarray, v_col: np.ndarray, a: float, b: float, rho: float) -> np.ndarray:
-    """E_A{K_inf * 1[A < rho*sqrt(uv)]} per (u, v) row, by Gauss-Legendre."""
-    t = rho * np.sqrt(u_col * v_col)
-    half = 0.5 * t
+def _policy_integrand(u_col: np.ndarray, v_col: np.ndarray, a: float, b: float, rho: float, p_j: float) -> np.ndarray:
+    """E_A{cond_prob_zero_pair * 1[A < w0]} per (b1, b2) row, by Gauss-Legendre over the window."""
+    half = 0.5 * _window(u_col, v_col, rho, p_j)
     w = half * (_GL_NODES + 1.0)  # (m, 48)
-    vals = _k_inf_grid(w, u_col, v_col, a, b, rho) * np.exp(-w)
-    return (vals @ _GL_WEIGHTS) * half[:, 0]
-
-
-def _constant_integrand(
-    u_col: np.ndarray, v_col: np.ndarray, g: LinkGains, rho: float, p_j: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(estimate term, bound term) per (u, v) row for the constant policy."""
-    a, b = g.a, g.b
-    w0 = np.sqrt(rho**2 * u_col * v_col + (1.0 + rho * (u_col + v_col) * p_j) / p_j**2)
-    half = 0.5 * w0
-    w = half * (_GL_NODES + 1.0)
-    q1 = 1.0 + rho * u_col * p_j
-    q2 = 1.0 + rho * v_col * p_j
-    w1 = a * b * (q1 * q2 - w**2 * p_j**2)
-    w2 = (a * w * p_j + b * q2) * (b * w * p_j + a * q1)
-    w3 = w * (a * q1 + b * q2 + (a + b) * w * p_j)
-    live = w1 > 0
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        vals = np.where(live, w1 / w2 * np.exp(-w3 / np.where(live, w1, 1.0)), 0.0)
-    inner = (np.exp(-w) * vals) @ _GL_WEIGHTS * half[:, 0]
-    return inner, -np.expm1(-w0[:, 0])
+    vals = _cond_prob_zero_pair_kernel(a, b, rho, p_j, w, u_col, v_col)
+    return (np.exp(-w) * vals) @ _GL_WEIGHTS * half[:, 0]
 
 
 def policy_prob_zero(
@@ -304,14 +276,14 @@ def policy_prob_zero(
 ) -> PolicyReport:
     """Zero-secrecy probability achieved by a jamming-power policy.
 
-    semi-dynamic: P_J > pj_star whenever it exists, unbounded power
-    otherwise; only draws with a_tilde <= rho*sqrt(b1*b2) can fail, and the
-    a_tilde coordinate is integrated in closed quadrature (the estimator
-    averages a deterministic function of (b1, b2), which both cuts variance
-    and makes estimate < p1 hold draw by draw).
+    constant: P_J = params.p_j throughout.  Only draws with a_tilde below
+    the window w0(b1, b2) can fail, and the a_tilde coordinate is integrated
+    in closed quadrature (the estimator averages a deterministic function of
+    (b1, b2), which both cuts variance and makes estimate < p2 hold draw by
+    draw); p_j = 0 falls back to the exact no-jam closed form.
 
-    constant: P_J = params.p_j throughout, same construction over the
-    window a_tilde < w0; p_j = 0 falls back to the exact no-jam closed form.
+    semi-dynamic: P_J > pj_star whenever it exists, unbounded power
+    otherwise; the constant construction at P_J = inf, bounded by p1.
 
     full-dynamic: power chosen per (c, d) reality; never zero secrecy.
 
@@ -324,60 +296,29 @@ def policy_prob_zero(
     kind = policy.kind
     if kind is JamPolicyKind.FULL_DYNAMIC:
         return PolicyReport(policy=policy, estimate=Estimate(0.0, 0.0, mc.n_samples))
-    if kind is JamPolicyKind.SEMI_DYNAMIC:
+    if kind in (JamPolicyKind.CONSTANT, JamPolicyKind.SEMI_DYNAMIC):
+        semi = kind is JamPolicyKind.SEMI_DYNAMIC
+        p_j = math.inf if semi else params.p_j
         if math.isinf(a) or math.isinf(b):
-            return PolicyReport(policy=policy, estimate=Estimate(0.0, 0.0, mc.n_samples))
-        est = estimate(
-            lambda uv: _semi_dynamic_integrand(uv[:, :1], uv[:, 1:2], a, b, rho),
-            mc,
-            draws_per_sample=2,
-        )
-        p1 = estimate(
-            lambda uv: -np.expm1(-rho * np.sqrt(uv[:, 0] * uv[:, 1])), mc, draws_per_sample=2
-        )
-        return PolicyReport(policy=policy, estimate=est, p1=p1)
-    if kind is JamPolicyKind.CONSTANT:
-        if math.isinf(a) or math.isinf(b):
-            val = eve_at_node_prob(params)
+            val = eve_at_node_prob(replace(params, p_j=p_j))
             return PolicyReport(policy=policy, estimate=Estimate(val, 0.0, mc.n_samples))
-        if params.p_j == 0:
+        if p_j == 0:
             return PolicyReport(
                 policy=policy,
                 estimate=Estimate(prob_zero_nojam(g), 0.0, mc.n_samples),
                 p2=Estimate(1.0, 0.0, mc.n_samples),
             )
-        if math.isinf(params.p_j):
-            est = estimate(
-                lambda uv: _semi_dynamic_integrand(uv[:, :1], uv[:, 1:2], a, b, rho),
-                mc,
-                draws_per_sample=2,
-            )
-            p2 = estimate(
-                lambda uv: -np.expm1(-rho * np.sqrt(uv[:, 0] * uv[:, 1])), mc, draws_per_sample=2
-            )
-            return PolicyReport(policy=policy, estimate=est, p2=p2)
-        def f_both(uv: np.ndarray) -> np.ndarray:
-            inner, _ = _constant_integrand(uv[:, :1], uv[:, 1:2], g, rho, params.p_j)
-            return inner
-
-        def f_bound(uv: np.ndarray) -> np.ndarray:
-            _, bound = _constant_integrand(uv[:, :1], uv[:, 1:2], g, rho, params.p_j)
-            return bound
-
-        est = estimate(f_both, mc, draws_per_sample=2)
-        p2 = estimate(f_bound, mc, draws_per_sample=2)
-        return PolicyReport(policy=policy, estimate=est, p2=p2)
+        est = estimate(
+            lambda uv: _policy_integrand(uv[:, :1], uv[:, 1:2], a, b, rho, p_j), mc, draws_per_sample=2
+        )
+        bound = p2_bound(rho, p_j, mc)
+        if semi:
+            return PolicyReport(policy=policy, estimate=est, p1=bound)
+        return PolicyReport(policy=policy, estimate=est, p2=bound)
     # general-dynamic
     p = float(policy.p_accept)
     draws = sample_matrix(mc, 3)
-    if math.isinf(a) or math.isinf(b):
-        if params.p_j > 0:
-            cond = np.zeros(draws.shape[0])
-        else:
-            inv = (0.0 if math.isinf(a) else 1.0 / a) + (0.0 if math.isinf(b) else 1.0 / b)
-            cond = np.exp(-draws[:, 0] * inv)
-    else:
-        cond = cond_prob_zero_pair_array(g, params, draws[:, 0], draws[:, 1], draws[:, 2])
+    cond = cond_prob_zero_pair_array(g, params, draws[:, 0], draws[:, 1], draws[:, 2])
     accepted = cond <= p
     n = cond.size
     acc_mean = float(accepted.mean())
@@ -398,29 +339,19 @@ def policy_prob_zero(
 
 def p1_bound(rho: float, mc: MCConfig) -> Estimate:
     """P1 = E{1 - exp(-rho*sqrt(b1*b2))}, the semi-dynamic failure-window mass."""
-    return estimate(
-        lambda uv: -np.expm1(-rho * np.sqrt(uv[:, 0] * uv[:, 1])), mc, draws_per_sample=2
-    )
+    return p2_bound(rho, math.inf, mc)
 
 
 def p2_bound(rho: float, p_j: float, mc: MCConfig) -> Estimate:
     """P2 = E{1 - exp(-w0)}, the constant-policy failure-window mass.
 
     w0 = sqrt(rho^2*b1*b2 + (1+rho*(b1+b2)*P_J)/P_J^2) shrinks to the P1
-    window as P_J grows; the same fading stream as p1_bound (same config)
-    makes P1 < P2 hold draw by draw at finite P_J.
+    window as P_J grows (P_J = inf gives P1); the same fading stream as
+    p1_bound (same config) makes P1 < P2 hold draw by draw at finite P_J.
     """
     if not p_j > 0:
         raise InvalidParameterError(f"p2_bound needs P_J > 0, got {p_j}")
-    if math.isinf(p_j):
-        return p1_bound(rho, mc)
-
-    def f(uv: np.ndarray) -> np.ndarray:
-        u, v = uv[:, 0], uv[:, 1]
-        w0 = np.sqrt(rho**2 * u * v + (1.0 + rho * (u + v) * p_j) / p_j**2)
-        return -np.expm1(-w0)
-
-    return estimate(f, mc, draws_per_sample=2)
+    return estimate(lambda uv: -np.expm1(-_window(uv[:, 0], uv[:, 1], rho, p_j)), mc, draws_per_sample=2)
 
 
 def homogeneous_secrecy(a_tilde: float, b1_tilde: float, b2_tilde: float, rho: float) -> float:
@@ -453,32 +384,12 @@ def secrecy_sample_pair(
     b1_tilde: float = 1.0,
     b2_tilde: float = 1.0,
 ) -> float:
-    """One fading realization of the pair secrecy, in bits."""
-    a, b, rho, p_j, p_t = g.a, g.b, params.rho, params.p_j, params.p_t
-    log2e = math.log2(math.e)
+    """One fading realization of the pair secrecy, in bits: the mean of the two directions.
 
-    def main_snr(b_self: float) -> float:
-        if p_j == 0 or rho * b_self == 0:
-            return a_tilde * p_t
-        if math.isinf(p_j):
-            return 0.0
-        return a_tilde * p_t / (1.0 + rho * b_self * p_j)
-
-    def eve_snr(ga: float, gb: float, ce: float, de: float) -> float:
-        if ce == 0.0:
-            return 0.0
-        if math.isinf(ga):
-            return math.inf
-        if p_j == 0 or de == 0:
-            return ce * ga * p_t
-        if math.isinf(p_j) or math.isinf(gb):
-            return 0.0
-        return ce * ga * p_t / (1.0 + de * gb * p_j)
-
-    def one_direction(ga: float, gb: float, ce: float, de: float, b_self: float) -> float:
-        diff = math.log1p(main_snr(b_self)) - math.log1p(eve_snr(ga, gb, ce, de))
-        return max(0.0, diff * log2e)
-
-    s_ab = one_direction(a, b, c_tilde, d_tilde, b1_tilde)
-    s_ba = one_direction(b, a, d_tilde, c_tilde, b2_tilde)
-    return 0.5 * (s_ab + s_ba)
+    The A->B direction sees self-interference fading b1_tilde and the
+    B->A direction b2_tilde; the eavesdropper fadings swap with the roles.
+    """
+    a, b, p_t, rho, p_j = g.a, g.b, params.p_t, params.rho, params.p_j
+    s_ab = _secrecy_array(a, b, p_t, rho, p_j, c_tilde, d_tilde, a_tilde, b1_tilde)
+    s_ba = _secrecy_array(b, a, p_t, rho, p_j, d_tilde, c_tilde, a_tilde, b2_tilde)
+    return float(0.5 * (s_ab + s_ba))

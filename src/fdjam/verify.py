@@ -34,6 +34,7 @@ from .geometry import (
 from .montecarlo import MCConfig, ecdf, estimate, sample_exp
 from .oracles import (
     central_diff,
+    deriv_x_axis_even_alpha,
     golden_max_secrecy,
     mc_cond_prob_zero_colluding,
     mc_cond_prob_zero_pair,
@@ -42,7 +43,6 @@ from .oracles import (
 )
 from .pairwise import (
     deriv_x_axis,
-    deriv_x_axis_even_alpha,
     lr_asymmetry,
     lr_asymmetry_asymptotic,
     node_peaks,
@@ -75,6 +75,15 @@ class CheckResult:
 
 def _check(suite: str, name: str, passed: bool, detail: str = "") -> CheckResult:
     return CheckResult(suite=suite, name=name, passed=bool(passed), detail=detail)
+
+
+def _binomial_se(p: float, n: int) -> float:
+    """Standard error of an n-draw event frequency whose true probability is p.
+
+    Taken from the closed form under test rather than from the sample: a run
+    that sees no event has sample stderr 0, which would fail a correct p ~ 1e-9.
+    """
+    return math.sqrt(p * (1.0 - p) / n)
 
 
 def _suite_geometry(seed: int) -> list[CheckResult]:
@@ -190,9 +199,9 @@ def _suite_colluding_fading(seed: int) -> list[CheckResult]:
         at, bt = float(rng.exponential()), float(rng.exponential())
         closed = cond_prob_zero(g, params, at, bt)
         mc = mc_cond_prob_zero_colluding(g, params, at, bt, MCConfig(seed=seed + 7, n_samples=200_000))
-        gap = abs(closed - mc.mean)
-        ok &= gap <= 4.0 * mc.stderr + 1e-12
-        detail = f"last gap {gap:.2e} vs 4se {4 * mc.stderr:.2e}"
+        gap, width = abs(closed - mc.mean), 4.0 * _binomial_se(closed, mc.n)
+        ok &= gap <= width + 1e-12
+        detail = f"last gap {gap:.2e} vs 4se {width:.2e}"
     out.append(_check("colluding-fading", "conditional-vs-mc", ok, detail))
 
     a, b = 100.0, 1.1**-2
@@ -335,7 +344,7 @@ def _suite_pairwise_fading(seed: int) -> list[CheckResult]:
         at, b1, b2 = (float(rng.exponential()) for _ in range(3))
         closed = cond_prob_zero_pair(g, params, at, b1, b2)
         mc = mc_cond_prob_zero_pair(g, params, at, b1, b2, MCConfig(seed=seed + 11, n_samples=200_000))
-        ok &= abs(closed - mc.mean) <= 4.0 * mc.stderr + 1e-12
+        ok &= abs(closed - mc.mean) <= 4.0 * _binomial_se(closed, mc.n) + 1e-12
     out.append(_check("pairwise-fading", "conditional-vs-mc", ok))
 
     star = pj_star(1.0, 1.0, 1.0, 0.1)

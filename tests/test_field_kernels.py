@@ -1,8 +1,11 @@
-"""Whole-grid field kernels against the scalar forms, and the field stream rule.
+"""Whole-grid field kernels against independent references, and the field stream rule.
 
 A fading or prob-zero field draws from one Philox stream keyed by the seed;
 cell i (row-major) owns the i-th block of k*n uniforms, each mapped to
 Exp(1) by -log1p(-u).  The draws are rebuilt here from that rule alone.
+The scalar secrecy and outage forms are calls into the same kernels as the
+fields, so the references are the oracles (raw-SNR secrecy, wedge
+quadrature), the paper's closed forms written out here, and literal limits.
 """
 
 import math
@@ -12,12 +15,13 @@ import pytest
 
 from fdjam import cli
 from fdjam import fields as fields_mod
-from fdjam.colluding import opt_jam, secrecy_ab
-from fdjam.colluding_fading import cond_prob_zero, secrecy_sample
+from fdjam.colluding import _secrecy_array, opt_jam
+from fdjam.colluding_fading import secrecy_sample
 from fdjam.errors import InvalidParameterError
 from fdjam.fields import FieldGrid, GridSpec, build_field, build_optjam_grid, grid_argmax, grid_argmin
 from fdjam.geometry import LinkGains, SystemParams, gain_fields
 from fdjam.montecarlo import MCConfig
+from fdjam.oracles import _secrecy_over_pj, quad_prob_zero_pair
 from fdjam.pairwise_fading import cond_prob_zero_pair_array, secrecy_sample_pair
 
 SMALL = GridSpec(-1.0, 1.0, -0.5, 0.5, 0.25)  # holds both endpoints
@@ -35,6 +39,26 @@ def _stream(seed: int, size: int) -> np.ndarray:
     return -np.log1p(-u)
 
 
+def _reference_secrecy(mode: str, params: SystemParams, g: LinkGains, c: float, d: float) -> float:
+    """Secrecy at Eve-side fading (c, d) from the raw-SNR oracle.
+
+    Eve's fading scales her gains, so one direction is
+    _secrecy_over_pj(LinkGains(c*a, d*b), ...); the two limits the raw SNRs
+    cannot evaluate (inf*0) are written out.
+    """
+
+    def one(ga: float, gb: float, ce: float, de: float) -> float:
+        if math.isinf(ga):
+            return 0.0  # Eve on the transmitter hears it at any jamming (ce > 0)
+        if params.rho == 0 and math.isinf(params.p_j):
+            return math.log2(1.0 + params.p_t)  # jamming silences Eve and spares the link
+        eve = LinkGains(ce * ga, de * gb if params.p_j > 0 else 1.0)  # b only enters through the jam
+        return float(_secrecy_over_pj(eve, params.rho, params.p_t, np.array([params.p_j]))[0])
+
+    s_ab = one(g.a, g.b, c, d)
+    return s_ab if mode == "colluding" else 0.5 * (s_ab + one(g.b, g.a, d, c))
+
+
 def test_optjam_grid_and_per_cell_opt_match_scalar() -> None:
     params = SystemParams(p_t=1e4, p_j=10.0, rho=0.05)
     cells = _cell_gains(SHIFTED)
@@ -43,8 +67,7 @@ def test_optjam_grid_and_per_cell_opt_match_scalar() -> None:
     for g, p_opt, s in zip(cells, oj, tuned):
         want = opt_jam(g, params.rho, params.p_t).p_j_opt
         assert p_opt == want
-        at_opt = SystemParams(p_t=params.p_t, p_j=want, rho=params.rho)
-        assert s == pytest.approx(secrecy_ab(g, at_opt), abs=1e-12)
+        assert s == pytest.approx(float(_secrecy_over_pj(g, params.rho, params.p_t, np.array([want]))[0]), abs=1e-12)
     assert np.any(oj > 0.0) and np.any(oj == 0.0)  # both branches are exercised
 
 
@@ -57,9 +80,12 @@ def test_fading_cells_match_scalar_on_the_stream(mode: str, rho: float, p_j: flo
     fg = build_field(mode, params, SMALL, fading=True, mc=mc)
     cells = _cell_gains(SMALL)
     draws = _stream(mc.seed, 2 * len(cells)).reshape(len(cells), 2)
-    scalar = secrecy_sample if mode == "colluding" else secrecy_sample_pair
-    want = [scalar(g, params, float(c), float(d)) for g, (c, d) in zip(cells, draws)]
+    want = [_reference_secrecy(mode, params, g, float(c), float(d)) for g, (c, d) in zip(cells, draws)]
     np.testing.assert_allclose(fg.values.ravel(), want, rtol=0.0, atol=1e-12)
+    scalar = secrecy_sample if mode == "colluding" else secrecy_sample_pair
+    np.testing.assert_allclose(
+        [scalar(g, params, float(c), float(d)) for g, (c, d) in zip(cells, draws)], want, rtol=0.0, atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("mode", ["colluding", "pairwise"])
@@ -68,11 +94,33 @@ def test_secrecy_kernel_zero_eve_fading_at_an_endpoint(mode: str) -> None:
     params = SystemParams(p_t=100.0, p_j=10.0, rho=0.05)
     a, b = np.array([math.inf, 1.0]), np.array([1.0, math.inf])
     c, d = np.array([0.0, 0.7]), np.array([0.4, 0.0])
-    got = fields_mod._secrecy_field(mode, params, a, b, params.p_j, c, d)
-    scalar = secrecy_sample if mode == "colluding" else secrecy_sample_pair
-    want = [scalar(LinkGains(a[i], b[i]), params, c[i], d[i]) for i in range(2)]
+    link = math.log2(1.0 + 100.0 / 1.5)  # SNR_AB = P_T/(1 + rho*P_J)
+    # cell 0: A->B is Eve-free; B->A has no jamming at Eve (C~ = 0): SNR 0.4*P_T
+    # cell 1: A->B has no jamming at Eve (D~ = 0): SNR 0.7*P_T > SNR_AB; B->A is Eve-free
+    if mode == "colluding":
+        want = [link, 0.0]
+        got = _secrecy_array(a, b, params.p_t, params.rho, params.p_j, c, d)
+        scalar = [secrecy_sample(LinkGains(a[i], b[i]), params, c[i], d[i]) for i in range(2)]
+    else:
+        want = [0.5 * (link + math.log2((1.0 + 100.0 / 1.5) / 41.0)), 0.5 * link]
+        got = 0.5 * (
+            _secrecy_array(a, b, params.p_t, params.rho, params.p_j, c, d)
+            + _secrecy_array(b, a, params.p_t, params.rho, params.p_j, d, c)
+        )
+        scalar = [secrecy_sample_pair(LinkGains(a[i], b[i]), params, c[i], d[i]) for i in range(2)]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(scalar, want, rtol=0.0, atol=1e-12)
     assert got[0] > 0.0
+
+
+def _colluding_closed_form(g: LinkGains, p: SystemParams, a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
+    """exp(-v2)/(1+v1) written out from the paper, with its two node limits."""
+    if math.isinf(g.a):
+        return np.ones_like(a_t)  # Eve on the transmitter: zero secrecy surely
+    if math.isinf(g.b):
+        return np.zeros_like(a_t) if p.p_j > 0 else np.exp(-a_t / g.a)  # Eve on the jammer
+    den = g.a * (1.0 + p.rho * b_t * p.p_j)
+    return np.exp(-a_t / den) / (1.0 + g.b * a_t * p.p_j / den)
 
 
 @pytest.mark.parametrize(
@@ -86,16 +134,22 @@ def test_prob_zero_cell_is_the_mean_over_its_slice(mode: str, grid: GridSpec, pj
     fg = build_field(mode, params, grid, quantity="prob-zero", mc=mc, pj_per_cell=pj_per_cell)
     cells = _cell_gains(grid)
     stream = _stream(mc.seed, len(cells) * n * k)
-    for i in (0, 7, len(cells) - 1):
+    nodes = (20, 24) if grid is SMALL else ()  # (-0.5, 0) and (0.5, 0)
+    assert all(math.isinf(cells[i].a) or math.isinf(cells[i].b) for i in nodes)
+    for i in (0, 7, len(cells) - 1, *nodes):
         e = stream[i * n * k : (i + 1) * n * k].reshape(n, k)
         g, p = cells[i], params
         if pj_per_cell == "opt":
             p = SystemParams(p_t=100.0, p_j=opt_jam(g, params.rho, params.p_t).p_j_opt, rho=params.rho)
+        got = fg.values.ravel()[i]
         if mode == "colluding":
-            want = np.mean([cond_prob_zero(g, p, float(a), float(b)) for a, b in e])
+            assert got == pytest.approx(np.mean(_colluding_closed_form(g, p, e[:, 0], e[:, 1])), rel=0.0, abs=1e-12)
         else:
-            want = np.mean(cond_prob_zero_pair_array(g, p, e[:, 0], e[:, 1], e[:, 2]))
-        assert fg.values.ravel()[i] == pytest.approx(want, rel=0.0, abs=1e-12)
+            # the kernel on the cell's own slice pins the stream rule exactly,
+            # the wedge quadrature checks the values it computes
+            assert got == pytest.approx(np.mean(cond_prob_zero_pair_array(g, p, *e.T)), rel=0.0, abs=1e-12)
+            quad = np.mean([quad_prob_zero_pair(g, p, *map(float, row)) for row in e])
+            assert got == pytest.approx(quad, rel=0.0, abs=2e-4)
 
 
 @pytest.mark.parametrize("mode, grid", [("colluding", SMALL), ("pairwise", SHIFTED)])
@@ -162,6 +216,40 @@ def test_cli_colluding_prob_zero_without_jamming(capsys) -> None:
     # the default grid holds both endpoints; at (0.5, 0) with P_J = 0 the
     # cell is exp(-A~/a), not NaN
     rc = cli.main(["field", "--quantity", "prob-zero", "--pj", "0", "--step", "0.5", "--samples", "200"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "nan" not in out.lower()
+
+
+@pytest.mark.parametrize("p_j", [0.0, 30.0, math.inf])
+def test_pairwise_prob_zero_field_takes_the_node_limit(p_j: float) -> None:
+    # the default -2..2 grid at step 0.5 holds both endpoints; there the
+    # cell is 0 under jamming and the mean of exp(-A~*(1/a + 1/b)) without
+    params = SystemParams(p_t=100.0, p_j=p_j, rho=0.05)
+    grid, n = GridSpec(-2.0, 2.0, -2.0, 2.0, 0.5), 50
+    mc = MCConfig(seed=31, n_samples=n)
+    fg = build_field("pairwise", params, grid, quantity="prob-zero", mc=mc)
+    assert not np.any(np.isnan(fg.values))
+    assert np.all((fg.values >= 0.0) & (fg.values <= 1.0))
+    cells = _cell_gains(grid)
+    stream = _stream(mc.seed, len(cells) * n * 3)
+    nodes = [i for i, g in enumerate(cells) if math.isinf(g.a) or math.isinf(g.b)]
+    assert len(nodes) == 2
+    for i in nodes:
+        a_t = stream[i * n * 3 : (i + 1) * n * 3].reshape(n, 3)[:, 0]
+        g = cells[i]
+        finite_gain = g.b if math.isinf(g.a) else g.a
+        want = np.mean(np.exp(-a_t / finite_gain)) if p_j == 0 else 0.0
+        assert fg.values.ravel()[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_cli_pairwise_prob_zero_at_an_endpoint(capsys) -> None:
+    rc = cli.main(["prob-zero", "--mode", "pairwise", "--at", "0.5", "0", "--samples", "200"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "nan" not in out.lower()
+    assert "conditional P(S=0) at unit fading = 0.000000e+00" in out
+    rc = cli.main(["field", "--mode", "pairwise", "--quantity", "prob-zero", "--step", "0.5", "--samples", "200"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "nan" not in out.lower()

@@ -8,11 +8,10 @@ import pytest
 
 from fdjam.errors import InvalidParameterError, RegimeWarning, UnsupportedRegimeError
 from fdjam.geometry import LinkGains, SystemParams, gains
-from fdjam.oracles import central_diff
+from fdjam.oracles import central_diff, deriv_x_axis_even_alpha
 from fdjam.pairwise import (
     ExtremumClass,
     deriv_x_axis,
-    deriv_x_axis_even_alpha,
     lr_asymmetry,
     lr_asymmetry_asymptotic,
     near_far_field,

@@ -8,7 +8,7 @@ import pytest
 
 from fdjam.errors import InvalidParameterError
 from fdjam.geometry import LinkGains, SystemParams, gains
-from fdjam.montecarlo import MCConfig
+from fdjam.montecarlo import MCConfig, estimate
 from fdjam.oracles import mc_cond_prob_zero_pair, quad_prob_zero_pair
 from fdjam.pairwise_fading import (
     JamPolicy,
@@ -219,3 +219,23 @@ def test_secrecy_sample_pair_zero_event_frequency() -> None:
     )
     se = math.sqrt(closed * (1.0 - closed) / n)
     assert abs(zero / n - closed) <= 3.5 * se
+
+
+@pytest.mark.parametrize(
+    "p_j, rho", [(0.0, 0.1), (math.inf, 0.1), (10.0, 0.0), (math.inf, 0.0)]
+)
+def test_array_form_node_limit_at_an_endpoint(p_j: float, rho: float) -> None:
+    # Eve on (0.5, 0): b = inf.  Jamming drives both phases' failure to 0;
+    # without it only the A->B phase can fail, with probability exp(-A~/a)
+    g = gains(0.5, 0.0, 2.0)
+    assert math.isinf(g.b) and g.a == 1.0
+    params = SystemParams(p_t=100.0, p_j=p_j, rho=rho)
+    mc = MCConfig(seed=8, n_samples=5000)
+    est = estimate(lambda u: cond_prob_zero_pair_array(g, params, u[:, 0], u[:, 1], u[:, 2]), mc, draws_per_sample=3)
+    if p_j == 0:
+        same_stream = estimate(lambda u: np.exp(-u[:, 0]), mc, draws_per_sample=3)
+        assert est.mean == pytest.approx(same_stream.mean, rel=1e-12)
+        assert cond_prob_zero_pair(g, params, 2.0, 1.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+    else:
+        assert (est.mean, est.stderr) == (0.0, 0.0)
+        assert cond_prob_zero_pair(g, params, 2.0, 1.0, 1.0) == 0.0
