@@ -104,35 +104,44 @@ def estimate(
     f: Callable[[np.ndarray], np.ndarray],
     config: MCConfig,
     draws_per_sample: int = 1,
-) -> Estimate:
+) -> Estimate | tuple[Estimate, ...]:
     """Mean and standard error of f over the configured sample stream.
 
-    f maps a chunk of draws (shape (m,) or (m, k)) to m scalars and must be
-    a pure function of its argument.  Chunks are combined with the parallel
-    Welford update in increasing chunk order.
+    f maps a chunk of draws (shape (m,) or (m, k)) to m scalars, or to an
+    (m, q) array of q quantities per sample, and must be a pure function of
+    its argument.  Chunks are combined with the parallel Welford update in
+    increasing chunk order, per column; an (m, q) f gives a tuple of q
+    Estimates, each equal bit for bit to a call whose f returns that column.
     """
-    n_tot = 0
-    mean_tot = 0.0
-    m2_tot = 0.0
+    totals: list[tuple[int, float, float]] | None = None
     for u in exp_chunks(config, draws_per_sample):
         values = np.asarray(f(u), dtype=float)
-        if values.shape != (u.shape[0],):
+        if values.ndim not in (1, 2) or values.shape[0] != u.shape[0]:
             raise InvalidParameterError(
-                f"f must return one scalar per sample, got shape {values.shape}"
+                f"f must return one scalar or one row per sample, got shape {values.shape}"
             )
-        n, mean, m2 = _chunk_stats(values)
-        if n_tot == 0:
-            n_tot, mean_tot, m2_tot = n, mean, m2
-        else:
-            delta = mean - mean_tot
-            n_new = n_tot + n
-            m2_tot = m2_tot + m2 + delta * delta * (n_tot * n / n_new)
-            mean_tot = mean_tot + delta * (n / n_new)
-            n_tot = n_new
+        # contiguous columns reduce in the same order as a 1-D f would
+        cols = [values] if values.ndim == 1 else list(np.ascontiguousarray(values.T))
+        if totals is not None and len(cols) != len(totals):
+            raise InvalidParameterError(f"f changed its column count to {len(cols)}")
+        stats = [_chunk_stats(col) for col in cols]
+        totals = stats if totals is None else [_welford(t, s) for t, s in zip(totals, stats)]
+    out = tuple(_finish(*t) for t in totals)
+    return out[0] if values.ndim == 1 else out
+
+
+def _welford(total: tuple[int, float, float], chunk: tuple[int, float, float]) -> tuple[int, float, float]:
+    n_tot, mean_tot, m2_tot = total
+    n, mean, m2 = chunk
+    delta = mean - mean_tot
+    n_new = n_tot + n
+    return n_new, mean_tot + delta * (n / n_new), m2_tot + m2 + delta * delta * (n_tot * n / n_new)
+
+
+def _finish(n_tot: int, mean_tot: float, m2_tot: float) -> Estimate:
     if n_tot < 2:
         return Estimate(mean=mean_tot, stderr=0.0, n=n_tot)
-    stderr = math.sqrt(m2_tot / (n_tot - 1) / n_tot)
-    return Estimate(mean=mean_tot, stderr=stderr, n=n_tot)
+    return Estimate(mean=mean_tot, stderr=math.sqrt(m2_tot / (n_tot - 1) / n_tot), n=n_tot)
 
 
 def ecdf(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
