@@ -288,11 +288,12 @@ def cmd_policy(args: argparse.Namespace) -> int:
     def _mean(e) -> float:
         return e.mean if e is not None else float("nan")
 
+    # the semi-dynamic policy jams without bound whatever the rung's P_J: one report serves every row
+    semi = policy_prob_zero(JamPolicy(JamPolicyKind.SEMI_DYNAMIC), g, params, mc)
     for db in ladder:
         pj = _db_to_linear(db)
         rung = SystemParams(p_t=params.p_t, p_j=pj, rho=params.rho, alpha=params.alpha, delta=params.delta)
         const = policy_prob_zero(JamPolicy(JamPolicyKind.CONSTANT), g, rung, mc)
-        semi = policy_prob_zero(JamPolicy(JamPolicyKind.SEMI_DYNAMIC), g, rung, mc)
         print(
             f"{db:6.0f}  {const.estimate.mean:12.6e}  {_mean(const.p2):12.6e}  "
             f"{semi.estimate.mean:12.6e}  {_mean(semi.p1):12.6e}  {cap:12.6e}"

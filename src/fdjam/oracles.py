@@ -23,6 +23,7 @@ __all__ = [
     "golden_section_max",
     "golden_max_secrecy",
     "quad_prob_zero_pair",
+    "quad_policy_row",
     "mc_cond_prob_zero_colluding",
     "mc_cond_prob_zero_pair",
     "deriv_x_axis_even_alpha",
@@ -111,6 +112,58 @@ def quad_prob_zero_pair(
         upper = np.zeros_like(x)
     integrand = np.exp(-x) * np.maximum(0.0, lower - upper)
     return float(np.trapezoid(integrand, x))
+
+
+def quad_policy_row(
+    g: LinkGains, params: SystemParams, b1_tilde: float, b2_tilde: float, points: int = 20001
+) -> float:
+    """E over A~ ~ Exp(1) of P{both phases have zero secrecy | A~, b1_tilde, b2_tilde}.
+
+    The wedge probability at each A~ is the c-integral of
+    e^-c*(e^-(u1*c + u2) - e^-((c - v2)/v1)) from the wedge's apex (c*, d*),
+    e^-(c* + d*)*(1 - v1*u1)/((1 + u1)*(1 + v1)), with the v's and u's read
+    off the two phases' SINRs; it vanishes once v1*u1 >= 1, at A~ = w0.  The
+    A~ integral is composite Simpson on two geometric grids, one in log(A~)
+    over [1e-15*w0, w0/2] for the boundary layer at A~ = 0 and one in
+    log(w0 - A~) over the upper half, where e^-(c* + d*) closes the wedge
+    within a sliver below w0 at finite P_J.  The piece below 1e-15*w0 is
+    taken as its length (the integrand is 1 at A~ = 0); the one above
+    w0*(1 - 1e-15) is dropped (the integrand vanishes at w0).
+    """
+    a, b, rho, p_j = g.a, g.b, params.rho, params.p_j
+    if math.isinf(a) or math.isinf(b):
+        raise InvalidParameterError("quad_policy_row needs finite gains")
+    if points < 3 or points % 2 == 0:
+        raise InvalidParameterError(f"Simpson needs an odd number of points >= 3, got {points}")
+    if math.isinf(p_j):
+        r1, r2 = rho * b1_tilde, rho * b2_tilde  # SINR_B = A~*P_T/(r1*P_J)
+        w0 = math.sqrt(r1 * r2)
+    else:
+        q1, q2 = 1.0 + rho * b1_tilde * p_j, 1.0 + rho * b2_tilde * p_j
+        w0 = math.sqrt(q1 * q2) / p_j
+    if w0 == 0.0:
+        return 0.0
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        if math.isinf(p_j):
+            v1, v2, u1, u2 = b * x / (a * r1), 0.0, a * x / (b * r2), 0.0
+        else:
+            v1, v2, u1, u2 = b * x * p_j / (a * q1), x / (a * q1), a * x * p_j / (b * q2), x / (b * q2)
+        closing = 1.0 - v1 * u1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            apex = (v2 + v1 * u2 + u2 + u1 * v2) / closing
+            prob = np.where(closing > 0.0, np.exp(-apex) * closing / ((1.0 + u1) * (1.0 + v1)), 0.0)
+        return np.exp(-x) * prob
+
+    def simpson(f: np.ndarray, h: float) -> float:
+        return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+
+    s, h = np.linspace(math.log(1e-15 * w0), math.log(0.5 * w0), points, retstep=True)
+    lower = np.exp(s)
+    upper = np.exp(s[::-1])  # w0 - A~, from w0/2 down to 1e-15*w0
+    return float(
+        lower[0] + simpson(lower * integrand(lower), h) + simpson(upper * integrand(w0 - upper), h)
+    )
 
 
 def mc_cond_prob_zero_colluding(

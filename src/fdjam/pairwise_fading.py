@@ -43,7 +43,10 @@ __all__ = [
     "secrecy_sample_pair",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+# 48 Gauss-Legendre nodes moved from [-1, 1] to t in [0, 1] by t = 1 - ((1 - x)/2)^2,
+# which crowds them towards t = 1, where the wedge closes (_policy_integrand)
+_GL_X, _GL_WX = np.polynomial.legendre.leggauss(48)
+_GL_T, _GL_W = 1.0 - (0.5 * (1.0 - _GL_X)) ** 2, 0.5 * (1.0 - _GL_X) * _GL_WX
 
 
 @dataclass(frozen=True)
@@ -263,30 +266,53 @@ def _window(u, v, rho: float, p_j: float):
     return np.sqrt(rho**2 * u * v + (1.0 + rho * (u + v) * p_j) / p_j**2)
 
 
+def _layer_rate(u, v, a: float, b: float, rho: float, p_j: float):
+    """Rate c of the boundary layer at A~ = 0, where cond_prob_zero_pair falls like 1/(1 + c*A~).
+
+    c = P_J*(a/(b*q2) + b/(a*q1)) with q = 1 + rho*B~*P_J; at P_J = inf it is
+    a/(rho*b*B2~) + b/(rho*a*B1~), infinite where the window is empty.
+    """
+    if math.isinf(p_j):
+        with np.errstate(divide="ignore"):
+            return a / (rho * b * v) + b / (rho * a * u)
+    return p_j * (a / (b * (1.0 + rho * v * p_j)) + b / (a * (1.0 + rho * u * p_j)))
+
+
 # Rows per quadrature tile: a (rows, 48) temporary stays in cache (~0.4 MB).
 _TILE_ROWS = 1024
-
-
-def _window_mass(u, v, rho: float, p_j: float):
-    """1 - exp(-w0): the probability that A~ falls in the window, the P2 (P1 at P_J = inf) integrand."""
-    return -np.expm1(-_window(u, v, rho, p_j))
+# Smallest stretch L = log1p(c*w0); below it the map is linear in t to 1e-8.
+_MIN_STRETCH = 1e-8
+# A~ past which e^-A~ < 5e-18: the quadrature stops there when the window is wider.
+_A_TOP = 40.0
 
 
 def _policy_integrand(u: np.ndarray, v: np.ndarray, a: float, b: float, rho: float, p_j: float) -> np.ndarray:
     """Per (b1, b2) row: [E_A{cond_prob_zero_pair * 1[A < w0]}, 1 - exp(-w0)], shape (m, 2).
 
-    The first column is Gauss-Legendre over the window, evaluated in tiles
-    of _TILE_ROWS rows so the (rows, 48) kernel temporaries stay in cache;
-    the second is the window bound (P2, or P1 at P_J = inf) on the same row.
+    The first column integrates e^-A~ * cond_prob_zero_pair over [0, top],
+    top = min(w0, _A_TOP), in t in [0, 1] with A~ = top*expm1(t*L)/expm1(L),
+    L = log1p(c*top), that is A~ = expm1(t*L)/c: the map spreads the boundary
+    layer of rate c at A~ = 0 over the nodes, and the nodes crowd towards
+    t = 1, where at finite P_J e^-E closes the wedge within a sliver below
+    w0.  An empty window (rho = 0 or B~ = 0 at P_J = inf) gives 0.  Rows go
+    through in tiles of _TILE_ROWS so the (rows, 48) kernel temporaries stay
+    in cache.  The second column is the window bound (P2, or P1 at P_J = inf)
+    on the same row.
     """
+    w0 = _window(u, v, rho, p_j)
+    top = np.minimum(w0, _A_TOP)
+    with np.errstate(invalid="ignore"):  # c*top = inf*0 where the window is empty
+        ct = _layer_rate(u, v, a, b, rho, p_j) * top
+    stretch = np.maximum(np.log1p(np.where(np.isfinite(ct), ct, 0.0)), _MIN_STRETCH)
+    scale = top / np.expm1(stretch)  # 1/c, or 0 on an empty window
     out = np.empty((u.shape[0], 2))
     for lo in range(0, u.shape[0], _TILE_ROWS):
-        u_col, v_col = u[lo : lo + _TILE_ROWS, None], v[lo : lo + _TILE_ROWS, None]
-        half = 0.5 * _window(u_col, v_col, rho, p_j)
-        w = half * (_GL_NODES + 1.0)  # (rows, 48)
-        vals = _cond_prob_zero_pair_kernel(a, b, rho, p_j, w, u_col, v_col)
-        out[lo : lo + _TILE_ROWS, 0] = (np.exp(-w) * vals) @ _GL_WEIGHTS * half[:, 0]
-    out[:, 1] = _window_mass(u, v, rho, p_j)
+        rows = slice(lo, lo + _TILE_ROWS)
+        tl = _GL_T * stretch[rows, None]  # (rows, 48)
+        w = np.expm1(tl) * scale[rows, None]
+        vals = _cond_prob_zero_pair_kernel(a, b, rho, p_j, w, u[rows, None], v[rows, None])
+        out[rows, 0] = (np.exp(tl - w) * vals) @ _GL_W * (stretch[rows] * scale[rows])
+    out[:, 1] = -np.expm1(-w0)
     return out
 
 
@@ -367,7 +393,7 @@ def p2_bound(rho: float, p_j: float, mc: MCConfig) -> Estimate:
     """
     if not p_j > 0:
         raise InvalidParameterError(f"p2_bound needs P_J > 0, got {p_j}")
-    return estimate(lambda uv: _window_mass(uv[:, 0], uv[:, 1], rho, p_j), mc, draws_per_sample=2)
+    return estimate(lambda uv: -np.expm1(-_window(uv[:, 0], uv[:, 1], rho, p_j)), mc, draws_per_sample=2)
 
 
 def homogeneous_secrecy(a_tilde: float, b1_tilde: float, b2_tilde: float, rho: float) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colluding import opt_jam, positivity, secrecy_ab
+from .colluding import _secrecy_array, opt_jam, positivity, secrecy_ab
 from .colluding_fading import (
     JamResponseKind,
     cdf_lower_bound,
@@ -86,6 +86,22 @@ def _binomial_se(p: float, n: int) -> float:
     return math.sqrt(p * (1.0 - p) / n)
 
 
+def _secrecy_rows(rows: list[tuple[float, float, float, float, list[float]]]) -> list[np.ndarray]:
+    """secrecy_ab at each row's (a, b, P_T, rho) and each of its powers, as one kernel call.
+
+    Returns one array of secrecies per row, in the order of its powers.
+    """
+    counts = [len(r[4]) for r in rows]
+    a, b, p_t, rho = (np.repeat([r[k] for r in rows], counts) for k in range(4))
+    s = _secrecy_array(a, b, p_t, rho, np.concatenate([r[4] for r in rows]))
+    return np.split(s, np.cumsum(counts)[:-1])
+
+
+def _pair_secrecy(a: np.ndarray, b: np.ndarray, p_t, rho, p_j) -> np.ndarray:
+    """secrecy_pair(...).s over arrays: the mean of the two directions."""
+    return 0.5 * (_secrecy_array(a, b, p_t, rho, p_j) + _secrecy_array(b, a, p_t, rho, p_j))
+
+
 def _suite_geometry(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     thr = region4_containment_threshold(0.1, 2.0)
@@ -140,25 +156,25 @@ def _suite_geometry(seed: int) -> list[CheckResult]:
 def _suite_optjam(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     rng = np.random.default_rng(seed)
-    bad = 0
+    # per draw: the optimum, the probe powers, then one random power for the positivity check
+    rows: list[tuple[float, float, float, float, list[float]]] = []
+    positive: list[bool] = []
     for _ in range(200):
         g = LinkGains(a=float(10.0 ** rng.uniform(-3, 3)), b=float(10.0 ** rng.uniform(-3, 3)))
         rho = float(10.0 ** rng.uniform(-4, math.log10(0.5)))
         p_t = float(10.0 ** rng.uniform(0, 4))
         res = opt_jam(g, rho, p_t)
-
-        def s_at(pj: float) -> float:
-            return secrecy_ab(g, SystemParams(p_t=p_t, p_j=pj, rho=rho))
-
-        s_opt = s_at(res.p_j_opt)
-        probes = [0.0, 1e-3, 1.0, 1e3, 1e6]
+        powers = [res.p_j_opt, 0.0, 1e-3, 1.0, 1e3, 1e6]
         if res.p_j_opt > 0:
-            probes += [res.p_j_opt * 0.999, res.p_j_opt * 1.001]
-        if any(s_at(pj) > s_opt + 1e-10 for pj in probes):
-            bad += 1
+            powers += [res.p_j_opt * 0.999, res.p_j_opt * 1.001]
         pj = float(10.0 ** rng.uniform(-2, 4))
-        if positivity(g, SystemParams(p_t=p_t, p_j=pj, rho=rho)) != (s_at(pj) > 0):
-            bad += 1
+        positive.append(positivity(g, SystemParams(p_t=p_t, p_j=pj, rho=rho)))
+        rows.append((g.a, g.b, p_t, rho, powers + [pj]))
+    s = _secrecy_rows(rows)
+    bad = 0
+    for s_row, pos in zip(s, positive):
+        bad += int(np.any(s_row[1:-1] > s_row[0] + 1e-10))
+        bad += int(pos != (s_row[-1] > 0))
     out.append(_check("optjam", "stationarity-batch", bad == 0, f"{bad} violations / 200 draws"))
 
     g = LinkGains(a=4.0, b=1.0)
@@ -247,16 +263,17 @@ def _suite_pairwise(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     rng = np.random.default_rng(seed)
 
-    ok = True
+    draws = []  # (a, b, P_J, rho)
     for _ in range(100):
         g = LinkGains(a=float(10.0 ** rng.uniform(-2, 2)), b=float(10.0 ** rng.uniform(-2, 2)))
         params = SystemParams(p_t=100.0, p_j=float(10.0 ** rng.uniform(-1, 3)), rho=float(rng.uniform(0, 0.5)))
-        ok &= abs(secrecy_pair(g, params).s - secrecy_pair(g.swapped(), params).s) < 1e-12
+        draws.append((g.a, g.b, params.p_j, params.rho))
+    a, b, p_j, rho = np.array(draws).T
+    ok = bool(np.all(np.abs(_pair_secrecy(a, b, 100.0, rho, p_j) - _pair_secrecy(b, a, 100.0, rho, p_j)) < 1e-12))
     out.append(_check("pairwise", "swap-symmetry", ok))
 
-    ok = True
-    checked = 0
-    while checked < 50:
+    draws, s_t = [], []  # (a, b, P_T, P_J, rho) and secrecy_from_t there
+    while len(draws) < 50:
         g = LinkGains(a=float(rng.uniform(0.05, 0.8)), b=float(rng.uniform(0.05, 0.8)))
         params = SystemParams(
             p_t=float(10.0 ** rng.uniform(1, 3)),
@@ -265,10 +282,11 @@ def _suite_pairwise(seed: int) -> list[CheckResult]:
         )
         if not pair_hypotheses_hold(g, params):
             continue
-        checked += 1
-        s_t = secrecy_from_t(g, params)
-        s_p = secrecy_pair(g, params).s
-        ok &= abs(s_t - s_p) < 1e-10 * max(1.0, s_p)
+        draws.append((g.a, g.b, params.p_t, params.p_j, params.rho))
+        s_t.append(secrecy_from_t(g, params))
+    a, b, p_t, p_j, rho = np.array(draws).T
+    s_p = _pair_secrecy(a, b, p_t, rho, p_j)
+    ok = bool(np.all(np.abs(np.array(s_t) - s_p) < 1e-10 * np.maximum(1.0, s_p)))
     out.append(_check("pairwise", "t-factor-identity", ok))
 
     params = SystemParams(p_t=100.0, p_j=1e4, rho=1e-4)
