@@ -86,17 +86,6 @@ def _binomial_se(p: float, n: int) -> float:
     return math.sqrt(p * (1.0 - p) / n)
 
 
-def _secrecy_rows(rows: list[tuple[float, float, float, float, list[float]]]) -> list[np.ndarray]:
-    """secrecy_ab at each row's (a, b, P_T, rho) and each of its powers, as one kernel call.
-
-    Returns one array of secrecies per row, in the order of its powers.
-    """
-    counts = [len(r[4]) for r in rows]
-    a, b, p_t, rho = (np.repeat([r[k] for r in rows], counts) for k in range(4))
-    s = _secrecy_array(a, b, p_t, rho, np.concatenate([r[4] for r in rows]))
-    return np.split(s, np.cumsum(counts)[:-1])
-
-
 def _pair_secrecy(a: np.ndarray, b: np.ndarray, p_t, rho, p_j) -> np.ndarray:
     """secrecy_pair(...).s over arrays: the mean of the two directions."""
     return 0.5 * (_secrecy_array(a, b, p_t, rho, p_j) + _secrecy_array(b, a, p_t, rho, p_j))
@@ -156,25 +145,22 @@ def _suite_geometry(seed: int) -> list[CheckResult]:
 def _suite_optjam(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     rng = np.random.default_rng(seed)
-    # per draw: the optimum, the probe powers, then one random power for the positivity check
-    rows: list[tuple[float, float, float, float, list[float]]] = []
-    positive: list[bool] = []
+    bad = 0
     for _ in range(200):
         g = LinkGains(a=float(10.0 ** rng.uniform(-3, 3)), b=float(10.0 ** rng.uniform(-3, 3)))
         rho = float(10.0 ** rng.uniform(-4, math.log10(0.5)))
         p_t = float(10.0 ** rng.uniform(0, 4))
         res = opt_jam(g, rho, p_t)
-        powers = [res.p_j_opt, 0.0, 1e-3, 1.0, 1e3, 1e6]
+        probes = [0.0, 1e-3, 1.0, 1e3, 1e6]
         if res.p_j_opt > 0:
-            powers += [res.p_j_opt * 0.999, res.p_j_opt * 1.001]
+            probes += [res.p_j_opt * 0.999, res.p_j_opt * 1.001]
         pj = float(10.0 ** rng.uniform(-2, 4))
-        positive.append(positivity(g, SystemParams(p_t=p_t, p_j=pj, rho=rho)))
-        rows.append((g.a, g.b, p_t, rho, powers + [pj]))
-    s = _secrecy_rows(rows)
-    bad = 0
-    for s_row, pos in zip(s, positive):
-        bad += int(np.any(s_row[1:-1] > s_row[0] + 1e-10))
-        bad += int(pos != (s_row[-1] > 0))
+        # secrecy_ab at the optimum, the probes and pj, as one kernel call
+        s = _secrecy_array(g.a, g.b, p_t, rho, np.array([res.p_j_opt, *probes, pj]))
+        if np.any(s[1:-1] > s[0] + 1e-10):
+            bad += 1
+        if positivity(g, SystemParams(p_t=p_t, p_j=pj, rho=rho)) != (s[-1] > 0):
+            bad += 1
     out.append(_check("optjam", "stationarity-batch", bad == 0, f"{bad} violations / 200 draws"))
 
     g = LinkGains(a=4.0, b=1.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fdjam import cli
-from fdjam.colluding import opt_jam, secrecy_ab
+from fdjam.colluding import opt_jam
 from fdjam.colluding_fading import uncond_prob_zero
 from fdjam.errors import InvalidParameterError
 from fdjam.fields import (
@@ -25,7 +25,8 @@ from fdjam.fields import (
 )
 from fdjam.geometry import SystemParams, gains, region_classify, rho_disk
 from fdjam.montecarlo import MCConfig
-from fdjam.pairwise import secrecy_pair
+from fdjam.oracles import _secrecy_over_pj
+from fdjam.pairwise_fading import JamPolicyKind
 
 SMALL = GridSpec(-1.0, 1.0, -0.5, 0.5, 0.25)
 
@@ -74,8 +75,11 @@ def test_static_field_matches_scalar_forms() -> None:
     xs, ys = SMALL.xs(), SMALL.ys()
     for iy, ix in ((0, 0), (2, 4), (4, 8), (1, 6)):
         g = gains(float(xs[ix]), float(ys[iy]), 2.0)
-        assert coll.values[iy, ix] == pytest.approx(secrecy_ab(g, params), abs=1e-12)
-        assert pair.values[iy, ix] == pytest.approx(secrecy_pair(g, params).s, abs=1e-12)
+        # the oracle recomputes the secrecy from the raw SNRs; the scalar forms share the field's kernel
+        pj = np.array([params.p_j])
+        ref_ab, ref_ba = (float(_secrecy_over_pj(h, params.rho, params.p_t, pj)[0]) for h in (g, g.swapped()))
+        assert coll.values[iy, ix] == pytest.approx(ref_ab, abs=1e-12)
+        assert pair.values[iy, ix] == pytest.approx(0.5 * (ref_ab + ref_ba), abs=1e-12)
     # the endpoint cells carry zero secrecy, not NaN
     mid = GridSpec(-0.5, 0.5, 0.0, 0.5, 0.5)
     vals = build_field("colluding", params, mid).values
@@ -293,6 +297,37 @@ def test_cli_policy_table(capsys) -> None:
         assert constant < p2
     assert "full-dynamic estimate = 0 (exact)" in out
     assert "general-dynamic p=0.0001" in out
+
+
+POLICY_TABLE = (
+    "policy comparison at (0, 0): rho=0.1 alpha=2 p_t=100 n=20000 seed=5\n"
+    " pj_db      constant      p2_bound      semi_dyn      p1_bound      pi_rho_4\n"
+    "     0  2.583900e-01  6.657262e-01  2.761548e-02  7.407081e-02  7.853982e-02\n"
+    "    10  6.593600e-02  1.717716e-01  2.761548e-02  7.407081e-02  7.853982e-02\n"
+    "    20  3.239834e-02  8.618305e-02  2.761548e-02  7.407081e-02  7.853982e-02\n"
+    "    30  2.813824e-02  7.543484e-02  2.761548e-02  7.407081e-02  7.853982e-02\n"
+    "    40  2.766889e-02  7.421366e-02  2.761548e-02  7.407081e-02  7.853982e-02\n"
+    "    50  2.762084e-02  7.408529e-02  2.761548e-02  7.407081e-02  7.853982e-02\n"
+    "    60  2.761602e-02  7.407226e-02  2.761548e-02  7.407081e-02  7.853982e-02\n"
+    "full-dynamic estimate = 0 (exact)\n"
+)
+
+
+def test_cli_policy_table_is_unchanged_with_one_semi_dynamic_report(monkeypatch, capsys) -> None:
+    # the semi-dynamic rung runs at P_J = inf whatever the row's power, so the
+    # command computes it once; the table is the one the per-row loop printed
+    kinds = []
+    real = cli.policy_prob_zero
+
+    def counted(policy, g, params, mc):
+        kinds.append(policy.kind)
+        return real(policy, g, params, mc)
+
+    monkeypatch.setattr(cli, "policy_prob_zero", counted)
+    assert cli.main(["policy", "--samples", "20000", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == POLICY_TABLE
+    assert kinds.count(JamPolicyKind.SEMI_DYNAMIC) == 1
+    assert kinds.count(JamPolicyKind.CONSTANT) == 7
 
 
 def test_cli_verify_suite(capsys) -> None:

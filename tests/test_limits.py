@@ -1,10 +1,12 @@
-"""Limit suite for the five scalar secrecy/outage forms and the kernels under them.
+"""Limit suite for the five scalar secrecy/outage forms, the kernels under them and the policy quadrature.
 
 Every scalar form is a call into one array kernel, so the properties are
 stated once per quantity: no NaN, secrecy >= 0, probabilities in [0, 1], the
 kernel on arrays equals the scalar form element by element, and the closed
 limits (infinite gain at an endpoint, P_J in {0, inf}, rho = 0, zero
 fading, b = rho*a, w1 at the _W1_GUARD cutoff) hold as literal values.
+The policy quadrature keeps 0 <= estimate row <= window-bound row, with an
+empty window at P_J = inf when rho = 0 or B~ = 0.
 """
 
 import math
@@ -16,13 +18,21 @@ from hypothesis import strategies as st
 
 from fdjam.colluding import _secrecy_array, secrecy_ab
 from fdjam.colluding_fading import _cond_prob_zero_array, cond_prob_zero, secrecy_sample, v_terms
-from fdjam.geometry import LinkGains, SystemParams
+from fdjam.geometry import LinkGains, SystemParams, gains
+from fdjam.montecarlo import MCConfig
 from fdjam.pairwise_fading import (
     _W1_GUARD,
+    JamPolicy,
+    JamPolicyKind,
     _cond_prob_zero_pair_kernel,
+    _policy_integrand,
     cond_prob_zero_pair,
+    p1_bound,
+    p2_bound,
     pair_terms,
     pj_star,
+    policy_prob_zero,
+    prob_zero_nojam,
     secrecy_sample_pair,
 )
 
@@ -157,3 +167,51 @@ def test_pairwise_outage_at_the_w1_cutoff(a, b, rho, a_t, b1_t, b2_t, eps) -> No
     if not t.w1 > _W1_GUARD * t.w2:
         assert prob == 0.0 and t.k == 0.0 and t.e_exp == INF
     assert cond_prob_zero_pair(g, SystemParams(p_t=1.0, p_j=star * 1.001, rho=rho), a_t, b1_t, b2_t) == 0.0
+
+
+@SETTINGS
+@given(finite_gain, finite_gain, rho_s, st.one_of(st.floats(1e-3, 1e6), st.just(INF)), fading, fading)
+@example(1.0, 1.0, 0.0, INF, 1.0, 1.0)  # rho = 0: empty window
+@example(4.0, 4.0, 0.1, INF, 0.0, 2.0)  # B1~ = 0: empty window
+@example(4.0, 4.0, 0.1, 10.0, 0.0, 0.0)  # B~ = 0 at finite power: window 1/P_J
+@example(1e-3, 1e3, 0.5, 1e6, 10.0, 1e-6)  # c*w0 far above 1
+def test_policy_integrand_limits(a, b, rho, p_j, b1_t, b2_t) -> None:
+    # rows for (B1~, B2~), the same swapped, and both zero
+    u, v = np.array([b1_t, b2_t, 0.0]), np.array([b2_t, b1_t, 0.0])
+    rows = _policy_integrand(u, v, a, b, rho, p_j)
+    assert not np.any(np.isnan(rows))
+    assert np.all((rows >= 0.0) & (rows <= 1.0))
+    assert np.all(rows[:, 0] <= rows[:, 1])  # estimate <= P2 (P1 at P_J = inf) row by row
+    if math.isinf(p_j):
+        empty = rho * u * v == 0.0  # window rho*sqrt(B1~*B2~) is empty
+        assert np.all(rows[empty] == 0.0)
+
+
+def test_policy_integrand_at_vanishing_power() -> None:
+    # c*w0 -> 0: K -> 1 and E -> A~(1/a + 1/b) over a window wider than e^-A~ reaches,
+    # so each row is the no-jam closed form 1/(1 + 1/a + 1/b)
+    g = gains(0.3, 0.2, 2.0)
+    u, v = np.array([0.0, 0.5, 3.0]), np.array([1.0, 0.5, 0.0])
+    for p_j in (1e-9, 1e-12):
+        rows = _policy_integrand(u, v, g.a, g.b, 0.1, p_j)
+        assert rows[:, 0] == pytest.approx(prob_zero_nojam(g), rel=1e-8)
+        assert np.all(rows[:, 1] == 1.0)
+
+
+@pytest.mark.parametrize("p_j", [10.0, INF])
+def test_policy_prob_zero_at_rho_zero(p_j: float) -> None:
+    # no self-interference: the semi-dynamic window rho*sqrt(B1~*B2~) is empty, so its
+    # estimate and P1 are exactly 0; the constant policy keeps the window 1/P_J
+    mc = MCConfig(seed=4, n_samples=3000, chunk=1000)
+    params = SystemParams(p_t=1.0, p_j=p_j, rho=0.0)
+    g = gains(-0.2, 0.3, 2.0)
+    semi = policy_prob_zero(JamPolicy(JamPolicyKind.SEMI_DYNAMIC), g, params, mc)
+    assert (semi.estimate.mean, semi.estimate.stderr, semi.p1.mean) == (0.0, 0.0, 0.0)
+    assert semi.p1 == p1_bound(0.0, mc)
+    const = policy_prob_zero(JamPolicy(JamPolicyKind.CONSTANT), g, params, mc)
+    if math.isinf(p_j):
+        assert (const.estimate.mean, const.p2.mean) == (0.0, 0.0)
+    else:
+        assert const.p2 == p2_bound(0.0, p_j, mc)
+        assert const.p2.mean == pytest.approx(-math.expm1(-1.0 / p_j), rel=1e-12)  # B~ drops out
+        assert 0.0 < const.estimate.mean < const.p2.mean

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fdjam.errors import InvalidParameterError
-from fdjam.montecarlo import MCConfig, ecdf, estimate, exp_chunks, sample_exp, sample_matrix
+from fdjam.montecarlo import Estimate, MCConfig, ecdf, estimate, exp_chunks, sample_exp, sample_matrix
 
 
 def test_config_validation() -> None:
@@ -104,3 +104,28 @@ def test_ecdf_shape() -> None:
     assert np.all((curve >= 0.0) & (curve <= 1.0))
     with pytest.raises(InvalidParameterError):
         ecdf(np.array([]), grid)
+
+
+@pytest.mark.parametrize("chunk", [1000, 2**16])
+def test_multi_column_estimate_equals_single_column_calls(chunk: int) -> None:
+    cfg = MCConfig(seed=12, n_samples=150_001, chunk=chunk)
+    cols = (lambda u: u[:, 0] * u[:, 1], lambda u: np.sqrt(u[:, 1]), lambda u: np.full(u.shape[0], 0.5))
+    together = estimate(lambda u: np.stack([f(u) for f in cols], axis=1), cfg, draws_per_sample=2)
+    assert together == tuple(estimate(f, cfg, draws_per_sample=2) for f in cols)
+    assert together[2] == Estimate(0.5, 0.0, cfg.n_samples)
+    # the per-chunk merge gives the moments of the whole stream
+    u = sample_matrix(cfg, 2)
+    for f, est in zip(cols[:2], together):
+        assert est.mean == pytest.approx(float(np.mean(f(u))), rel=1e-12)
+        assert est.stderr == pytest.approx(float(np.std(f(u), ddof=1)) / math.sqrt(cfg.n_samples), rel=1e-9)
+    assert estimate(lambda u: u[:, :1], cfg, draws_per_sample=2) == (estimate(lambda u: u[:, 0], cfg, draws_per_sample=2),)
+
+
+def test_estimate_rejects_a_wrong_shape() -> None:
+    cfg = MCConfig(seed=1, n_samples=10)
+    with pytest.raises(InvalidParameterError):
+        estimate(lambda u: u[:-1], cfg)
+    with pytest.raises(InvalidParameterError):
+        estimate(lambda u: u.reshape(-1, 1, 1), cfg)
+    with pytest.raises(InvalidParameterError):  # the column count must not change between chunks
+        estimate(lambda u: np.ones((u.shape[0], 1 if u.shape[0] == 4 else 2)), MCConfig(seed=1, n_samples=10, chunk=4))

@@ -8,11 +8,13 @@ import pytest
 
 from fdjam.errors import InvalidParameterError
 from fdjam.geometry import LinkGains, SystemParams, gains
+from fdjam import montecarlo
 from fdjam.montecarlo import MCConfig, estimate
-from fdjam.oracles import mc_cond_prob_zero_pair, quad_prob_zero_pair
+from fdjam.oracles import mc_cond_prob_zero_pair, quad_policy_row, quad_prob_zero_pair
 from fdjam.pairwise_fading import (
     JamPolicy,
     JamPolicyKind,
+    _policy_integrand,
     cond_prob_zero_pair,
     cond_prob_zero_pair_array,
     eve_at_node_prob,
@@ -185,6 +187,45 @@ def test_constant_policy_below_p2_and_above_semi() -> None:
         assert semi.estimate.mean <= rep.estimate.mean + 1e-12
         gaps.append(p2.mean - p1.mean)
     assert all(g0 > g1 for g0, g1 in zip(gaps, gaps[1:]))
+
+
+@pytest.mark.parametrize("at", [(0.0, 0.0), (-0.6, 0.0), (0.49, 0.0), (0.499, 0.0)])
+@pytest.mark.parametrize("p_j", [1.0, 1e3, math.inf])
+def test_policy_integrand_matches_the_window_oracle(at, p_j: float) -> None:
+    # near Bob's node the rows fall off over 1/c ~ 1e-4..1e-6 of the window; a
+    # 48-node rule in A~ itself was off by up to 9% of the mean at (0.49, 0)
+    g = gains(*at, 2.0)
+    rng = np.random.default_rng(17)
+    for rho in (0.01, 0.1):
+        u, v = rng.exponential(size=(2, 20))
+        rows = _policy_integrand(u, v, g.a, g.b, rho, p_j)
+        params = SystemParams(p_t=1.0, p_j=p_j, rho=rho)
+        ref = np.array([quad_policy_row(g, params, float(b1), float(b2)) for b1, b2 in zip(u, v)])
+        np.testing.assert_allclose(rows[:, 0], ref, rtol=0.0, atol=1e-9)
+        assert np.all(rows[:, 0] < rows[:, 1])
+
+
+@pytest.mark.parametrize("kind", [JamPolicyKind.CONSTANT, JamPolicyKind.SEMI_DYNAMIC])
+def test_policy_rung_draws_its_stream_once(monkeypatch, kind: JamPolicyKind) -> None:
+    drawn = []
+    real = montecarlo.exp_chunks
+
+    def counted(config, draws_per_sample=1):
+        for chunk in real(config, draws_per_sample):
+            drawn.append(chunk.shape[0])
+            yield chunk
+
+    monkeypatch.setattr(montecarlo, "exp_chunks", counted)
+    mc = MCConfig(seed=6, n_samples=5000, chunk=2048)
+    params = SystemParams(p_t=1.0, p_j=100.0, rho=0.1)
+    rep = policy_prob_zero(JamPolicy(kind), ORIGIN, params, mc)
+    assert sum(drawn) == mc.n_samples
+    # the bound from the same pass is the public bound on the same stream, bit for bit
+    monkeypatch.setattr(montecarlo, "exp_chunks", real)
+    if kind is JamPolicyKind.CONSTANT:
+        assert rep.p1 is None and rep.p2 == p2_bound(params.rho, params.p_j, mc)
+    else:
+        assert rep.p2 is None and rep.p1 == p1_bound(params.rho, mc)
 
 
 def test_constant_policy_no_jam_closed_form() -> None:

@@ -7,6 +7,7 @@ binomial with the closed form's p.  On these seeds the closed form is
 (stderr 0) failed a correct closed form.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,3 +43,18 @@ def test_binomial_width_comes_from_the_closed_form() -> None:
     assert verify._binomial_se(0.25, 200_000) == pytest.approx(math.sqrt(0.25 * 0.75 / 200_000))
     assert verify._binomial_se(0.0, 200_000) == 0.0
     assert np.isfinite(verify._binomial_se(3e-12, 200_000))
+
+
+def test_batched_secrecy_probes_still_catch_wrong_inputs(monkeypatch) -> None:
+    # the optjam and pairwise suites evaluate their secrecy probes as one array call each
+    real_opt, real_pos, real_t = verify.opt_jam, verify.positivity, verify.secrecy_from_t
+    monkeypatch.setattr(verify, "opt_jam", lambda g, rho, p_t: dataclasses.replace(real_opt(g, rho, p_t), p_j_opt=1e3))
+    assert not next(r for r in verify.run_suite("optjam", 0) if r.name == "stationarity-batch").passed
+    monkeypatch.setattr(verify, "opt_jam", real_opt)
+    monkeypatch.setattr(verify, "positivity", lambda g, params: not real_pos(g, params))
+    assert not next(r for r in verify.run_suite("optjam", 0) if r.name == "stationarity-batch").passed
+    monkeypatch.setattr(verify, "secrecy_from_t", lambda g, params: real_t(g, params) * (1.0 + 1e-9))
+    assert not next(r for r in verify.run_suite("pairwise", 0) if r.name == "t-factor-identity").passed
+    monkeypatch.setattr(verify, "positivity", real_pos)
+    monkeypatch.setattr(verify, "secrecy_from_t", real_t)
+    assert all(r.passed for r in verify.run_suite("optjam", 0) + verify.run_suite("pairwise", 0))
