@@ -114,27 +114,23 @@ def quad_prob_zero_pair(
     return float(np.trapezoid(integrand, x))
 
 
-def quad_policy_row(
-    g: LinkGains, params: SystemParams, b1_tilde: float, b2_tilde: float, points: int = 20001
-) -> float:
+def quad_policy_row(g: LinkGains, params: SystemParams, b1_tilde: float, b2_tilde: float) -> float:
     """E over A~ ~ Exp(1) of P{both phases have zero secrecy | A~, b1_tilde, b2_tilde}.
 
     The wedge probability at each A~ is the c-integral of
     e^-c*(e^-(u1*c + u2) - e^-((c - v2)/v1)) from the wedge's apex (c*, d*),
     e^-(c* + d*)*(1 - v1*u1)/((1 + u1)*(1 + v1)), with the v's and u's read
     off the two phases' SINRs; it vanishes once v1*u1 >= 1, at A~ = w0.  The
-    A~ integral is composite Simpson on two geometric grids, one in log(A~)
-    over [1e-15*w0, w0/2] for the boundary layer at A~ = 0 and one in
-    log(w0 - A~) over the upper half, where e^-(c* + d*) closes the wedge
-    within a sliver below w0 at finite P_J.  The piece below 1e-15*w0 is
+    A~ integral is composite Simpson on two geometric grids of 20001 points,
+    one in log(A~) over [1e-15*w0, w0/2] for the boundary layer at A~ = 0
+    and one in log(w0 - A~) over the upper half, where e^-(c* + d*) closes
+    the wedge within a sliver below w0 at finite P_J.  The piece below 1e-15*w0 is
     taken as its length (the integrand is 1 at A~ = 0); the one above
     w0*(1 - 1e-15) is dropped (the integrand vanishes at w0).
     """
     a, b, rho, p_j = g.a, g.b, params.rho, params.p_j
     if math.isinf(a) or math.isinf(b):
         raise InvalidParameterError("quad_policy_row needs finite gains")
-    if points < 3 or points % 2 == 0:
-        raise InvalidParameterError(f"Simpson needs an odd number of points >= 3, got {points}")
     if math.isinf(p_j):
         r1, r2 = rho * b1_tilde, rho * b2_tilde  # SINR_B = A~*P_T/(r1*P_J)
         w0 = math.sqrt(r1 * r2)
@@ -158,7 +154,7 @@ def quad_policy_row(
     def simpson(f: np.ndarray, h: float) -> float:
         return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
 
-    s, h = np.linspace(math.log(1e-15 * w0), math.log(0.5 * w0), points, retstep=True)
+    s, h = np.linspace(math.log(1e-15 * w0), math.log(0.5 * w0), 20001, retstep=True)
     lower = np.exp(s)
     upper = np.exp(s[::-1])  # w0 - A~, from w0/2 down to 1e-15*w0
     return float(
