@@ -23,6 +23,7 @@ from .colluding_fading import _cond_prob_zero_array
 from .errors import InvalidParameterError
 from .geometry import SystemParams, gain_fields
 from .montecarlo import MCConfig
+from .pairwise import _secrecy_pair_array
 from .pairwise_fading import _cond_prob_zero_pair_kernel
 
 __all__ = [
@@ -149,9 +150,10 @@ def build_field(
             # link-side coefficients stay at their means
             e = _exp_draws(_field_rng(mc), (a_f.size, 2))
             c, d = e[:, 0].reshape(a_f.shape), e[:, 1].reshape(a_f.shape)
-        values = _secrecy_array(a_f, b_f, params.p_t, params.rho, p_j, c, d)
         if mode == "pairwise":
-            values = 0.5 * (values + _secrecy_array(b_f, a_f, params.p_t, params.rho, p_j, d, c))
+            values, _, _ = _secrecy_pair_array(a_f, b_f, params.p_t, params.rho, p_j, c, d)
+        else:
+            values = _secrecy_array(a_f, b_f, params.p_t, params.rho, p_j, c, d)
 
     meta = {
         "mode": mode,

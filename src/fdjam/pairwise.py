@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .colluding import LOG2E, gamma_coeff, positivity, secrecy_ab, snr_ab
+from .colluding import LOG2E, _secrecy_array, gamma_coeff, positivity, snr_ab
 from .errors import InvalidParameterError, RegimeWarning, UnsupportedRegimeError
 from .geometry import LinkGains, Region, SystemParams, gains, region_classify
 
@@ -51,11 +51,22 @@ class PairSecrecy:
     s_ba: float
 
 
+def _secrecy_pair_array(a, b, p_t: float, rho: float, p_j, c=1.0, d=1.0, a_t=1.0, b1_t=1.0, b2_t=1.0):
+    """(pair secrecy, s_ab, s_ba) over arrays: the mean of the two one-direction secrecies.
+
+    The A->B direction sees self-interference fading b1_t and the B->A
+    direction b2_t; the gains and the eavesdropper fadings (c, d) swap with
+    the roles.  All ones is the static pair secrecy.
+    """
+    s_ab = _secrecy_array(a, b, p_t, rho, p_j, c, d, a_t, b1_t)
+    s_ba = _secrecy_array(b, a, p_t, rho, p_j, d, c, a_t, b2_t)
+    return 0.5 * (s_ab + s_ba), s_ab, s_ba
+
+
 def secrecy_pair(g: LinkGains, params: SystemParams) -> PairSecrecy:
     """Average of the two one-direction secrecies, each clipped at zero."""
-    s_ab = secrecy_ab(g, params)
-    s_ba = secrecy_ab(g.swapped(), params)
-    return PairSecrecy(s=0.5 * (s_ab + s_ba), s_ab=s_ab, s_ba=s_ba)
+    s, s_ab, s_ba = _secrecy_pair_array(g.a, g.b, params.p_t, params.rho, params.p_j)
+    return PairSecrecy(s=float(s), s_ab=float(s_ab), s_ba=float(s_ba))
 
 
 def positivity_pair(g: LinkGains, params: SystemParams) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .colluding import _secrecy_array
+from .pairwise import _secrecy_pair_array
 from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams
 from .montecarlo import Estimate, MCConfig, estimate, sample_matrix
@@ -431,7 +431,7 @@ def secrecy_sample_pair(
     The A->B direction sees self-interference fading b1_tilde and the
     B->A direction b2_tilde; the eavesdropper fadings swap with the roles.
     """
-    a, b, p_t, rho, p_j = g.a, g.b, params.p_t, params.rho, params.p_j
-    s_ab = _secrecy_array(a, b, p_t, rho, p_j, c_tilde, d_tilde, a_tilde, b1_tilde)
-    s_ba = _secrecy_array(b, a, p_t, rho, p_j, d_tilde, c_tilde, a_tilde, b2_tilde)
-    return float(0.5 * (s_ab + s_ba))
+    s, _, _ = _secrecy_pair_array(
+        g.a, g.b, params.p_t, params.rho, params.p_j, c_tilde, d_tilde, a_tilde, b1_tilde, b2_tilde
+    )
+    return float(s)

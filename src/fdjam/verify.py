@@ -42,6 +42,7 @@ from .oracles import (
     second_diff,
 )
 from .pairwise import (
+    _secrecy_pair_array,
     deriv_x_axis,
     lr_asymmetry,
     lr_asymmetry_asymptotic,
@@ -84,11 +85,6 @@ def _binomial_se(p: float, n: int) -> float:
     that sees no event has sample stderr 0, which would fail a correct p ~ 1e-9.
     """
     return math.sqrt(p * (1.0 - p) / n)
-
-
-def _pair_secrecy(a: np.ndarray, b: np.ndarray, p_t, rho, p_j) -> np.ndarray:
-    """secrecy_pair(...).s over arrays: the mean of the two directions."""
-    return 0.5 * (_secrecy_array(a, b, p_t, rho, p_j) + _secrecy_array(b, a, p_t, rho, p_j))
 
 
 def _suite_geometry(seed: int) -> list[CheckResult]:
@@ -249,13 +245,11 @@ def _suite_pairwise(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     rng = np.random.default_rng(seed)
 
-    draws = []  # (a, b, P_J, rho)
+    ok = True
     for _ in range(100):
         g = LinkGains(a=float(10.0 ** rng.uniform(-2, 2)), b=float(10.0 ** rng.uniform(-2, 2)))
         params = SystemParams(p_t=100.0, p_j=float(10.0 ** rng.uniform(-1, 3)), rho=float(rng.uniform(0, 0.5)))
-        draws.append((g.a, g.b, params.p_j, params.rho))
-    a, b, p_j, rho = np.array(draws).T
-    ok = bool(np.all(np.abs(_pair_secrecy(a, b, 100.0, rho, p_j) - _pair_secrecy(b, a, 100.0, rho, p_j)) < 1e-12))
+        ok &= abs(secrecy_pair(g, params).s - secrecy_pair(g.swapped(), params).s) < 1e-12
     out.append(_check("pairwise", "swap-symmetry", ok))
 
     draws, s_t = [], []  # (a, b, P_T, P_J, rho) and secrecy_from_t there
@@ -271,7 +265,7 @@ def _suite_pairwise(seed: int) -> list[CheckResult]:
         draws.append((g.a, g.b, params.p_t, params.p_j, params.rho))
         s_t.append(secrecy_from_t(g, params))
     a, b, p_t, p_j, rho = np.array(draws).T
-    s_p = _pair_secrecy(a, b, p_t, rho, p_j)
+    s_p, _, _ = _secrecy_pair_array(a, b, p_t, rho, p_j)  # secrecy_pair's kernel, one call
     ok = bool(np.all(np.abs(np.array(s_t) - s_p) < 1e-10 * np.maximum(1.0, s_p)))
     out.append(_check("pairwise", "t-factor-identity", ok))
 

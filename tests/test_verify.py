@@ -58,3 +58,18 @@ def test_batched_secrecy_probes_still_catch_wrong_inputs(monkeypatch) -> None:
     monkeypatch.setattr(verify, "positivity", real_pos)
     monkeypatch.setattr(verify, "secrecy_from_t", real_t)
     assert all(r.passed for r in verify.run_suite("optjam", 0) + verify.run_suite("pairwise", 0))
+
+
+def test_pair_secrecy_wiring_is_caught(monkeypatch) -> None:
+    # s_ba taken from the A->B direction: the pair secrecy is no longer symmetric
+    from fdjam import pairwise
+    from fdjam.colluding import _secrecy_array
+
+    def same_direction(a, b, p_t, rho, p_j, c=1.0, d=1.0, a_t=1.0, b1_t=1.0, b2_t=1.0):
+        s_ab = _secrecy_array(a, b, p_t, rho, p_j, c, d, a_t, b1_t)
+        return s_ab, s_ab, s_ab
+
+    monkeypatch.setattr(pairwise, "_secrecy_pair_array", same_direction)
+    monkeypatch.setattr(verify, "_secrecy_pair_array", same_direction)
+    failed = {r.name for r in verify.run_suite("pairwise", 0) if not r.passed}
+    assert {"swap-symmetry", "t-factor-identity"} <= failed
