@@ -24,7 +24,7 @@ from .colluding_fading import (
 from .errors import FdjamError, UnboundedOptimumError
 from .fields import GridSpec, build_field, build_region_grid, grid_argmax, grid_argmin, write_csv, write_json
 from .geometry import LinkGains, SystemParams, gains, rho_disk
-from .montecarlo import MCConfig, ecdf, estimate, sample_matrix
+from .montecarlo import MCConfig, ecdf, estimate
 from .pairwise_fading import (
     JamPolicy,
     JamPolicyKind,
@@ -228,17 +228,16 @@ def cmd_prob_zero(args: argparse.Namespace) -> int:
     if mode == "colluding":
         closed = cond_prob_zero(g, params, 1.0, 1.0)
         est = uncond_prob_zero(g, params, mc)
-        cond = sample_cond_prob_zero(g, params, mc)
+        share = float(np.mean(sample_cond_prob_zero(g, params, mc) < 1e-4))
     else:
         closed = cond_prob_zero_pair(g, params, 1.0, 1.0, 1.0)
-        draws = sample_matrix(mc, 3)
-        cond = cond_prob_zero_pair_array(g, params, draws[:, 0], draws[:, 1], draws[:, 2])
-        est = estimate(
-            lambda u: cond_prob_zero_pair_array(g, params, u[:, 0], u[:, 1], u[:, 2]),
-            mc,
-            draws_per_sample=3,
-        )
-    share = float(np.mean(cond < 1e-4))
+
+        def cond_and_small(u: np.ndarray) -> np.ndarray:
+            cond = cond_prob_zero_pair_array(g, params, u[:, 0], u[:, 1], u[:, 2])
+            return np.stack([cond, cond < 1e-4], axis=1)
+
+        est, small = estimate(cond_and_small, mc, draws_per_sample=3)
+        share = round(small.mean * small.n) / small.n  # the count k/n, not a mean an ulp off a 4-decimal tie
     print(f"mode = {mode} at ({x:g}, {y:g})")
     print(f"conditional P(S=0) at unit fading = {closed:.6e}")
     print(f"unconditional P(S=0) = {est.mean:.6e} +- {est.stderr:.2e}  [n={est.n}]")

@@ -22,7 +22,6 @@ from .geometry import LinkGains, SystemParams
 from .montecarlo import Estimate, MCConfig, estimate, sample_matrix
 
 __all__ = [
-    "FadingSampleColluding",
     "ZeroSecrecyTermsColluding",
     "JamResponseKind",
     "JamResponse",
@@ -38,19 +37,6 @@ __all__ = [
     "cdf_lower_bound",
     "secrecy_sample",
 ]
-
-
-@dataclass(frozen=True)
-class FadingSampleColluding:
-    a_tilde: float
-    b_tilde: float
-    c_tilde: float
-    d_tilde: float
-
-    def __post_init__(self) -> None:
-        for name in ("a_tilde", "b_tilde", "c_tilde", "d_tilde"):
-            if not getattr(self, name) >= 0:
-                raise InvalidParameterError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)

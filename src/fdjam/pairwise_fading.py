@@ -22,7 +22,6 @@ from .geometry import LinkGains, SystemParams
 from .montecarlo import Estimate, MCConfig, estimate, sample_matrix
 
 __all__ = [
-    "FadingSamplePair",
     "ZeroSecrecyTermsPair",
     "JamPolicyKind",
     "JamPolicy",
@@ -50,25 +49,12 @@ _GL_T, _GL_W = 1.0 - (0.5 * (1.0 - _GL_X)) ** 2, 0.5 * (1.0 - _GL_X) * _GL_WX
 
 
 @dataclass(frozen=True)
-class FadingSamplePair:
-    a_tilde: float
-    b1_tilde: float
-    b2_tilde: float
-    c_tilde: float
-    d_tilde: float
-
-    def __post_init__(self) -> None:
-        for name in ("a_tilde", "b1_tilde", "b2_tilde", "c_tilde", "d_tilde"):
-            if not getattr(self, name) >= 0:
-                raise InvalidParameterError(f"{name} must be >= 0")
-
-
-@dataclass(frozen=True)
 class ZeroSecrecyTermsPair:
     """All intermediates of the two-phase wedge probability.
 
     c_min is the smallest c for which the wedge has positive d-width; the
     wedge is empty (probability zero without integrating) when v1*u1 >= 1.
+    The w's are divided by a*b (k = w1/w2 and e_exp = w3/w1 are ratios).
     At infinite P_J the w's diverge while k and e_exp keep their limits, so
     the w fields are reported as inf there.
     """
@@ -107,9 +93,9 @@ def pair_terms(
         u2 = a_tilde / (b * q2)
         prod = a_tilde**2 * p_j**2 / (q1 * q2)
     c_min = (v2 + v1 * u2) / (1.0 - prod) if prod < 1.0 else math.inf
-    w1, w2, w3 = (float(w) for w in _w_terms(a, b, rho, p_j, a_tilde, b1_tilde, b2_tilde))
+    w1, w2, w3 = (float(w) for w in _wedge(_wedge_coeffs(a, b, rho, p_j, b1_tilde, b2_tilde), a_tilde))
     live = w1 > _W1_GUARD * w2
-    k, e_exp = (min(w1 / w2, 1.0), w3 / w1) if live else (0.0, math.inf)
+    k, e_exp = (w1 / w2, w3 / w1) if live else (0.0, math.inf)
     if math.isinf(p_j):
         w1 = w2 = w3 = math.inf
     return ZeroSecrecyTermsPair(
@@ -122,22 +108,39 @@ def pair_terms(
 _W1_GUARD = 1e-30
 
 
-def _w_terms(a, b, rho: float, p_j: float, a_t, b1_t, b2_t) -> tuple:
-    """(w1, w2, w3) of the wedge probability K*exp(-E), K = w1/w2, E = w3/w1.
+def _wedge_coeffs(a, b, rho: float, p_j: float, b1_t, b2_t) -> tuple:
+    """Coefficients (C0, C2, D1, S, Z) of the wedge terms as polynomials in A~.
 
-    At P_J = inf the w's diverge; they are returned divided by P_J^2, whose
-    limits a*b*(rho^2*B1~*B2~ - A~^2), (a*A~ + rho*b*B2~)*(b*A~ + rho*a*B1~)
-    and 0 give the limits of K and E = 0.
+    w1 = C0 - C2*A~^2, w2 = C0 + D1*A~ + C2*A~^2 and w3 = A~*(S + Z*A~) give
+    the wedge probability K*exp(-E), K = w1/w2, E = w3/w1.  With
+    q = 1 + rho*B~*P_J and the common factor a*b divided out: C0 = q1*q2,
+    C2 = P_J^2, D1 = P_J*(q1*a/b + q2*b/a), S = q1/b + q2/a and
+    Z = P_J*(1/a + 1/b).  The window outside which the wedge is empty is
+    w0 = sqrt(C0/C2), and the boundary layer at A~ = 0, where K falls like
+    1/(1 + c*A~), has rate c = D1/C0.  At P_J = inf the w's diverge; the
+    coefficients are divided by P_J^2 once more, C0 = rho^2*B1~*B2~,
+    C2 = 1, D1 = rho*(B1~*a/b + B2~*b/a) and S = Z = 0, the limits of K and
+    of E = 0.
     """
     if math.isinf(p_j):
-        w1 = a * b * (rho**2 * b1_t * b2_t - a_t**2)
-        return w1, (a * a_t + rho * b * b2_t) * (b * a_t + rho * a * b1_t), 0.0
-    q1 = 1.0 + rho * b1_t * p_j
-    q2 = 1.0 + rho * b2_t * p_j
-    w1 = a * b * (q1 * q2 - a_t**2 * p_j**2)
-    w2 = (a * a_t * p_j + b * q2) * (b * a_t * p_j + a * q1)
-    w3 = a_t * (a * q1 + b * q2 + (a + b) * a_t * p_j)
-    return w1, w2, w3
+        return rho**2 * b1_t * b2_t, 1.0, (rho * a / b) * b1_t + (rho * b / a) * b2_t, 0.0, 0.0
+    q1, q2 = 1.0 + (rho * p_j) * b1_t, 1.0 + (rho * p_j) * b2_t
+    inv_a, inv_b = 1.0 / a, 1.0 / b
+    d1 = (p_j * a * inv_b) * q1 + (p_j * b * inv_a) * q2
+    return q1 * q2, p_j**2, d1, inv_b * q1 + inv_a * q2, p_j * (inv_a + inv_b)
+
+
+def _wedge(coeffs: tuple, a_t, out: tuple = (None, None, None)) -> tuple:
+    """(w1, w2, w3) at A~ = a_t from _wedge_coeffs, written into the arrays of out if given.
+
+    w1 <= C0 <= w2 also after rounding, so K = w1/w2 <= 1.
+    """
+    c0, c2, d1, s, z = coeffs
+    o1, o2, o3 = out
+    c2a2 = np.multiply(c2, np.multiply(a_t, a_t, out=o1), out=o1)
+    w2 = np.add(np.add(c0, np.multiply(d1, a_t, out=o2), out=o2), c2a2, out=o2)
+    w3 = np.multiply(a_t, np.add(s, np.multiply(z, a_t, out=o3), out=o3), out=o3)
+    return np.subtract(c0, c2a2, out=o1), w2, w3
 
 
 def cond_prob_zero_pair(
@@ -165,13 +168,11 @@ def _cond_prob_zero_pair_kernel(a, b, rho: float, p_j: float, a_t, b1_t, b2_t) -
     if np.any(node):
         limit = np.exp(-a_t * (1.0 / a + 1.0 / b)) if p_j == 0 else 0.0
         a, b = np.where(node, 1.0, a), np.where(node, 1.0, b)
-    w1, w2, w3 = _w_terms(a, b, rho, p_j, a_t, b1_t, b2_t)
+    w1, w2, w3 = _wedge(_wedge_coeffs(a, b, rho, p_j, b1_t, b2_t), a_t)
     live = w1 > _W1_GUARD * w2
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        # K < 1 exactly; the clip removes rounding above 1 as A~ -> 0
-        val = np.where(live, np.minimum(w1 / w2, 1.0), 0.0)
-        if not math.isinf(p_j):  # E = 0 at P_J = inf
-            val = val * np.exp(-w3 / np.where(live, w1, 1.0))
+        # E = 0 where masked: numpy's exp is ~20x slower where its result underflows
+        val = np.where(live, w1 / w2 * np.exp(-w3 / np.where(live, w1, np.inf)), 0.0)
     return np.where(node, limit, val) if np.any(node) else val
 
 
@@ -255,35 +256,15 @@ def semi_dynamic_cap(rho: float) -> float:
     return math.pi * rho / 4.0
 
 
-def _window(u, v, rho: float, p_j: float):
-    """Upper end w0 of the A~ window outside which the wedge is empty at power P_J.
-
-    w0 = sqrt(rho^2*B1~*B2~ + (1+rho*(B1~+B2~)*P_J)/P_J^2), which shrinks to
-    rho*sqrt(B1~*B2~) as P_J grows; P_J = inf gives that limit.
-    """
-    if math.isinf(p_j):
-        return rho * np.sqrt(u * v)
-    return np.sqrt(rho**2 * u * v + (1.0 + rho * (u + v) * p_j) / p_j**2)
-
-
-def _layer_rate(u, v, a: float, b: float, rho: float, p_j: float):
-    """Rate c of the boundary layer at A~ = 0, where cond_prob_zero_pair falls like 1/(1 + c*A~).
-
-    c = P_J*(a/(b*q2) + b/(a*q1)) with q = 1 + rho*B~*P_J; at P_J = inf it is
-    a/(rho*b*B2~) + b/(rho*a*B1~), infinite where the window is empty.
-    """
-    if math.isinf(p_j):
-        with np.errstate(divide="ignore"):
-            return a / (rho * b * v) + b / (rho * a * u)
-    return p_j * (a / (b * (1.0 + rho * v * p_j)) + b / (a * (1.0 + rho * u * p_j)))
-
-
-# Rows per quadrature tile: a (rows, 48) temporary stays in cache (~0.4 MB).
+# Rows per quadrature tile: the five (48, rows) temporaries stay in cache (~2 MB).
 _TILE_ROWS = 1024
 # Smallest stretch L = log1p(c*w0); below it the map is linear in t to 1e-8.
 _MIN_STRETCH = 1e-8
 # A~ past which e^-A~ < 5e-18: the quadrature stops there when the window is wider.
 _A_TOP = 40.0
+# Floor of the quadrature's exp argument: e^-700 < 1e-304 adds nothing to a row, and
+# numpy's exp runs 20-100x slower where its result is subnormal or underflows.
+_EXP_FLOOR = -700.0
 
 
 def _policy_integrand(u: np.ndarray, v: np.ndarray, a: float, b: float, rho: float, p_j: float) -> np.ndarray:
@@ -294,24 +275,36 @@ def _policy_integrand(u: np.ndarray, v: np.ndarray, a: float, b: float, rho: flo
     L = log1p(c*top), that is A~ = expm1(t*L)/c: the map spreads the boundary
     layer of rate c at A~ = 0 over the nodes, and the nodes crowd towards
     t = 1, where at finite P_J e^-E closes the wedge within a sliver below
-    w0.  An empty window (rho = 0 or B~ = 0 at P_J = inf) gives 0.  Rows go
-    through in tiles of _TILE_ROWS so the (rows, 48) kernel temporaries stay
-    in cache.  The second column is the window bound (P2, or P1 at P_J = inf)
-    on the same row.
+    w0.  An empty window (rho = 0 or B~ = 0 at P_J = inf) gives 0.  The
+    wedge coefficients, w0 and c come once per row from _wedge_coeffs; a node
+    costs one exp, of t*L - A~ - E, and a product masks it past the
+    _W1_GUARD cut.  Rows go through in tiles of _TILE_ROWS.  The second
+    column is the window bound (P2, or P1 at P_J = inf) on the same row.
     """
-    w0 = _window(u, v, rho, p_j)
+    c0, c2, d1, s, z = _wedge_coeffs(a, b, rho, p_j, u, v)
+    w0 = np.sqrt(c0 / c2)
     top = np.minimum(w0, _A_TOP)
-    with np.errstate(invalid="ignore"):  # c*top = inf*0 where the window is empty
-        ct = _layer_rate(u, v, a, b, rho, p_j) * top
+    with np.errstate(invalid="ignore", divide="ignore"):  # c = D1/C0 is inf or nan on an empty window
+        ct = d1 / c0 * top
     stretch = np.maximum(np.log1p(np.where(np.isfinite(ct), ct, 0.0)), _MIN_STRETCH)
     scale = top / np.expm1(stretch)  # 1/c, or 0 on an empty window
-    out = np.empty((u.shape[0], 2))
+    # an empty window (C0 = 0) has weight 0, and C0 = 1 keeps its nodes finite
+    c0, s = np.where(c0 > 0, c0, 1.0), np.broadcast_to(s, u.shape)
+    out, work = np.empty((u.shape[0], 2)), np.empty((5, _GL_T.size, _TILE_ROWS))
     for lo in range(0, u.shape[0], _TILE_ROWS):
         rows = slice(lo, lo + _TILE_ROWS)
-        tl = _GL_T * stretch[rows, None]  # (rows, 48)
-        w = np.expm1(tl) * scale[rows, None]
-        vals = _cond_prob_zero_pair_kernel(a, b, rho, p_j, w, u[rows, None], v[rows, None])
-        out[rows, 0] = (np.exp(tl - w) * vals) @ _GL_W * (stretch[rows] * scale[rows])
+        tl, w, w1, w2, w3 = work[:, :, : scale[rows].size]  # (nodes, rows) each, reused by every tile
+        np.multiply(_GL_T[:, None], stretch[rows], out=tl)
+        np.multiply(np.expm1(tl, out=w), scale[rows], out=w)
+        _wedge((c0[rows], c2, d1[rows], s[rows], z), w, out=(w1, w2, w3))
+        tl -= w  # t*L - A~
+        cut = np.multiply(w2, _W1_GUARD, out=w)  # past it, max() keeps E finite on the node the product masks
+        live = w1 > cut
+        tl -= np.divide(w3, np.maximum(w1, cut, out=cut), out=w3)
+        vals = np.divide(w1, w2, out=w1)  # K
+        vals *= np.exp(np.maximum(tl, _EXP_FLOOR, out=tl), out=tl)
+        vals *= live
+        out[rows, 0] = _GL_W @ vals * (stretch[rows] * scale[rows])
     out[:, 1] = -np.expm1(-w0)
     return out
 
@@ -393,7 +386,12 @@ def p2_bound(rho: float, p_j: float, mc: MCConfig) -> Estimate:
     """
     if not p_j > 0:
         raise InvalidParameterError(f"p2_bound needs P_J > 0, got {p_j}")
-    return estimate(lambda uv: -np.expm1(-_window(uv[:, 0], uv[:, 1], rho, p_j)), mc, draws_per_sample=2)
+
+    def window_mass(uv: np.ndarray) -> np.ndarray:
+        c0, c2, *_ = _wedge_coeffs(1.0, 1.0, rho, p_j, uv[:, 0], uv[:, 1])  # w0 = sqrt(C0/C2) has no gains
+        return -np.expm1(-np.sqrt(c0 / c2))
+
+    return estimate(window_mass, mc, draws_per_sample=2)
 
 
 def homogeneous_secrecy(a_tilde: float, b1_tilde: float, b2_tilde: float, rho: float) -> float:

@@ -5,8 +5,10 @@ stated once per quantity: no NaN, secrecy >= 0, probabilities in [0, 1], the
 kernel on arrays equals the scalar form element by element, and the closed
 limits (infinite gain at an endpoint, P_J in {0, inf}, rho = 0, zero
 fading, b = rho*a, w1 at the _W1_GUARD cutoff) hold as literal values.
-The policy quadrature keeps 0 <= estimate row <= window-bound row, with an
-empty window at P_J = inf when rho = 0 or B~ = 0.
+The pairwise wedge coefficients reproduce the w-form K = w1/w2, E = w3/w1
+and the closed forms of the window and the layer rate.  The policy
+quadrature keeps 0 <= estimate row <= window-bound row, with an empty
+window at P_J = inf when rho = 0 or B~ = 0.
 """
 
 import math
@@ -26,6 +28,7 @@ from fdjam.pairwise_fading import (
     JamPolicyKind,
     _cond_prob_zero_pair_kernel,
     _policy_integrand,
+    _wedge_coeffs,
     cond_prob_zero_pair,
     p1_bound,
     p2_bound,
@@ -167,6 +170,70 @@ def test_pairwise_outage_at_the_w1_cutoff(a, b, rho, a_t, b1_t, b2_t, eps) -> No
     if not t.w1 > _W1_GUARD * t.w2:
         assert prob == 0.0 and t.k == 0.0 and t.e_exp == INF
     assert cond_prob_zero_pair(g, SystemParams(p_t=1.0, p_j=star * 1.001, rho=rho), a_t, b1_t, b2_t) == 0.0
+
+
+def _w_form(a: float, b: float, rho: float, p_j: float, a_t: float, b1_t: float, b2_t: float) -> float:
+    """cond_prob_zero_pair as K*exp(-E), K = w1/w2 and E = w3/w1, with the w's written out
+    (divided by P_J^2 at P_J = inf, where E = 0)."""
+    if math.isinf(a) or math.isinf(b):
+        return math.exp(-a_t * (1.0 / a + 1.0 / b)) if p_j == 0 else 0.0
+    if math.isinf(p_j):
+        w1 = a * b * (rho**2 * b1_t * b2_t - a_t**2)
+        w2 = (a * a_t + rho * b * b2_t) * (b * a_t + rho * a * b1_t)
+        w3 = 0.0
+    else:
+        q1, q2 = 1.0 + rho * b1_t * p_j, 1.0 + rho * b2_t * p_j
+        w1 = a * b * (q1 * q2 - a_t**2 * p_j**2)
+        w2 = (a * a_t * p_j + b * q2) * (b * a_t * p_j + a * q1)
+        w3 = a_t * (a * q1 + b * q2 + (a + b) * a_t * p_j)
+    if not w1 > _W1_GUARD * w2:
+        return 0.0
+    return min(w1 / w2, 1.0) * math.exp(-w3 / w1)
+
+
+def _assert_matches_w_form(a, b, rho, p_j, a_t, b1_t, b2_t) -> None:
+    want = _w_form(a, b, rho, p_j, a_t, b1_t, b2_t)
+    got = _cond_prob_zero_pair_kernel(np.array([a]), np.array([b]), rho, p_j, np.array([a_t]), b1_t, b2_t)[0]
+    assert abs(got - want) <= max(1e-12 * want, 1e-15)
+
+
+@SETTINGS
+@given(gain_pairs(), rho_s, power, fading, fading, fading)
+@example(LinkGains(4.0, 0.4), 0.1, 50.0, 1.0, 1.0, 1.0)  # b = rho*a
+@example(LinkGains(1.0, 1.0), 0.0, INF, 0.0, 0.0, 0.0)  # rho = 0 and B~ = 0: empty window
+@example(LinkGains(2.0, 1.0), 0.1, INF, 0.5, 0.0, 3.0)  # B1~ = 0 at P_J = inf
+@example(LinkGains(2.0, 1.0), 0.1, 0.0, 0.5, 1.0, 3.0)  # no jamming
+@example(LinkGains(1e-3, 1e-3), 0.1, INF, 1e-300, 0.5, 0.5)  # the w-form's K rounds above 1
+@example(LinkGains(1.0, 2.0), 0.5, 1.0, 0.3, 0.2, 3.0)  # a != b and B1~ != B2~: every coefficient counts
+def test_wedge_coefficients_match_the_w_form(g, rho, p_j, a_t, b1_t, b2_t) -> None:
+    _assert_matches_w_form(g.a, g.b, rho, p_j, a_t, b1_t, b2_t)
+
+
+@SETTINGS
+@given(finite_gain, finite_gain, st.floats(1e-3, 0.9), st.floats(0.1, 5.0), fading, fading, st.floats(-1e-13, 1e-13))
+def test_wedge_coefficients_match_the_w_form_at_the_w1_cutoff(a, b, rho, a_t, b1_t, b2_t, eps) -> None:
+    star = pj_star(a_t, b1_t, b2_t, rho)
+    assume(star is not None)
+    _assert_matches_w_form(a, b, rho, star * (1.0 + eps), a_t, b1_t, b2_t)
+
+
+@SETTINGS
+@given(finite_gain, finite_gain, rho_s, st.one_of(st.floats(1e-3, 1e6), st.just(INF)), fading, fading)
+@example(1.0, 1.0, 0.0, INF, 1.0, 1.0)  # rho = 0: empty window
+@example(4.0, 4.0, 0.1, INF, 0.0, 2.0)  # B1~ = 0: empty window
+def test_window_and_layer_rate_from_the_coefficients(a, b, rho, p_j, u, v) -> None:
+    # w0 = sqrt(C0/C2) and c = D1/C0 against the closed forms of the window
+    # and of the boundary-layer rate at A~ = 0
+    c0, c2, d1, _, _ = (float(x) for x in _wedge_coeffs(a, b, rho, p_j, np.array(u), np.array(v)))
+    w0 = math.sqrt(c0 / c2)
+    if math.isinf(p_j):
+        assert w0 == pytest.approx(rho * math.sqrt(u * v), rel=1e-14)
+        if c0 > 0:
+            assert d1 / c0 == pytest.approx(a / (rho * b * v) + b / (rho * a * u), rel=1e-13)
+    else:
+        q1, q2 = 1.0 + rho * u * p_j, 1.0 + rho * v * p_j
+        assert w0 == pytest.approx(math.sqrt(rho**2 * u * v + (1.0 + rho * (u + v) * p_j) / p_j**2), rel=1e-14)
+        assert d1 / c0 == pytest.approx(p_j * (a / (b * q2) + b / (a * q1)), rel=1e-13)
 
 
 @SETTINGS
