@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .colluding import opt_jam, secrecy_ab
+from .colluding import _at_optimum, opt_jam, secrecy_ab
 from .colluding_fading import (
     cdf_lower_bound,
     cond_prob_zero,
@@ -209,9 +209,8 @@ def cmd_optjam(args: argparse.Namespace) -> int:
     print(f"gamma = {res.gamma:.10g}")
     print(f"beta = {res.beta:.10g}")
     print(f"p_j_opt = {res.p_j_opt:.10g}")
-    tuned = SystemParams(
-        p_t=params.p_t, p_j=res.p_j_opt, rho=params.rho, alpha=params.alpha, delta=params.delta
-    )
+    p_j = float(_at_optimum(g.b, res.p_j_opt))
+    tuned = SystemParams(p_t=params.p_t, p_j=p_j, rho=params.rho, alpha=params.alpha, delta=params.delta)
     print(f"secrecy at p_j_opt = {secrecy_ab(g, tuned):.10g} bits")
     return 0
 

@@ -19,7 +19,6 @@ from .geometry import LinkGains, Region, SystemParams, gains, region_classify, s
 __all__ = [
     "OptJamResult",
     "snr_ab",
-    "snr_ae",
     "secrecy_ab",
     "lambda_factor",
     "gamma_coeff",
@@ -41,17 +40,6 @@ def snr_ab(params: SystemParams) -> float:
     if math.isinf(params.p_j):
         return 0.0
     return params.p_t / (1.0 + params.rho * params.p_j)
-
-
-def snr_ae(g: LinkGains, params: SystemParams) -> float:
-    """Eavesdropper SNR a*P_T / (1 + b*P_J), with infinite-gain limits."""
-    if math.isinf(g.a):
-        return math.inf
-    if params.p_j == 0:
-        return g.a * params.p_t
-    if math.isinf(g.b) or math.isinf(params.p_j):
-        return 0.0
-    return g.a * params.p_t / (1.0 + g.b * params.p_j)
 
 
 def _secrecy_array(a, b, p_t: float, rho: float, p_j, c=1.0, d=1.0, a_t=1.0, b_t=1.0) -> np.ndarray:
@@ -102,8 +90,8 @@ def gamma_coeff(g: LinkGains, rho: float) -> float:
     if math.isinf(g.b):
         return 0.0 if not math.isinf(g.a) else math.nan
     if math.isinf(g.a):
-        # only reachable with rho == 0, where b - rho*a = b
-        return math.inf
+        # b - rho*a = b when rho == 0; otherwise the ratio tends to -1/rho
+        return math.inf if rho == 0 else -1.0 / rho
     return (g.a - 1.0) / (g.b - rho * g.a)
 
 
@@ -168,18 +156,17 @@ class OptJamResult:
 
 
 def p_j_opt_array(a, b, rho: float, p_t: float) -> np.ndarray:
-    """opt_jam's p_j_opt over arrays of finite gains, with its branches as masks.
+    """opt_jam's p_j_opt over arrays of gains, with its branches as masks.
 
     [gamma + sqrt(gamma^2 + beta)]^+ where b - rho*a > 0, clipped to 0 in R1
-    when c0 <= 0; 0 on the b - rho*a <= 0 side (R3/R4).  The arithmetic
-    keeps the order of gamma_coeff and jam_derivative_coeffs, so each cell
-    equals the scalar closed form bit for bit; opt_jam takes p_j_opt from here.
+    when c0 <= 0; 0 on the b - rho*a <= 0 side (R3/R4) and at both nodes
+    (a or b infinite).  The arithmetic keeps the order of gamma_coeff and
+    jam_derivative_coeffs, so each cell equals the scalar closed form bit
+    for bit; opt_jam takes p_j_opt from here.
     """
     if rho == 0:
         raise UnboundedOptimumError("rho = 0: secrecy increases in P_J without bound")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if np.any(np.isinf(a)) or np.any(np.isinf(b)):
-        raise InvalidParameterError("opt_jam needs finite gains")
     if not (rho > 0 and p_t > 0):
         raise InvalidParameterError(f"p_j_opt_array needs rho > 0 and p_t > 0, got rho={rho}, p_t={p_t}")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -187,7 +174,17 @@ def p_j_opt_array(a, b, rho: float, p_t: float) -> np.ndarray:
         c0 = a * b - rho + a * p_t * (b - rho)
         beta = c0 / (rho * b * (b - rho * a))
         root = gam + np.sqrt(gam * gam + beta)
-    return np.where((b - rho * a > 0) & ~((a < 1.0) & (c0 <= 0)), root, 0.0)
+    return np.where((b - rho * a > 0) & ~((a < 1.0) & (c0 <= 0)) & ~np.isinf(b), root, 0.0)
+
+
+def _at_optimum(b, p_j_opt):
+    """The power at which a quantity is taken at the optimum: p_j_opt, or 0+ at Bob's node.
+
+    With b = inf any positive power silences the eavesdropper, so the
+    optimum there is the limit P_J -> 0+ (opt_jam).  The smallest positive
+    float makes every kernel take that one-sided limit.
+    """
+    return np.where(np.isinf(b), np.nextafter(0.0, 1.0), p_j_opt)
 
 
 def opt_jam(g: LinkGains, rho: float, p_t: float) -> OptJamResult:
@@ -197,9 +194,13 @@ def opt_jam(g: LinkGains, rho: float, p_t: float) -> OptJamResult:
     at c0 <= 0; zero in R3/R4 (p_j_opt_array).  rho = 0 makes secrecy
     strictly increasing in P_J on the positive side, so no finite maximizer
     exists.
+
+    At the nodes p_j_opt is the continuous extension 0.  At Alice's node
+    (a = inf) secrecy is 0 at every power.  At Bob's node (b = inf) the
+    optimal secrecy is log2(1 + P_T): a supremum, approached as P_J -> 0+
+    but not attained, since P_J = 0 leaves the eavesdropper unjammed; there
+    gamma = beta = 0, their limits.
     """
-    if math.isinf(g.a) or math.isinf(g.b):
-        raise InvalidParameterError("opt_jam needs finite gains")
     if not p_t > 0:
         raise InvalidParameterError(f"p_t must be > 0, got {p_t}")
     if not rho >= 0:
@@ -207,7 +208,9 @@ def opt_jam(g: LinkGains, rho: float, p_t: float) -> OptJamResult:
     p_j_opt = float(p_j_opt_array(g.a, g.b, rho, p_t))
     region = region_classify(g, rho)
     beta = math.nan
-    if region in (Region.R1, Region.R2):
+    if math.isinf(g.b):
+        beta = 0.0
+    elif region in (Region.R1, Region.R2):
         c2, _, c0 = jam_derivative_coeffs(g, rho, p_t)
         beta = c0 / c2
     return OptJamResult(p_j_opt=p_j_opt, gamma=gamma_coeff(g, rho), beta=beta, region=region)

@@ -2,12 +2,12 @@
 
 Grids are row-major with y as the slow axis, and every field kind is
 computed with array operations over the whole grid.  A fading or prob-zero
-field draws from one counter-based stream, Philox keyed by the seed: cell i
-(row-major index) owns the i-th consecutive block of k*n uniforms (fading
-secrecy k = 2, n = 1; colluding prob-zero k = 2; pairwise prob-zero k = 3),
-each mapped to Exp(1) by -log1p(-u).  A cell's draws thus depend only on
-(seed, cell index, n, k), not on evaluation order or on mc.chunk.  Exports
-carry every parameter needed to regenerate a field.
+field draws from montecarlo's stream of its seed, with the row-major cells
+as samples: cell i owns the i-th consecutive block of k*n uniforms (fading
+secrecy k = 2, n = 1; colluding prob-zero k = 2; pairwise prob-zero k = 3).
+A cell's draws thus depend only on (seed, cell index, n, k), not on
+evaluation order.  Exports carry every parameter needed to regenerate a
+field.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .colluding import _secrecy_array, p_j_opt_array
+from . import montecarlo
+from .colluding import _at_optimum, _secrecy_array, p_j_opt_array
 from .colluding_fading import _cond_prob_zero_array
 from .errors import InvalidParameterError
 from .geometry import SystemParams, gain_fields
@@ -94,18 +95,6 @@ def _params_meta(params: SystemParams) -> dict:
     }
 
 
-def _field_rng(mc: MCConfig) -> np.random.Generator:
-    """The one stream of a fading or prob-zero field; cells consume it in row-major order."""
-    return np.random.Generator(np.random.Philox(key=mc.seed))
-
-
-def _exp_draws(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Exp(1) draws -log1p(-u), computed in place so one array is alive."""
-    u = rng.random(shape)
-    np.log1p(np.negative(u, out=u), out=u)
-    return np.negative(u, out=u)
-
-
 def build_field(
     mode: str,
     params: SystemParams,
@@ -139,7 +128,7 @@ def build_field(
     a_f, b_f = gain_fields(*np.meshgrid(grid.xs(), grid.ys()), params.alpha)
     p_j = params.p_j
     if pj_per_cell == "opt":
-        p_j = p_j_opt_array(a_f, b_f, params.rho, params.p_t)
+        p_j = _at_optimum(b_f, p_j_opt_array(a_f, b_f, params.rho, params.p_t))
 
     if quantity == "prob-zero":
         values = _prob_zero_field(mode, params, a_f, b_f, p_j, mc)
@@ -148,7 +137,7 @@ def build_field(
         if fading:
             # one draw of the unknown Eve-side coefficients per cell; the
             # link-side coefficients stay at their means
-            e = _exp_draws(_field_rng(mc), (a_f.size, 2))
+            e = montecarlo._exp_draws(montecarlo._stream(mc.seed), (a_f.size, 2))
             c, d = e[:, 0].reshape(a_f.shape), e[:, 1].reshape(a_f.shape)
         if mode == "pairwise":
             values, _, _ = _secrecy_pair_array(a_f, b_f, params.p_t, params.rho, p_j, c, d)
@@ -171,23 +160,23 @@ def build_field(
 def _prob_zero_field(mode: str, params: SystemParams, a_f, b_f, p_j, mc: MCConfig) -> np.ndarray:
     """Per-cell mean of the conditional zero-secrecy probability.
 
-    Cell i owns the i-th block of n*k uniforms of the field stream (k = 2
-    colluding, 3 pairwise).  Blocks of whole cells, at most mc.chunk
-    samples, go to the kernel at once with gains and P_J as (cells, 1)
-    columns against (cells, n) draws; a cell with n > chunk is summed over
-    sub-blocks of chunk samples.
+    Cell i owns the i-th block of n*k uniforms of the seed's stream (k = 2
+    colluding, 3 pairwise).  Blocks of whole cells, at most _BLOCK samples,
+    go to the kernel at once with gains and P_J as (cells, 1) columns
+    against (cells, n) draws; a cell with n > _BLOCK is summed over
+    sub-blocks of _BLOCK samples.
     """
     kernel, k = (_cond_prob_zero_array, 2) if mode == "colluding" else (_cond_prob_zero_pair_kernel, 3)
-    n, rng = mc.n_samples, _field_rng(mc)
+    n, rng, block = mc.n_samples, montecarlo._stream(mc.seed), montecarlo._BLOCK
     a, b = a_f.reshape(-1, 1), b_f.reshape(-1, 1)
     p_j = np.reshape(p_j, (-1, 1)) if np.ndim(p_j) else p_j
-    per, sub = max(1, mc.chunk // n), min(n, mc.chunk)
+    per, sub = max(1, block // n), min(n, block)
     total = np.zeros(a.shape[0])
     for lo in range(0, a.shape[0], per):
         cells = slice(lo, lo + per)
         pj = p_j[cells] if np.ndim(p_j) else p_j
         for done in range(0, n, sub):
-            e = _exp_draws(rng, (a[cells].shape[0], min(sub, n - done), k))
+            e = montecarlo._exp_draws(rng, (a[cells].shape[0], min(sub, n - done), k))
             total[cells] += kernel(a[cells], b[cells], params.rho, pj, *np.moveaxis(e, -1, 0)).sum(axis=1)
     return (total / n).reshape(a_f.shape)
 

@@ -1,10 +1,13 @@
-"""Seeded, chunk-reproducible Monte Carlo over unit-mean exponentials.
+"""Seeded Monte Carlo over unit-mean exponentials, from one stream per seed.
 
 Every probabilistic quantity in the package reduces to expectations of
-functions of i.i.d. Exp(1) variates (Rayleigh fading power gains).  The
-engine owns one counter-based stream per chunk, derived from
-(seed, chunk index), so results are bit-identical for a fixed config no
-matter how chunks would be scheduled; the reduction order is fixed.
+functions of i.i.d. Exp(1) variates (Rayleigh fading power gains).  They
+all come from one counter-based stream, Generator(Philox(key=seed)): a
+caller that takes k draws per sample gives sample i the uniforms
+[i*k, (i+1)*k), each mapped to Exp(1) by -log1p(-u).  Philox yields the
+same uniforms however the calls split them, so the draws depend on
+(seed, n) alone; _BLOCK only bounds memory, and the reduction order is
+fixed.
 """
 
 from __future__ import annotations
@@ -20,27 +23,25 @@ from .errors import InvalidParameterError
 __all__ = [
     "MCConfig",
     "Estimate",
-    "sample_exp",
     "sample_matrix",
     "exp_chunks",
     "estimate",
     "ecdf",
 ]
 
+_BLOCK = 2**16  # samples per block of exp_chunks, estimate and a prob-zero field
+
 
 @dataclass(frozen=True)
 class MCConfig:
     seed: int
     n_samples: int
-    chunk: int = 2**16
 
     def __post_init__(self) -> None:
         if not 0 <= int(self.seed) < 2**64:
             raise InvalidParameterError(f"seed must fit in 64 bits, got {self.seed}")
         if self.n_samples < 1:
             raise InvalidParameterError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.chunk < 1:
-            raise InvalidParameterError(f"chunk must be >= 1, got {self.chunk}")
 
 
 @dataclass(frozen=True)
@@ -53,47 +54,43 @@ class Estimate:
         return f"{self.mean:.6g} +- {self.stderr:.2g} (n={self.n})"
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    return np.random.Generator(np.random.Philox(ss))
+def _stream(seed: int) -> np.random.Generator:
+    """The one stream of a seed; every caller consumes it in sample order."""
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _exp_draws(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """The stream's next Exp(1) draws -log1p(-u), computed in place so one array is alive.
+
+    u lies in [0, 1), so the argument of log never reaches 0 and draws are finite.
+    """
+    u = rng.random(shape)
+    np.log1p(np.negative(u, out=u), out=u)
+    return np.negative(u, out=u)
 
 
 def exp_chunks(config: MCConfig, draws_per_sample: int = 1) -> Iterator[np.ndarray]:
-    """Yield Exp(1) chunks of shape (m,) or (m, draws_per_sample).
-
-    Inverse CDF -log(1-u) with u in [0, 1), so the argument of log never
-    reaches 0 and draws are finite.
-    """
+    """Yield the stream in blocks of at most _BLOCK samples, shape (m,) or (m, draws_per_sample)."""
     if draws_per_sample < 1:
         raise InvalidParameterError("draws_per_sample must be >= 1")
-    remaining = config.n_samples
-    index = 0
-    while remaining > 0:
-        m = min(config.chunk, remaining)
-        rng = _chunk_rng(config.seed, index)
-        shape = (m,) if draws_per_sample == 1 else (m, draws_per_sample)
-        u = rng.random(shape)
-        yield -np.log1p(-u)
-        remaining -= m
-        index += 1
-
-
-def sample_exp(config: MCConfig) -> np.ndarray:
-    """All n_samples Exp(1) draws as one array."""
-    return np.concatenate(list(exp_chunks(config)))
+    rng = _stream(config.seed)
+    for done in range(0, config.n_samples, _BLOCK):
+        m = min(_BLOCK, config.n_samples - done)
+        yield _exp_draws(rng, (m,) if draws_per_sample == 1 else (m, draws_per_sample))
 
 
 def sample_matrix(config: MCConfig, draws_per_sample: int) -> np.ndarray:
-    """All draws as an (n_samples, draws_per_sample) matrix."""
-    chunks = list(exp_chunks(config, draws_per_sample))
-    return np.concatenate(chunks, axis=0)
+    """All draws as one (n_samples, draws_per_sample) matrix: exp_chunks' blocks, stacked."""
+    if draws_per_sample < 1:
+        raise InvalidParameterError("draws_per_sample must be >= 1")
+    return _exp_draws(_stream(config.seed), (config.n_samples, draws_per_sample))
 
 
-def _chunk_stats(values: np.ndarray) -> tuple[int, float, float]:
+def _block_stats(values: np.ndarray) -> tuple[int, float, float]:
     n = values.size
     lo = float(values.min())
     hi = float(values.max())
-    if lo == hi:  # constant chunk: zero spread exactly, no rounding residue
+    if lo == hi:  # constant block: zero spread exactly, no rounding residue
         return n, lo, 0.0
     mean = float(values.mean())
     m2 = float(np.sum((values - mean) ** 2))
@@ -107,11 +104,11 @@ def estimate(
 ) -> Estimate | tuple[Estimate, ...]:
     """Mean and standard error of f over the configured sample stream.
 
-    f maps a chunk of draws (shape (m,) or (m, k)) to m scalars, or to an
+    f maps a block of draws (shape (m,) or (m, k)) to m scalars, or to an
     (m, q) array of q quantities per sample, and must be a pure function of
-    its argument.  Chunks are combined with the parallel Welford update in
-    increasing chunk order, per column; an (m, q) f gives a tuple of q
-    Estimates, each equal bit for bit to a call whose f returns that column.
+    its argument.  Blocks are combined with the parallel Welford update in
+    stream order, per column; an (m, q) f gives a tuple of q Estimates,
+    each equal bit for bit to a call whose f returns that column.
     """
     totals: list[tuple[int, float, float]] | None = None
     for u in exp_chunks(config, draws_per_sample):
@@ -124,15 +121,15 @@ def estimate(
         cols = [values] if values.ndim == 1 else list(np.ascontiguousarray(values.T))
         if totals is not None and len(cols) != len(totals):
             raise InvalidParameterError(f"f changed its column count to {len(cols)}")
-        stats = [_chunk_stats(col) for col in cols]
+        stats = [_block_stats(col) for col in cols]
         totals = stats if totals is None else [_welford(t, s) for t, s in zip(totals, stats)]
     out = tuple(_finish(*t) for t in totals)
     return out[0] if values.ndim == 1 else out
 
 
-def _welford(total: tuple[int, float, float], chunk: tuple[int, float, float]) -> tuple[int, float, float]:
+def _welford(total: tuple[int, float, float], block: tuple[int, float, float]) -> tuple[int, float, float]:
     n_tot, mean_tot, m2_tot = total
-    n, mean, m2 = chunk
+    n, mean, m2 = block
     delta = mean - mean_tot
     n_new = n_tot + n
     return n_new, mean_tot + delta * (n / n_new), m2_tot + m2 + delta * delta * (n_tot * n / n_new)

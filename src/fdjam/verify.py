@@ -31,7 +31,7 @@ from .geometry import (
     rho_disk,
     sign_b_minus_rho_a,
 )
-from .montecarlo import MCConfig, ecdf, estimate, sample_exp
+from .montecarlo import MCConfig, ecdf, estimate, sample_matrix
 from .oracles import (
     central_diff,
     deriv_x_axis_even_alpha,
@@ -389,7 +389,7 @@ def _suite_montecarlo(seed: int) -> list[CheckResult]:
         )
     )
 
-    same = est == estimate(lambda u: u, cfg) and bool(np.array_equal(sample_exp(cfg), sample_exp(cfg)))
+    same = est == estimate(lambda u: u, cfg) and bool(np.array_equal(sample_matrix(cfg, 1), sample_matrix(cfg, 1)))
     out.append(_check("montecarlo", "determinism", same))
 
     const = estimate(lambda u: np.full(u.shape[0], 2.5), MCConfig(seed=seed, n_samples=10_000))

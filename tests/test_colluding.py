@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdjam.colluding import (
+    _at_optimum,
+    _secrecy_array,
     gamma_coeff,
     jam_derivative_coeffs,
     lambda_factor,
@@ -16,7 +18,6 @@ from fdjam.colluding import (
     positivity,
     secrecy_ab,
     snr_ab,
-    snr_ae,
     worst_location,
     zero_region_predicate,
 )
@@ -33,7 +34,6 @@ def test_snr_and_secrecy_formulas() -> None:
     g = LinkGains(4.0, 1.0)
     params = _params(p_j=50.0)
     assert snr_ab(params) == pytest.approx(100.0 / 1.5)
-    assert snr_ae(g, params) == pytest.approx(400.0 / 51.0)
     lam = lambda_factor(g, params)
     assert lam == pytest.approx(51.0 / (4.0 * 1.5))
     s = secrecy_ab(g, params)
@@ -113,8 +113,35 @@ def test_opt_jam_r3_r4_zero() -> None:
 def test_opt_jam_unbounded_without_self_interference() -> None:
     with pytest.raises(UnboundedOptimumError):
         opt_jam(LinkGains(4.0, 1.0), rho=0.0, p_t=100.0)
-    with pytest.raises(InvalidParameterError):
-        opt_jam(LinkGains(math.inf, 1.0), rho=0.1, p_t=100.0)
+
+
+@pytest.mark.parametrize("rho, p_t", [(0.01, 100.0), (0.05, 1e4), (0.2, 1.0)])
+def test_opt_jam_node_values_are_the_approach_limits(rho: float, p_t: float) -> None:
+    # p_j_opt is 0 at both nodes; the optimal secrecy there is log2(1 + P_T) at
+    # Bob's node (the limit P_J -> 0+) and 0 at Alice's.  Along the approaches
+    # from three sides at distance eps the gaps are O(eps): p_j_opt within
+    # 2*eps*sqrt((1 + P_T)/rho), the secrecy at the optimum within
+    # 4*eps*sqrt(rho*(1 + P_T)) bits, gamma within 3*eps relative, and at
+    # Bob's node beta within 2*eps^2*(1 + P_T)/rho (Alice's is in R4: NaN)
+    bob = (0.5, math.log2(1.0 + p_t), 0.0, 0.0)
+    alice = (-0.5, 0.0, -1.0 / rho, math.nan)
+    for node, s_node, gam_node, beta_node in (bob, alice):
+        g = gains(node, 0.0, 2.0)
+        res = opt_jam(g, rho, p_t)
+        assert res.p_j_opt == 0.0 and p_j_opt_array(g.a, g.b, rho, p_t) == 0.0
+        assert res.gamma == gam_node and res.beta == pytest.approx(beta_node, nan_ok=True)
+        s = float(_secrecy_array(g.a, g.b, p_t, rho, _at_optimum(g.b, res.p_j_opt)))
+        assert s == pytest.approx(s_node, rel=0.0, abs=1e-15)
+        for eps in 10.0 ** -np.arange(2, 9):
+            for dx, dy in ((eps, 0.0), (0.0, eps), (-eps, 0.0)):
+                near = gains(node + dx, dy, 2.0)
+                got = opt_jam(near, rho, p_t)
+                assert 0.0 <= got.p_j_opt <= 2.0 * eps * math.sqrt((1.0 + p_t) / rho)
+                s = secrecy_ab(near, _params(p_j=got.p_j_opt, rho=rho, p_t=p_t))
+                assert s == pytest.approx(s_node, rel=0.0, abs=4.0 * eps * math.sqrt(rho * (1.0 + p_t)))
+                assert got.gamma == pytest.approx(gam_node, rel=3.0 * eps, abs=3.0 * eps)
+                beta_tol = 2.0 * eps * eps * (1.0 + p_t) / rho
+                assert got.beta == pytest.approx(beta_node, rel=0.0, abs=beta_tol, nan_ok=True)
 
 
 def test_zero_region_predicate() -> None:
@@ -185,8 +212,6 @@ def test_p_j_opt_array_matches_scalar_exactly(a, b, rho, p_t, on_boundary) -> No
 
 def test_p_j_opt_array_typed_errors() -> None:
     a, b = np.array([4.0, math.inf]), np.array([1.0, 0.25])
-    with pytest.raises(InvalidParameterError):
-        p_j_opt_array(a, b, 0.01, 100.0)  # an endpoint cell
     with pytest.raises(UnboundedOptimumError):
         p_j_opt_array(a[:1], b[:1], 0.0, 100.0)
     with pytest.raises(InvalidParameterError):

@@ -1,8 +1,10 @@
 """Whole-grid field kernels against independent references, and the field stream rule.
 
-A fading or prob-zero field draws from one Philox stream keyed by the seed;
-cell i (row-major) owns the i-th block of k*n uniforms, each mapped to
-Exp(1) by -log1p(-u).  The draws are rebuilt here from that rule alone.
+Every draw comes from one Philox stream keyed by the seed: a caller taking
+k draws per sample gives sample i uniforms [i*k, (i+1)*k), each mapped to
+Exp(1) by -log1p(-u), and a fading or prob-zero field takes cell i
+(row-major) as a sample of k*n draws.  The draws are rebuilt here from
+that rule alone.
 The scalar secrecy and outage forms are calls into the same kernels as the
 fields, so the references are the oracles (raw-SNR secrecy, wedge
 quadrature), the paper's closed forms written out here, and literal limits.
@@ -13,15 +15,16 @@ import math
 import numpy as np
 import pytest
 
-from fdjam import cli
+from fdjam import cli, montecarlo
 from fdjam import fields as fields_mod
 from fdjam.colluding import _secrecy_array, opt_jam
 from fdjam.colluding_fading import secrecy_sample
 from fdjam.errors import InvalidParameterError
 from fdjam.fields import FieldGrid, GridSpec, build_field, build_optjam_grid, grid_argmax, grid_argmin
 from fdjam.geometry import LinkGains, SystemParams, gain_fields
-from fdjam.montecarlo import MCConfig
+from fdjam.montecarlo import MCConfig, estimate, exp_chunks, sample_matrix
 from fdjam.oracles import _secrecy_over_pj, quad_prob_zero_pair
+from fdjam.pairwise import _secrecy_pair_array
 from fdjam.pairwise_fading import cond_prob_zero_pair_array, secrecy_sample_pair
 
 SMALL = GridSpec(-1.0, 1.0, -0.5, 0.5, 0.25)  # holds both endpoints
@@ -37,6 +40,61 @@ def _cell_gains(grid: GridSpec) -> list[LinkGains]:
 def _stream(seed: int, size: int) -> np.ndarray:
     u = np.random.Generator(np.random.Philox(key=seed)).random(size)
     return -np.log1p(-u)
+
+
+@pytest.mark.parametrize("block", [1, 1000, 2**16])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_draw_reads_the_one_stream(monkeypatch, block: int, k: int) -> None:
+    # sample_matrix, exp_chunks and the blocks estimate sees are the stream
+    # rule bit for bit, whatever the block size
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    mc = MCConfig(seed=17, n_samples=2500)
+    want = _stream(mc.seed, mc.n_samples * k).reshape(mc.n_samples, k)
+    assert np.array_equal(sample_matrix(mc, k), want)
+    assert np.array_equal(np.concatenate(list(exp_chunks(mc, k))).reshape(-1, k), want)
+    seen = []
+
+    def first(u: np.ndarray) -> np.ndarray:
+        seen.append(u.reshape(u.shape[0], k).copy())
+        return seen[-1][:, 0]
+
+    est = estimate(first, mc, draws_per_sample=k)
+    assert len(seen) == -(-mc.n_samples // block)
+    assert np.array_equal(np.concatenate(seen), want)
+    assert est.mean == pytest.approx(float(np.mean(want[:, 0])), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["colluding", "pairwise"])
+def test_fields_and_sample_matrix_see_the_same_draws(mode: str) -> None:
+    params = SystemParams(p_t=100.0, p_j=30.0, rho=0.05)
+    a_f, b_f = gain_fields(*np.meshgrid(SMALL.xs(), SMALL.ys()), 2.0)
+    fading = build_field(mode, params, SMALL, fading=True, mc=MCConfig(seed=8, n_samples=1))
+    c, d = sample_matrix(MCConfig(seed=8, n_samples=a_f.size), 2).T.reshape(2, *a_f.shape)
+    if mode == "colluding":
+        want = _secrecy_array(a_f, b_f, params.p_t, params.rho, params.p_j, c, d)
+    else:
+        want, _, _ = _secrecy_pair_array(a_f, b_f, params.p_t, params.rho, params.p_j, c, d)
+    assert np.array_equal(fading.values, want)
+
+
+def test_opt_fields_take_the_node_limits(capsys) -> None:
+    # p_j_opt is 0 at both nodes; at Bob's node the "opt" cells are the
+    # limit P_J -> 0+, where any jamming silences the eavesdropper
+    params = SystemParams(p_t=100.0, p_j=10.0, rho=0.05)
+    alice, bob = 20, 24  # (-0.5, 0) and (0.5, 0) on SMALL
+    s_bob = math.log2(1.0 + params.p_t)
+    assert build_optjam_grid(SMALL, params).values.ravel()[[alice, bob]].tolist() == [0.0, 0.0]
+    for kw in ({}, {"fading": True, "mc": MCConfig(seed=3, n_samples=1)}):
+        values = build_field("colluding", params, SMALL, pj_per_cell="opt", **kw).values.ravel()
+        assert values[alice] == 0.0 and values[bob] == pytest.approx(s_bob, rel=1e-15)
+        assert not np.any(np.isnan(values))
+    mc = MCConfig(seed=3, n_samples=50)
+    pz = build_field("colluding", params, SMALL, quantity="prob-zero", pj_per_cell="opt", mc=mc)
+    assert pz.values.ravel()[[alice, bob]].tolist() == [1.0, 0.0]
+    assert cli.main(["field", "--pj-opt", "--step", "0.5"]) == 0
+    assert "max = 6.65821 at (0.5, 0)" in capsys.readouterr().out
+    assert cli.main(["optjam", "--at", "0.5", "0"]) == 0
+    assert "p_j_opt = 0\nsecrecy at p_j_opt = 6.658211483 bits" in capsys.readouterr().out
 
 
 def _reference_secrecy(mode: str, params: SystemParams, g: LinkGains, c: float, d: float) -> float:
@@ -154,10 +212,13 @@ def test_prob_zero_cell_is_the_mean_over_its_slice(mode: str, grid: GridSpec, pj
 
 @pytest.mark.parametrize("mode, grid", [("colluding", SMALL), ("pairwise", SHIFTED)])
 @pytest.mark.parametrize("n", [30, 200])
-def test_prob_zero_field_is_chunk_invariant(mode: str, grid: GridSpec, n: int) -> None:
+def test_prob_zero_field_is_chunk_invariant(monkeypatch, mode: str, grid: GridSpec, n: int) -> None:
     params = SystemParams(p_t=100.0, p_j=30.0, rho=0.05)
-    small = build_field(mode, params, grid, quantity="prob-zero", mc=MCConfig(seed=5, n_samples=n, chunk=64))
-    big = build_field(mode, params, grid, quantity="prob-zero", mc=MCConfig(seed=5, n_samples=n, chunk=2**16))
+    mc = MCConfig(seed=5, n_samples=n)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 64)
+    small = build_field(mode, params, grid, quantity="prob-zero", mc=mc)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 2**16)
+    big = build_field(mode, params, grid, quantity="prob-zero", mc=mc)
     np.testing.assert_allclose(small.values, big.values, rtol=0.0, atol=1e-12)
 
 
@@ -191,7 +252,8 @@ def test_one_sweep_makes_constant_setup_calls(monkeypatch, kwargs: dict) -> None
     monkeypatch.setattr(np.random, "Philox", counted_philox)
     params = SystemParams(p_t=100.0, p_j=30.0, rho=0.05)
     grid = GridSpec(-1.0, 1.0, -0.95, 1.05, 0.1)  # 21 x 21, no endpoint
-    mc = MCConfig(seed=1, n_samples=8, chunk=64)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 64)
+    mc = MCConfig(seed=1, n_samples=8)
     kw = {"mode": "colluding", **kwargs}
     build_field(kw.pop("mode"), params, grid, mc=mc, **kw)
     assert counts == {"gain_fields": 1, "Philox": 1 if (kw.get("fading") or kw.get("quantity")) else 0}

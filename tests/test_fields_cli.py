@@ -302,13 +302,13 @@ def test_cli_policy_table(capsys) -> None:
 POLICY_TABLE = (
     "policy comparison at (0, 0): rho=0.1 alpha=2 p_t=100 n=20000 seed=5\n"
     " pj_db      constant      p2_bound      semi_dyn      p1_bound      pi_rho_4\n"
-    "     0  2.583900e-01  6.657262e-01  2.761548e-02  7.407081e-02  7.853982e-02\n"
-    "    10  6.593600e-02  1.717716e-01  2.761548e-02  7.407081e-02  7.853982e-02\n"
-    "    20  3.239834e-02  8.618305e-02  2.761548e-02  7.407081e-02  7.853982e-02\n"
-    "    30  2.813824e-02  7.543484e-02  2.761548e-02  7.407081e-02  7.853982e-02\n"
-    "    40  2.766889e-02  7.421366e-02  2.761548e-02  7.407081e-02  7.853982e-02\n"
-    "    50  2.762084e-02  7.408529e-02  2.761548e-02  7.407081e-02  7.853982e-02\n"
-    "    60  2.761602e-02  7.407226e-02  2.761548e-02  7.407081e-02  7.853982e-02\n"
+    "     0  2.582721e-01  6.655242e-01  2.737837e-02  7.348089e-02  7.853982e-02\n"
+    "    10  6.572984e-02  1.712800e-01  2.737837e-02  7.348089e-02  7.853982e-02\n"
+    "    20  3.217189e-02  8.563062e-02  2.737837e-02  7.348089e-02  7.853982e-02\n"
+    "    30  2.790346e-02  7.485476e-02  2.737837e-02  7.348089e-02  7.853982e-02\n"
+    "    40  2.743209e-02  7.362549e-02  2.737837e-02  7.348089e-02  7.853982e-02\n"
+    "    50  2.738376e-02  7.349562e-02  2.737837e-02  7.348089e-02  7.853982e-02\n"
+    "    60  2.737891e-02  7.348237e-02  2.737837e-02  7.348089e-02  7.853982e-02\n"
     "full-dynamic estimate = 0 (exact)\n"
 )
 

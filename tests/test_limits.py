@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fdjam import montecarlo
 from fdjam.colluding import _secrecy_array, secrecy_ab
 from fdjam.colluding_fading import _cond_prob_zero_array, cond_prob_zero, secrecy_sample, v_terms
 from fdjam.geometry import LinkGains, SystemParams, gains
@@ -266,10 +267,11 @@ def test_policy_integrand_at_vanishing_power() -> None:
 
 
 @pytest.mark.parametrize("p_j", [10.0, INF])
-def test_policy_prob_zero_at_rho_zero(p_j: float) -> None:
+def test_policy_prob_zero_at_rho_zero(monkeypatch, p_j: float) -> None:
     # no self-interference: the semi-dynamic window rho*sqrt(B1~*B2~) is empty, so its
     # estimate and P1 are exactly 0; the constant policy keeps the window 1/P_J
-    mc = MCConfig(seed=4, n_samples=3000, chunk=1000)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1000)
+    mc = MCConfig(seed=4, n_samples=3000)
     params = SystemParams(p_t=1.0, p_j=p_j, rho=0.0)
     g = gains(-0.2, 0.3, 2.0)
     semi = policy_prob_zero(JamPolicy(JamPolicyKind.SEMI_DYNAMIC), g, params, mc)

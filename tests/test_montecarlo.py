@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from fdjam import montecarlo
 from fdjam.errors import InvalidParameterError
-from fdjam.montecarlo import Estimate, MCConfig, ecdf, estimate, exp_chunks, sample_exp, sample_matrix
+from fdjam.montecarlo import Estimate, MCConfig, ecdf, estimate, exp_chunks, sample_matrix
 
 
 def test_config_validation() -> None:
@@ -16,8 +17,6 @@ def test_config_validation() -> None:
         MCConfig(seed=-1, n_samples=10)
     with pytest.raises(InvalidParameterError):
         MCConfig(seed=2**64, n_samples=10)
-    with pytest.raises(InvalidParameterError):
-        MCConfig(seed=0, n_samples=10, chunk=0)
 
 
 def test_unit_mean_large_sample() -> None:
@@ -30,21 +29,23 @@ def test_unit_mean_large_sample() -> None:
 
 def test_same_seed_same_draws() -> None:
     cfg = MCConfig(seed=42, n_samples=1000)
-    first = sample_exp(cfg)[:100]
-    second = sample_exp(cfg)[:100]
+    first = sample_matrix(cfg, 1)[:100]
+    second = sample_matrix(cfg, 1)[:100]
     assert np.array_equal(first, second)
     assert estimate(lambda u: u * u, cfg) == estimate(lambda u: u * u, cfg)
 
 
-def test_chunking_does_not_change_the_stream_order() -> None:
-    # the draw stream is owned per chunk index, so concatenating chunks
-    # reproduces sample_exp regardless of how the loop was scheduled
-    cfg = MCConfig(seed=9, n_samples=300, chunk=64)
-    assert np.array_equal(np.concatenate(list(exp_chunks(cfg))), sample_exp(cfg))
+def test_chunking_does_not_change_the_stream_order(monkeypatch) -> None:
+    # one stream per seed, so concatenating the blocks reproduces the
+    # whole-stream draw whatever the block size
+    monkeypatch.setattr(montecarlo, "_BLOCK", 64)
+    cfg = MCConfig(seed=9, n_samples=300)
+    assert np.array_equal(np.concatenate(list(exp_chunks(cfg))), sample_matrix(cfg, 1)[:, 0])
 
 
-def test_matrix_shape_and_determinism() -> None:
-    cfg = MCConfig(seed=5, n_samples=257, chunk=100)
+def test_matrix_shape_and_determinism(monkeypatch) -> None:
+    monkeypatch.setattr(montecarlo, "_BLOCK", 100)
+    cfg = MCConfig(seed=5, n_samples=257)
     m = sample_matrix(cfg, 3)
     assert m.shape == (257, 3)
     assert np.array_equal(m, sample_matrix(cfg, 3))
@@ -107,13 +108,14 @@ def test_ecdf_shape() -> None:
 
 
 @pytest.mark.parametrize("chunk", [1000, 2**16])
-def test_multi_column_estimate_equals_single_column_calls(chunk: int) -> None:
-    cfg = MCConfig(seed=12, n_samples=150_001, chunk=chunk)
+def test_multi_column_estimate_equals_single_column_calls(monkeypatch, chunk: int) -> None:
+    monkeypatch.setattr(montecarlo, "_BLOCK", chunk)
+    cfg = MCConfig(seed=12, n_samples=150_001)
     cols = (lambda u: u[:, 0] * u[:, 1], lambda u: np.sqrt(u[:, 1]), lambda u: np.full(u.shape[0], 0.5))
     together = estimate(lambda u: np.stack([f(u) for f in cols], axis=1), cfg, draws_per_sample=2)
     assert together == tuple(estimate(f, cfg, draws_per_sample=2) for f in cols)
     assert together[2] == Estimate(0.5, 0.0, cfg.n_samples)
-    # the per-chunk merge gives the moments of the whole stream
+    # the per-block merge gives the moments of the whole stream
     u = sample_matrix(cfg, 2)
     for f, est in zip(cols[:2], together):
         assert est.mean == pytest.approx(float(np.mean(f(u))), rel=1e-12)
@@ -121,11 +123,12 @@ def test_multi_column_estimate_equals_single_column_calls(chunk: int) -> None:
     assert estimate(lambda u: u[:, :1], cfg, draws_per_sample=2) == (estimate(lambda u: u[:, 0], cfg, draws_per_sample=2),)
 
 
-def test_estimate_rejects_a_wrong_shape() -> None:
+def test_estimate_rejects_a_wrong_shape(monkeypatch) -> None:
     cfg = MCConfig(seed=1, n_samples=10)
     with pytest.raises(InvalidParameterError):
         estimate(lambda u: u[:-1], cfg)
     with pytest.raises(InvalidParameterError):
         estimate(lambda u: u.reshape(-1, 1, 1), cfg)
-    with pytest.raises(InvalidParameterError):  # the column count must not change between chunks
-        estimate(lambda u: np.ones((u.shape[0], 1 if u.shape[0] == 4 else 2)), MCConfig(seed=1, n_samples=10, chunk=4))
+    monkeypatch.setattr(montecarlo, "_BLOCK", 4)
+    with pytest.raises(InvalidParameterError):  # the column count must not change between blocks
+        estimate(lambda u: np.ones((u.shape[0], 1 if u.shape[0] == 4 else 2)), MCConfig(seed=1, n_samples=10))

@@ -217,6 +217,7 @@ def test_policy_integrand_in_the_far_field(p_j: float) -> None:
 
 @pytest.mark.parametrize("kind", [JamPolicyKind.CONSTANT, JamPolicyKind.SEMI_DYNAMIC])
 def test_policy_rung_draws_its_stream_once(monkeypatch, kind: JamPolicyKind) -> None:
+    monkeypatch.setattr(montecarlo, "_BLOCK", 2048)
     drawn = []
     real = montecarlo.exp_chunks
 
@@ -226,7 +227,7 @@ def test_policy_rung_draws_its_stream_once(monkeypatch, kind: JamPolicyKind) -> 
             yield chunk
 
     monkeypatch.setattr(montecarlo, "exp_chunks", counted)
-    mc = MCConfig(seed=6, n_samples=5000, chunk=2048)
+    mc = MCConfig(seed=6, n_samples=5000)
     params = SystemParams(p_t=1.0, p_j=100.0, rho=0.1)
     rep = policy_prob_zero(JamPolicy(kind), ORIGIN, params, mc)
     assert sum(drawn) == mc.n_samples
