@@ -6,35 +6,18 @@ package covers the static geometry (regions, disks, optimal jamming power),
 Rayleigh-fading outage probabilities for the colluding and pairwise threat
 models, jamming-power policies, seeded Monte Carlo, and grid sweeps with a
 CLI front end.
+
+The top level re-exports only the entry points below; every other name is
+imported from its module (fdjam.geometry, fdjam.colluding, ...).
 """
 
-from .colluding import (
-    OptJamResult,
-    gamma_coeff,
-    jam_derivative_coeffs,
-    lambda_factor,
-    opt_jam,
-    positivity,
-    secrecy_ab,
-    snr_ab,
-    worst_location,
-    zero_region_predicate,
-)
+from .colluding import opt_jam, secrecy_ab
 from .colluding_fading import (
-    JamResponse,
-    JamResponseKind,
-    ZeroSecrecyTermsColluding,
     cdf_lower_bound,
-    classify_jam_response,
     cond_prob_zero,
-    decreasing_prob_complement,
-    decreasing_prob_lower_bound,
-    rho_for_eta,
     sample_cond_prob_zero,
-    secrecy_sample,
     uncond_prob_zero,
     uncond_upper_bound,
-    v_terms,
 )
 from .errors import (
     FdjamError,
@@ -43,189 +26,44 @@ from .errors import (
     UnboundedOptimumError,
     UnsupportedRegimeError,
 )
-from .fields import (
-    FieldGrid,
-    GridSpec,
-    build_field,
-    build_optjam_grid,
-    build_region_grid,
-    grid_argmax,
-    grid_argmin,
-    read_csv,
-    read_json,
-    write_csv,
-    write_json,
-)
-from .geometry import (
-    ALICE,
-    BOB,
-    DiskBoundary,
-    DiskSide,
-    EveLocation,
-    LinkGains,
-    NormalizedLink,
-    RawLinkParams,
-    Region,
-    SystemParams,
-    denormalize,
-    gain_fields,
-    gains,
-    normalize,
-    region4_containment_threshold,
-    region_classify,
-    rho_disk,
-    sign_b_minus_rho_a,
-)
-from .montecarlo import Estimate, MCConfig, ecdf, estimate, sample_matrix
-from .pairwise import (
-    ExtremumClass,
-    NearFarField,
-    PairSecrecy,
-    deriv_x_axis,
-    lr_asymmetry,
-    lr_asymmetry_asymptotic,
-    near_far_field,
-    node_peaks,
-    origin_curvature,
-    origin_extremum,
-    origin_extremum_approx,
-    origin_extremum_threshold,
-    pair_hypotheses_hold,
-    positivity_exists_pj,
-    positivity_nojam,
-    positivity_pair,
-    positivity_universal,
-    secrecy_from_t,
-    secrecy_pair,
-    singularity_asymptote,
-    t_factor,
-)
-from .pairwise_fading import (
-    JamPolicy,
-    JamPolicyKind,
-    PolicyReport,
-    ZeroSecrecyTermsPair,
-    cond_prob_zero_pair,
-    eve_at_node_prob,
-    homogeneous_secrecy,
-    homogeneous_tail_bound,
-    p1_bound,
-    p2_bound,
-    pair_terms,
-    pj_star,
-    policy_prob_zero,
-    prob_zero_nojam,
-    prob_zero_nojam_origin,
-    secrecy_sample_pair,
-    semi_dynamic_cap,
-)
-from .verify import CheckResult, available_suites, run_suite
+from .fields import FieldGrid, GridSpec, build_field, build_optjam_grid, build_region_grid, read_csv, read_json
+from .geometry import LinkGains, SystemParams, gains, region_classify
+from .montecarlo import Estimate, MCConfig, ecdf, estimate
+from .pairwise_fading import JamPolicy, JamPolicyKind, PolicyReport, policy_prob_zero, semi_dynamic_cap
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALICE",
-    "BOB",
-    "CheckResult",
-    "DiskBoundary",
-    "DiskSide",
     "Estimate",
-    "EveLocation",
-    "ExtremumClass",
     "FdjamError",
     "FieldGrid",
     "GridSpec",
     "InvalidParameterError",
     "JamPolicy",
     "JamPolicyKind",
-    "JamResponse",
-    "JamResponseKind",
     "LinkGains",
     "MCConfig",
-    "NearFarField",
-    "NormalizedLink",
-    "OptJamResult",
-    "PairSecrecy",
     "PolicyReport",
-    "RawLinkParams",
-    "Region",
     "RegimeWarning",
     "SystemParams",
     "UnboundedOptimumError",
     "UnsupportedRegimeError",
-    "ZeroSecrecyTermsColluding",
-    "ZeroSecrecyTermsPair",
-    "available_suites",
     "build_field",
     "build_optjam_grid",
     "build_region_grid",
     "cdf_lower_bound",
-    "classify_jam_response",
     "cond_prob_zero",
-    "cond_prob_zero_pair",
-    "decreasing_prob_complement",
-    "decreasing_prob_lower_bound",
-    "denormalize",
-    "deriv_x_axis",
     "ecdf",
     "estimate",
-    "eve_at_node_prob",
-    "gain_fields",
     "gains",
-    "gamma_coeff",
-    "grid_argmax",
-    "grid_argmin",
-    "homogeneous_secrecy",
-    "homogeneous_tail_bound",
-    "jam_derivative_coeffs",
-    "lambda_factor",
-    "lr_asymmetry",
-    "lr_asymmetry_asymptotic",
-    "near_far_field",
-    "node_peaks",
-    "normalize",
     "opt_jam",
-    "origin_curvature",
-    "origin_extremum",
-    "origin_extremum_approx",
-    "origin_extremum_threshold",
-    "p1_bound",
-    "p2_bound",
-    "pair_hypotheses_hold",
-    "pair_terms",
-    "pj_star",
     "policy_prob_zero",
-    "positivity",
-    "positivity_exists_pj",
-    "positivity_nojam",
-    "positivity_pair",
-    "positivity_universal",
-    "prob_zero_nojam",
-    "prob_zero_nojam_origin",
     "read_csv",
     "read_json",
-    "region4_containment_threshold",
     "region_classify",
-    "rho_disk",
-    "rho_for_eta",
-    "run_suite",
     "sample_cond_prob_zero",
-    "sample_matrix",
     "secrecy_ab",
-    "secrecy_from_t",
-    "secrecy_pair",
-    "secrecy_sample",
-    "secrecy_sample_pair",
     "semi_dynamic_cap",
-    "sign_b_minus_rho_a",
-    "singularity_asymptote",
-    "snr_ab",
-    "t_factor",
     "uncond_prob_zero",
     "uncond_upper_bound",
-    "v_terms",
-    "worst_location",
-    "write_csv",
-    "write_json",
-    "zero_region_predicate",
 ]

@@ -15,15 +15,10 @@ import sys
 import numpy as np
 
 from .colluding import _at_optimum, opt_jam, secrecy_ab
-from .colluding_fading import (
-    cdf_lower_bound,
-    cond_prob_zero,
-    sample_cond_prob_zero,
-    uncond_prob_zero,
-)
+from .colluding_fading import _cond_prob_zero_array, cdf_lower_bound, cond_prob_zero, sample_cond_prob_zero
 from .errors import FdjamError, UnboundedOptimumError
 from .fields import GridSpec, build_field, build_region_grid, grid_argmax, grid_argmin, write_csv, write_json
-from .geometry import LinkGains, SystemParams, gains, rho_disk
+from .geometry import LinkGains, SystemParams, gains, rho_disk, sign_b_minus_rho_a
 from .montecarlo import MCConfig, ecdf, estimate
 from .pairwise_fading import (
     JamPolicy,
@@ -206,8 +201,11 @@ def cmd_optjam(args: argparse.Namespace) -> int:
         print("p_j_opt = inf (secrecy keeps increasing with jamming power)")
         return 0
     print(f"region = {res.region.name}")
-    print(f"gamma = {res.gamma:.10g}")
-    print(f"beta = {res.beta:.10g}")
+    if sign_b_minus_rho_a(g.a, g.b, params.rho) == 0:
+        print("gamma, beta undefined on b = rho*a (they diverge with opposite signs on its two sides)")
+    else:
+        print(f"gamma = {res.gamma:.10g}")
+        print(f"beta = {res.beta:.10g}")
     print(f"p_j_opt = {res.p_j_opt:.10g}")
     p_j = float(_at_optimum(g.b, res.p_j_opt))
     tuned = SystemParams(p_t=params.p_t, p_j=p_j, rho=params.rho, alpha=params.alpha, delta=params.delta)
@@ -225,18 +223,23 @@ def cmd_prob_zero(args: argparse.Namespace) -> int:
     g = gains(x, y, params.alpha)
 
     if mode == "colluding":
-        closed = cond_prob_zero(g, params, 1.0, 1.0)
-        est = uncond_prob_zero(g, params, mc)
-        share = float(np.mean(sample_cond_prob_zero(g, params, mc) < 1e-4))
+        closed, k = cond_prob_zero(g, params, 1.0, 1.0), 2
+
+        def cond(u: np.ndarray) -> np.ndarray:
+            return _cond_prob_zero_array(g.a, g.b, params.rho, params.p_j, u[:, 0], u[:, 1])
+
     else:
-        closed = cond_prob_zero_pair(g, params, 1.0, 1.0, 1.0)
+        closed, k = cond_prob_zero_pair(g, params, 1.0, 1.0, 1.0), 3
 
-        def cond_and_small(u: np.ndarray) -> np.ndarray:
-            cond = cond_prob_zero_pair_array(g, params, u[:, 0], u[:, 1], u[:, 2])
-            return np.stack([cond, cond < 1e-4], axis=1)
+        def cond(u: np.ndarray) -> np.ndarray:
+            return cond_prob_zero_pair_array(g, params, u[:, 0], u[:, 1], u[:, 2])
 
-        est, small = estimate(cond_and_small, mc, draws_per_sample=3)
-        share = round(small.mean * small.n) / small.n  # the count k/n, not a mean an ulp off a 4-decimal tie
+    def cond_and_small(u: np.ndarray) -> np.ndarray:
+        c = cond(u)
+        return np.stack([c, c < 1e-4], axis=1)
+
+    est, small = estimate(cond_and_small, mc, draws_per_sample=k)
+    share = round(small.mean * small.n) / small.n  # the count k/n, not a mean an ulp off a 4-decimal tie
     print(f"mode = {mode} at ({x:g}, {y:g})")
     print(f"conditional P(S=0) at unit fading = {closed:.6e}")
     print(f"unconditional P(S=0) = {est.mean:.6e} +- {est.stderr:.2e}  [n={est.n}]")

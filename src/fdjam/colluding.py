@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, UnboundedOptimumError, UnsupportedRegimeError
-from .geometry import LinkGains, Region, SystemParams, gains, region_classify, sign_b_minus_rho_a
+from .geometry import LinkGains, Region, SystemParams, _sign_array, gains, region_classify, sign_b_minus_rho_a
 
 __all__ = [
     "OptJamResult",
@@ -78,21 +78,26 @@ def lambda_factor(g: LinkGains, params: SystemParams) -> float:
     return num / (a * (1.0 + rho * p_j))
 
 
+def _gamma_array(a, b, rho: float) -> np.ndarray:
+    """gamma = (a - 1)/(b - rho*a) over gain arrays that broadcast; NaN on b = rho*a.
+
+    Limits: b = inf gives 0, and a = inf gives -1/rho (inf at rho = 0,
+    where b - rho*a = b).
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gam = (a - 1.0) / (b - rho * a)
+    gam = np.where(np.isinf(a), math.inf if rho == 0 else -1.0 / rho, gam)
+    return np.where(_sign_array(a, b, rho) == 0, math.nan, np.where(np.isinf(b), 0.0, gam))
+
+
 def gamma_coeff(g: LinkGains, rho: float) -> float:
-    """gamma = (a - 1)/(b - rho*a); NaN on the boundary b = rho*a.
+    """gamma = (a - 1)/(b - rho*a); NaN on the boundary b = rho*a (_gamma_array).
 
     This is the jamming power at which secrecy switches on (sign of b - rho*a
     positive) or off (negative).
     """
-    s = sign_b_minus_rho_a(g.a, g.b, rho)
-    if s == 0:
-        return math.nan
-    if math.isinf(g.b):
-        return 0.0 if not math.isinf(g.a) else math.nan
-    if math.isinf(g.a):
-        # b - rho*a = b when rho == 0; otherwise the ratio tends to -1/rho
-        return math.inf if rho == 0 else -1.0 / rho
-    return (g.a - 1.0) / (g.b - rho * g.a)
+    return float(_gamma_array(g.a, g.b, rho))
 
 
 def positivity(g: LinkGains, params: SystemParams) -> bool:
@@ -130,23 +135,29 @@ def zero_region_predicate(g: LinkGains, params: SystemParams) -> bool:
     return params.p_j <= gamma_coeff(g, params.rho)
 
 
-def jam_derivative_coeffs(g: LinkGains, rho: float, p_t: float) -> tuple[float, float, float]:
-    """(c2, c1, c0) with sign(dS/dP_J) = sign(-c2*P_J^2 + c1*P_J + c0) where S > 0."""
-    a, b = g.a, g.b
+def _jam_coeffs_array(a, b, rho: float, p_t: float) -> tuple:
+    """(c2, c1, c0) of the jamming-power derivative over gain arrays that broadcast."""
     c2 = rho * b * (b - rho * a)
     c1 = 2.0 * rho * b * (a - 1.0)
     c0 = a * b - rho + a * p_t * (b - rho)
     return c2, c1, c0
 
 
+def jam_derivative_coeffs(g: LinkGains, rho: float, p_t: float) -> tuple[float, float, float]:
+    """(c2, c1, c0) with sign(dS/dP_J) = sign(-c2*P_J^2 + c1*P_J + c0) where S > 0."""
+    return _jam_coeffs_array(g.a, g.b, rho, p_t)
+
+
 @dataclass(frozen=True)
 class OptJamResult:
     """Optimal jamming power with the quadratic-root ingredients.
 
-    gamma/beta are NaN where undefined (boundary b = rho*a, or rho = 0 paths
-    that raise before construction).  In R3 and R4 the optimum is reported as
-    0: jamming never helps in R3, and in R4 secrecy is identically zero so
-    the cheapest power wins.
+    gamma and beta = c0/c2 diverge with opposite signs on the two sides of
+    the boundary b = rho*a, and are NaN there.  At Bob's node both are 0,
+    their limits; at Alice's node gamma = -1/rho and
+    beta = -(b + P_T*(b - rho))/(rho^2*b).  In R3 and R4 the optimum is
+    reported as 0: jamming never helps in R3, and in R4 secrecy is
+    identically zero so the cheapest power wins.
     """
 
     p_j_opt: float
@@ -155,26 +166,33 @@ class OptJamResult:
     region: Region
 
 
-def p_j_opt_array(a, b, rho: float, p_t: float) -> np.ndarray:
-    """opt_jam's p_j_opt over arrays of gains, with its branches as masks.
+def _opt_jam_array(a, b, rho: float, p_t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gamma, beta, p_j_opt) over gain arrays that broadcast.
 
-    [gamma + sqrt(gamma^2 + beta)]^+ where b - rho*a > 0, clipped to 0 in R1
-    when c0 <= 0; 0 on the b - rho*a <= 0 side (R3/R4) and at both nodes
-    (a or b infinite).  The arithmetic keeps the order of gamma_coeff and
-    jam_derivative_coeffs, so each cell equals the scalar closed form bit
-    for bit; opt_jam takes p_j_opt from here.
+    p_j_opt = [gamma + sqrt(gamma^2 + beta)]^+ where b - rho*a > 0, clipped
+    to 0 in R1 when c0 <= 0; 0 on the b - rho*a <= 0 side (R3/R4) and at
+    both nodes (a or b infinite).  beta = c0/c2 off the boundary b = rho*a,
+    with the node limits of OptJamResult.
     """
     if rho == 0:
         raise UnboundedOptimumError("rho = 0: secrecy increases in P_J without bound")
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not (rho > 0 and p_t > 0):
-        raise InvalidParameterError(f"p_j_opt_array needs rho > 0 and p_t > 0, got rho={rho}, p_t={p_t}")
+        raise InvalidParameterError(f"opt_jam needs rho > 0 and p_t > 0, got rho={rho}, p_t={p_t}")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    gam, s = _gamma_array(a, b, rho), _sign_array(a, b, rho)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gam = (a - 1.0) / (b - rho * a)
-        c0 = a * b - rho + a * p_t * (b - rho)
-        beta = c0 / (rho * b * (b - rho * a))
+        c2, _, c0 = _jam_coeffs_array(a, b, rho, p_t)
+        beta = c0 / c2
         root = gam + np.sqrt(gam * gam + beta)
-    return np.where((b - rho * a > 0) & ~((a < 1.0) & (c0 <= 0)) & ~np.isinf(b), root, 0.0)
+        beta = np.where(np.isinf(a), -(b + p_t * (b - rho)) / (rho * rho * b), beta)
+    beta = np.where(s == 0, math.nan, np.where(np.isinf(b), 0.0, beta))
+    p_j_opt = np.where((s > 0) & ~((a < 1.0) & (c0 <= 0)) & ~np.isinf(b), root, 0.0)
+    return gam, beta, p_j_opt
+
+
+def p_j_opt_array(a, b, rho: float, p_t: float) -> np.ndarray:
+    """opt_jam's p_j_opt over arrays of gains (_opt_jam_array)."""
+    return _opt_jam_array(a, b, rho, p_t)[2]
 
 
 def _at_optimum(b, p_j_opt):
@@ -191,29 +209,21 @@ def opt_jam(g: LinkGains, rho: float, p_t: float) -> OptJamResult:
     """Jamming power maximizing secrecy_ab for fixed gains.
 
     Closed form [gamma + sqrt(gamma^2 + beta)]^+ in R1/R2 with the R1 clip
-    at c0 <= 0; zero in R3/R4 (p_j_opt_array).  rho = 0 makes secrecy
+    at c0 <= 0; zero in R3/R4 (_opt_jam_array).  rho = 0 makes secrecy
     strictly increasing in P_J on the positive side, so no finite maximizer
     exists.
 
     At the nodes p_j_opt is the continuous extension 0.  At Alice's node
     (a = inf) secrecy is 0 at every power.  At Bob's node (b = inf) the
     optimal secrecy is log2(1 + P_T): a supremum, approached as P_J -> 0+
-    but not attained, since P_J = 0 leaves the eavesdropper unjammed; there
-    gamma = beta = 0, their limits.
+    but not attained, since P_J = 0 leaves the eavesdropper unjammed.
     """
     if not p_t > 0:
         raise InvalidParameterError(f"p_t must be > 0, got {p_t}")
     if not rho >= 0:
         raise InvalidParameterError(f"rho must be >= 0, got {rho}")
-    p_j_opt = float(p_j_opt_array(g.a, g.b, rho, p_t))
-    region = region_classify(g, rho)
-    beta = math.nan
-    if math.isinf(g.b):
-        beta = 0.0
-    elif region in (Region.R1, Region.R2):
-        c2, _, c0 = jam_derivative_coeffs(g, rho, p_t)
-        beta = c0 / c2
-    return OptJamResult(p_j_opt=p_j_opt, gamma=gamma_coeff(g, rho), beta=beta, region=region)
+    gam, beta, p_j_opt = (float(v) for v in _opt_jam_array(g.a, g.b, rho, p_t))
+    return OptJamResult(p_j_opt=p_j_opt, gamma=gam, beta=beta, region=region_classify(g, rho))
 
 
 def worst_location(params: SystemParams):

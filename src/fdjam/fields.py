@@ -22,7 +22,7 @@ from . import montecarlo
 from .colluding import _at_optimum, _secrecy_array, p_j_opt_array
 from .colluding_fading import _cond_prob_zero_array
 from .errors import InvalidParameterError
-from .geometry import SystemParams, gain_fields
+from .geometry import SystemParams, _region_array, gain_fields
 from .montecarlo import MCConfig
 from .pairwise import _secrecy_pair_array
 from .pairwise_fading import _cond_prob_zero_pair_kernel
@@ -182,17 +182,9 @@ def _prob_zero_field(mode: str, params: SystemParams, a_f, b_f, p_j, mc: MCConfi
 
 
 def build_region_grid(grid: GridSpec, rho: float, alpha: float = 2.0) -> FieldGrid:
-    """Region index (1..4) per cell, vectorized."""
-    xs, ys = grid.xs(), grid.ys()
-    xm, ym = np.meshgrid(xs, ys)
-    a_f, b_f = gain_fields(xm, ym, alpha)
-    if rho == 0:
-        # rho * a would be nan at the a = inf node; the sign is + everywhere
-        s_pos = np.ones(a_f.shape, dtype=bool)
-    else:
-        s_pos = b_f - rho * a_f > 0
-    small_a = a_f < 1.0
-    values = np.where(s_pos, np.where(small_a, 1.0, 2.0), np.where(small_a, 3.0, 4.0))
+    """Region index (1..4) per cell."""
+    a_f, b_f = gain_fields(*np.meshgrid(grid.xs(), grid.ys()), alpha)
+    values = _region_array(a_f, b_f, rho)
     return FieldGrid(spec=grid, values=values, meta={"quantity": "region", "rho": rho, "alpha": alpha})
 
 

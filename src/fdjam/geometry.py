@@ -142,6 +142,9 @@ class Region(enum.Enum):
     R4 = "R4"  # b - rho*a <= 0 and a >= 1
 
 
+_REGIONS = tuple(Region)  # by region index - 1
+
+
 class DiskSide(enum.Enum):
     LEFT_EXCLUSION = "left-exclusion"    # rho < 1: secrecy possible outside the disk
     RIGHT_INCLUSION = "right-inclusion"  # rho > 1: secrecy possible only inside the disk
@@ -249,34 +252,39 @@ def gain_fields(x: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray,
     return a, b
 
 
-def sign_b_minus_rho_a(a: float, b: float, rho: float) -> int:
-    """Sign of b - rho*a with infinite gains handled as limits.
+def _sign_array(a, b, rho: float) -> np.ndarray:
+    """Sign of b - rho*a over gain arrays that broadcast, with infinite gains as limits.
 
     rho == 0 makes the sign +1 regardless of a (even a = inf), because the
-    product rho*a is identically zero along the limit path.
+    product rho*a is identically zero along the limit path; otherwise
+    b = inf gives +1 and a = inf gives -1.
     """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if rho == 0:
-        return 1
-    if math.isinf(b):
-        return 1
-    if math.isinf(a):
-        return -1
-    diff = b - rho * a
-    return 0 if diff == 0 else (1 if diff > 0 else -1)
+        return np.ones(np.broadcast(a, b).shape)
+    with np.errstate(invalid="ignore"):
+        s = np.sign(b - rho * a)
+    return np.where(np.isinf(b), 1.0, np.where(np.isinf(a), -1.0, s))
 
 
-def region_classify(g: LinkGains, rho: float) -> Region:
-    """Assign the eavesdropper point to one of the four canonical regions.
+def _region_array(a, b, rho: float) -> np.ndarray:
+    """Region index 1..4 over gain arrays: R1/R2 where b - rho*a > 0, R2/R4 where a >= 1.
 
     The boundary b = rho*a is folded into the b - rho*a <= 0 side.
     """
+    return 1.0 + (np.asarray(a) >= 1.0) + 2.0 * (_sign_array(a, b, rho) <= 0)
+
+
+def sign_b_minus_rho_a(a: float, b: float, rho: float) -> int:
+    """Sign of b - rho*a with infinite gains handled as limits (_sign_array)."""
+    return int(_sign_array(a, b, rho))
+
+
+def region_classify(g: LinkGains, rho: float) -> Region:
+    """Assign the eavesdropper point to one of the four canonical regions (_region_array)."""
     if not rho >= 0:
         raise InvalidParameterError(f"rho must be >= 0, got {rho}")
-    positive_side = sign_b_minus_rho_a(g.a, g.b, rho) > 0
-    strong = g.a >= 1
-    if positive_side:
-        return Region.R2 if strong else Region.R1
-    return Region.R4 if strong else Region.R3
+    return _REGIONS[int(_region_array(g.a, g.b, rho)) - 1]
 
 
 def rho_disk(rho: float, alpha: float) -> DiskBoundary:

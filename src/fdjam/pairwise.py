@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .colluding import LOG2E, _secrecy_array, gamma_coeff, positivity, snr_ab
 from .errors import InvalidParameterError, RegimeWarning, UnsupportedRegimeError
-from .geometry import LinkGains, Region, SystemParams, gains, region_classify
+from .geometry import LinkGains, Region, SystemParams, gains, region_classify, sign_b_minus_rho_a
 
 __all__ = [
     "PairSecrecy",
@@ -108,7 +108,7 @@ def pair_hypotheses_hold(g: LinkGains, params: SystemParams) -> bool:
     a, b, rho = g.a, g.b, params.rho
     if math.isinf(a) or math.isinf(b):
         return False
-    if not (b - rho * a > 0 and a - rho * b > 0):
+    if not (sign_b_minus_rho_a(a, b, rho) > 0 and sign_b_minus_rho_a(b, a, rho) > 0):
         return False
     gam = gamma_coeff(g, rho)
     gam_bar = gamma_coeff(g.swapped(), rho)

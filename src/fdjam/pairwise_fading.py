@@ -16,10 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pairwise import _secrecy_pair_array
+from .colluding_fading import _v_arrays
 from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams
 from .montecarlo import Estimate, MCConfig, estimate, sample_matrix
+from .pairwise import _secrecy_pair_array
 
 __all__ = [
     "ZeroSecrecyTermsPair",
@@ -74,25 +75,18 @@ class ZeroSecrecyTermsPair:
 def pair_terms(
     g: LinkGains, params: SystemParams, a_tilde: float, b1_tilde: float, b2_tilde: float
 ) -> ZeroSecrecyTermsPair:
+    """The wedge thresholds and terms at one fading draw, for finite gains.
+
+    (v1, v2) are the colluding thresholds of the A->B phase (with B1~) and
+    (u1, u2) those of the B->A phase, the gains swapped (with B2~), both
+    from colluding_fading._v_arrays and its limits.
+    """
     a, b, rho, p_j = g.a, g.b, params.rho, params.p_j
     if math.isinf(a) or math.isinf(b):
         raise InvalidParameterError("pair_terms needs finite gains; use the node limit results")
-    if math.isinf(p_j):
-        r1 = rho * b1_tilde
-        r2 = rho * b2_tilde
-        v1 = b * a_tilde / (a * r1) if r1 > 0 else (math.inf if a_tilde > 0 else 0.0)
-        u1 = a * a_tilde / (b * r2) if r2 > 0 else (math.inf if a_tilde > 0 else 0.0)
-        v2 = u2 = 0.0
-        prod = a_tilde * a_tilde / (r1 * r2) if r1 * r2 > 0 else (math.inf if a_tilde > 0 else 0.0)
-    else:
-        q1 = 1.0 + rho * b1_tilde * p_j
-        q2 = 1.0 + rho * b2_tilde * p_j
-        v1 = b * a_tilde * p_j / (a * q1)
-        v2 = a_tilde / (a * q1)
-        u1 = a * a_tilde * p_j / (b * q2)
-        u2 = a_tilde / (b * q2)
-        prod = a_tilde**2 * p_j**2 / (q1 * q2)
-    c_min = (v2 + v1 * u2) / (1.0 - prod) if prod < 1.0 else math.inf
+    v1, v2 = (float(v) for v in _v_arrays(a, b, rho, p_j, a_tilde, b1_tilde))
+    u1, u2 = (float(u) for u in _v_arrays(b, a, rho, p_j, a_tilde, b2_tilde))
+    c_min = (v2 + v1 * u2) / (1.0 - v1 * u1) if v1 * u1 < 1.0 else math.inf
     w1, w2, w3 = (float(w) for w in _wedge(_wedge_coeffs(a, b, rho, p_j, b1_tilde, b2_tilde), a_tilde))
     live = w1 > _W1_GUARD * w2
     k, e_exp = (w1 / w2, w3 / w1) if live else (0.0, math.inf)

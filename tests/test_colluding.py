@@ -121,15 +121,25 @@ def test_opt_jam_node_values_are_the_approach_limits(rho: float, p_t: float) -> 
     # Bob's node (the limit P_J -> 0+) and 0 at Alice's.  Along the approaches
     # from three sides at distance eps the gaps are O(eps): p_j_opt within
     # 2*eps*sqrt((1 + P_T)/rho), the secrecy at the optimum within
-    # 4*eps*sqrt(rho*(1 + P_T)) bits, gamma within 3*eps relative, and at
-    # Bob's node beta within 2*eps^2*(1 + P_T)/rho (Alice's is in R4: NaN)
+    # 4*eps*sqrt(rho*(1 + P_T)) bits and gamma within 3*eps relative.  beta is
+    # within 2*eps^2*(1 + P_T)/rho at Bob's node.  At Alice's node (b = 1) its
+    # limit is L(b) = -(b + P_T*(b - rho))/(rho^2*b), and the gap has two parts:
+    # L(b) - L(1) = (P_T/rho)*(d_B^2 - 1) with |d_B^2 - 1| <= 3*eps, which is
+    # O(eps), and beta - L(b) = (N*b - rho^2)/(rho^2*b*(b - rho*a)) with
+    # N = b + P_T*(b - rho) and a = eps^-2, at most 2*eps^2*(1 + P_T)/rho^3
+
+    def beta_tol(node: float, eps: float) -> float:
+        if node > 0:
+            return 2.0 * eps * eps * (1.0 + p_t) / rho
+        return 3.0 * eps * p_t / rho + 2.0 * eps * eps * (1.0 + p_t) / rho**3
+
     bob = (0.5, math.log2(1.0 + p_t), 0.0, 0.0)
-    alice = (-0.5, 0.0, -1.0 / rho, math.nan)
+    alice = (-0.5, 0.0, -1.0 / rho, -(1.0 + p_t * (1.0 - rho)) / rho**2)
     for node, s_node, gam_node, beta_node in (bob, alice):
         g = gains(node, 0.0, 2.0)
         res = opt_jam(g, rho, p_t)
         assert res.p_j_opt == 0.0 and p_j_opt_array(g.a, g.b, rho, p_t) == 0.0
-        assert res.gamma == gam_node and res.beta == pytest.approx(beta_node, nan_ok=True)
+        assert res.gamma == gam_node and res.beta == pytest.approx(beta_node, rel=1e-15)
         s = float(_secrecy_array(g.a, g.b, p_t, rho, _at_optimum(g.b, res.p_j_opt)))
         assert s == pytest.approx(s_node, rel=0.0, abs=1e-15)
         for eps in 10.0 ** -np.arange(2, 9):
@@ -140,8 +150,7 @@ def test_opt_jam_node_values_are_the_approach_limits(rho: float, p_t: float) -> 
                 s = secrecy_ab(near, _params(p_j=got.p_j_opt, rho=rho, p_t=p_t))
                 assert s == pytest.approx(s_node, rel=0.0, abs=4.0 * eps * math.sqrt(rho * (1.0 + p_t)))
                 assert got.gamma == pytest.approx(gam_node, rel=3.0 * eps, abs=3.0 * eps)
-                beta_tol = 2.0 * eps * eps * (1.0 + p_t) / rho
-                assert got.beta == pytest.approx(beta_node, rel=0.0, abs=beta_tol, nan_ok=True)
+                assert got.beta == pytest.approx(beta_node, rel=0.0, abs=beta_tol(node, eps))
 
 
 def test_zero_region_predicate() -> None:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +32,20 @@ from fdjam.pairwise_fading import JamPolicyKind
 SMALL = GridSpec(-1.0, 1.0, -0.5, 0.5, 0.25)
 
 
+def test_top_level_names_are_their_modules_objects() -> None:
+    # the package re-exports a few entry points; each one resolves to the
+    # object its defining module exports, and import fdjam loads the modules
+    # reached as attributes
+    import fdjam
+
+    for name in fdjam.__all__:
+        obj = getattr(fdjam, name)
+        module = sys.modules[obj.__module__]
+        assert name in module.__all__ and getattr(module, name) is obj
+    assert fdjam.montecarlo.estimate is fdjam.estimate
+    assert fdjam.pairwise_fading.policy_prob_zero is fdjam.policy_prob_zero
+
+
 def test_grid_spec_counts() -> None:
     assert SMALL.nx == 9
     assert SMALL.ny == 5
@@ -50,17 +65,17 @@ def test_field_grid_shape_check() -> None:
 
 
 def test_region_grid_matches_pointwise_classification() -> None:
-    fg = build_region_grid(SMALL, rho=0.1, alpha=2.0)
-    xs, ys = SMALL.xs(), SMALL.ys()
-    for iy in range(SMALL.ny):
-        for ix in range(SMALL.nx):
-            g = gains(float(xs[ix]), float(ys[iy]), 2.0)
-            want = float(region_classify(g, 0.1).name[1])
-            assert fg.values[iy, ix] == want
-    # and the disk predicate agrees with the positive-sign side
-    disk = rho_disk(0.1, 2.0)
-    xm, ym = np.meshgrid(xs, ys)
-    np.testing.assert_array_equal(disk.secrecy_side(xm, ym), fg.values <= 2.0)
+    # the reference comes from the geometry, not from the sign kernel:
+    # a < 1 iff d_A > 1, and b - rho*a > 0 iff the point is on rho_disk's
+    # secrecy side (at rho = 1 the boundary is the axis x = 0, in R3/R4)
+    xm, ym = np.meshgrid(SMALL.xs(), SMALL.ys())
+    for rho in (0.1, 1.0, 2.0):
+        side = rho_disk(rho, 2.0).secrecy_side(xm, ym)
+        want = np.where(side, 1.0, 3.0) + (np.hypot(xm + 0.5, ym) <= 1.0)
+        fg = build_region_grid(SMALL, rho=rho, alpha=2.0)
+        np.testing.assert_array_equal(fg.values, want)
+        for x, y, w in zip(xm.ravel(), ym.ravel(), want.ravel()):
+            assert region_classify(gains(float(x), float(y), 2.0), rho).name == f"R{int(w)}"
 
 
 def test_region_grid_rho_zero() -> None:

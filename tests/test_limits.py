@@ -131,6 +131,8 @@ def test_colluding_outage_limits(g, rho, p_j, a_t, b_t) -> None:
 @example(LinkGains(1.0, INF), 0.0, 10.0, 1.0, 1.0, 1.0)
 @example(LinkGains(1.0, 1.0), 0.0, INF, 0.0, 0.0, 0.0)
 @example(LinkGains(1e-3, 1e-3), 0.1, INF, 1e-300, 0.5, 0.5)  # K rounds above 1 as A~ -> 0
+@example(LinkGains(0.5, 2.0), 0.0, INF, 0.7, 1.3, 0.4)  # no self-interference at P_J = inf
+@example(LinkGains(0.5, 2.0), 0.1, INF, 0.7, 0.0, 0.4)  # none in the A->B phase only
 def test_pairwise_outage_limits(g, rho, p_j, a_t, b1_t, b2_t) -> None:
     p = SystemParams(p_t=1.0, p_j=p_j, rho=rho)
     prob = cond_prob_zero_pair(g, p, a_t, b1_t, b2_t)
@@ -148,6 +150,11 @@ def test_pairwise_outage_limits(g, rho, p_j, a_t, b1_t, b2_t) -> None:
     if not node:
         t = pair_terms(g, p, a_t, b1_t, b2_t)
         assert not any(math.isnan(v) for v in (t.k, t.e_exp, t.c_min, t.v1, t.u1))
+        for thr, gain, b_t in ((t.v2, g.a, b1_t), (t.u2, g.b, b2_t)):
+            if rho * b_t == 0:  # a phase the jamming cannot reach keeps A~/gain at every P_J, inf included
+                assert thr == a_t / gain
+            elif math.isinf(p_j):
+                assert thr == 0.0
         assert prob == (0.0 if t.k == 0.0 else pytest.approx(t.k * math.exp(-t.e_exp), rel=1e-12, abs=1e-300))
     a = np.array([g.a, 2.0, INF if not math.isinf(g.b) else 3.0])
     b = np.array([g.b, 0.5, 1.0])
