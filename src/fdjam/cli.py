@@ -1,8 +1,9 @@
 """Command-line front end: grid sweeps, point queries, policy tables, self checks.
 
 Exit codes: 0 success, 1 usage error, 2 failed verify suite.  A flat
-key=value config file can preload any flag; explicit flags win.  The
-FDJAM_SEED environment variable sets the default seed.
+key=value config file can preload any flag: its lines are read as flags
+placed before the command line's, so explicit flags win.  The FDJAM_SEED
+environment variable sets the default seed.
 """
 
 from __future__ import annotations
@@ -15,19 +16,21 @@ import sys
 import numpy as np
 
 from .colluding import _at_optimum, opt_jam, secrecy_ab
-from .colluding_fading import _cond_prob_zero_array, cdf_lower_bound, cond_prob_zero, sample_cond_prob_zero
+from .colluding_fading import cdf_lower_bound, sample_cond_prob_zero
 from .errors import FdjamError, UnboundedOptimumError
-from .fields import GridSpec, build_field, build_region_grid, grid_argmax, grid_argmin, write_csv, write_json
+from .fields import (
+    _COND_PROB_ZERO,
+    GridSpec,
+    build_field,
+    build_region_grid,
+    grid_argmax,
+    grid_argmin,
+    write_csv,
+    write_json,
+)
 from .geometry import LinkGains, SystemParams, gains, rho_disk, sign_b_minus_rho_a
 from .montecarlo import MCConfig, ecdf, estimate
-from .pairwise_fading import (
-    JamPolicy,
-    JamPolicyKind,
-    cond_prob_zero_pair,
-    cond_prob_zero_pair_array,
-    policy_prob_zero,
-    semi_dynamic_cap,
-)
+from .pairwise_fading import JamPolicy, JamPolicyKind, policy_prob_zero, semi_dynamic_cap
 from .verify import available_suites, run_suite
 
 __all__ = ["main"]
@@ -44,128 +47,80 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def decibel(value) -> float:
+    """A power ratio given in dB, as the linear ratio: the type of the --*-db flags, named for argparse's errors."""
+    return 10.0 ** (float(value) / 10.0)
 
 
-def _to_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
+def _to_bool(text: str) -> bool:
+    """A boolean config value."""
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
         return True
-    if text in ("0", "false", "no", "off"):
+    if word in ("0", "false", "no", "off"):
         return False
-    raise _UsageError(f"expected a boolean, got {value!r}")
+    raise _UsageError(f"expected a boolean, got {text!r}")
 
 
-def _pick(args: argparse.Namespace, linear: str, db: str, default: float) -> float:
-    lv = getattr(args, linear)
-    dv = getattr(args, db.replace("-", "_"))
-    if lv is not None and dv is not None:
-        raise _UsageError(f"--{linear.replace('_', '-')} and --{db} are mutually exclusive")
-    if lv is not None:
-        return float(lv)
-    if dv is not None:
-        return _db_to_linear(float(dv))
-    return default
+def _config_argv(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The key=value lines of a config file as flag tokens for parser.
+
+    A key names a flag with '_' or '-' between words.  A one-value flag
+    becomes --key=value, a flag of several values (at, ladder_db) takes the
+    value's whitespace-separated words, and a boolean flag is --key when
+    its value reads true and absent when it reads false.
+    """
+    flags = {opt: a for a in parser._actions for opt in a.option_strings if a.default is not argparse.SUPPRESS}
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise _UsageError(f"cannot read config {path}: {exc}") from exc
+    tokens: list[str] = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise _UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags:
+            raise _UsageError(f"unknown config key {key!r}")
+        nargs = flags[flag].nargs
+        if nargs == 0:
+            tokens += [flag] if _to_bool(value) else []
+        elif nargs is None:
+            tokens.append(f"{flag}={value}")
+        else:
+            tokens += [flag, *value.split()]
+    return tokens
 
 
 def _resolve_params(args: argparse.Namespace) -> SystemParams:
-    p_t = _pick(args, "pt", "pt-db", 100.0)
-    rho = _pick(args, "rho", "rho-db", 0.1)
-    auto = getattr(args, "pj_auto", None)
-    auto = _to_bool(auto) if auto is not None else False
-    if auto and (args.pj is not None or args.pj_db is not None):
-        raise _UsageError("--pj-auto cannot be combined with --pj or --pj-db")
-    if auto:
-        if not rho > 0:
+    p_j = args.pj
+    if args.pj_auto:
+        if not args.rho > 0:
             raise _UsageError("--pj-auto needs rho > 0")
-        p_j = math.sqrt(p_t / rho)
-    else:
-        p_j = _pick(args, "pj", "pj-db", 1.0)
-    alpha = float(args.alpha) if args.alpha is not None else 2.0
-    delta = float(args.delta) if args.delta is not None else 0.1
-    return SystemParams(p_t=p_t, p_j=p_j, rho=rho, alpha=alpha, delta=delta)
-
-
-def _resolve_mc(args: argparse.Namespace, default_samples: int = 100_000) -> MCConfig:
-    if args.seed is not None:
-        seed = int(args.seed)
-    else:
-        seed = int(os.environ.get("FDJAM_SEED", "0"))
-    samples = int(args.samples) if args.samples is not None else default_samples
-    return MCConfig(seed=seed, n_samples=samples)
-
-
-def _resolve_grid(args: argparse.Namespace) -> GridSpec:
-    def get(name: str, default: float) -> float:
-        v = getattr(args, name)
-        return float(v) if v is not None else default
-
-    return GridSpec(
-        x_min=get("x_min", -2.0),
-        x_max=get("x_max", 2.0),
-        y_min=get("y_min", -2.0),
-        y_max=get("y_max", 2.0),
-        step=get("step", 0.01),
-    )
+        p_j = math.sqrt(args.pt / args.rho)
+    return SystemParams(p_t=args.pt, p_j=p_j, rho=args.rho, alpha=args.alpha, delta=args.delta)
 
 
 def _resolve_at(args: argparse.Namespace) -> tuple[float, float]:
-    at = args.at
-    if at is None:
+    if args.at is None:
         raise _UsageError("--at X Y is required")
-    if isinstance(at, str):
-        at = at.split()
-    if len(at) != 2:
-        raise _UsageError(f"--at needs exactly two coordinates, got {at!r}")
-    return float(at[0]), float(at[1])
+    return args.at[0], args.at[1]
 
 
 def _emit_grid(fg, args: argparse.Namespace) -> None:
-    if args.out is None:
-        return
-    as_json = args.json is not None and _to_bool(args.json)
-    if as_json:
-        write_json(fg, args.out)
-    else:
-        write_csv(fg, args.out)
-    print(f"wrote {args.out}")
-
-
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise _UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise _UsageError(f"cannot read config {path}: {exc}") from exc
-    return values
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill flags that were not given on the command line from the config file."""
-    if args.config is None:
-        return
-    known = vars(args)
-    for key, value in _load_config(args.config).items():
-        if key not in known:
-            raise _UsageError(f"unknown config key {key!r}")
-        if known[key] is None:
-            setattr(args, key, value)
+    if args.out is not None:
+        (write_json if args.json else write_csv)(fg, args.out)
+        print(f"wrote {args.out}")
 
 
 def cmd_regions(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    grid = _resolve_grid(args)
+    grid = GridSpec(args.x_min, args.x_max, args.y_min, args.y_max, args.step)
     fg = build_region_grid(grid, params.rho, params.alpha)
     counts = {r: int(np.sum(fg.values == r)) for r in (1.0, 2.0, 3.0, 4.0)}
     print(
@@ -190,7 +145,7 @@ def cmd_optjam(args: argparse.Namespace) -> int:
     if has_ab:
         if args.a is None or args.b is None:
             raise _UsageError("--a and --b must be given together")
-        g = LinkGains(a=float(args.a), b=float(args.b))
+        g = LinkGains(a=args.a, b=args.b)
     else:
         x, y = _resolve_at(args)
         g = gains(x, y, params.alpha)
@@ -214,33 +169,20 @@ def cmd_optjam(args: argparse.Namespace) -> int:
 
 
 def cmd_prob_zero(args: argparse.Namespace) -> int:
-    mode = args.mode if args.mode is not None else "colluding"
-    if mode not in ("colluding", "pairwise"):
-        raise _UsageError(f"unknown mode {mode!r}")
     params = _resolve_params(args)
-    mc = _resolve_mc(args)
+    mc = MCConfig(args.seed, args.samples)
     x, y = _resolve_at(args)
     g = gains(x, y, params.alpha)
-
-    if mode == "colluding":
-        closed, k = cond_prob_zero(g, params, 1.0, 1.0), 2
-
-        def cond(u: np.ndarray) -> np.ndarray:
-            return _cond_prob_zero_array(g.a, g.b, params.rho, params.p_j, u[:, 0], u[:, 1])
-
-    else:
-        closed, k = cond_prob_zero_pair(g, params, 1.0, 1.0, 1.0), 3
-
-        def cond(u: np.ndarray) -> np.ndarray:
-            return cond_prob_zero_pair_array(g, params, u[:, 0], u[:, 1], u[:, 2])
+    kernel, k = _COND_PROB_ZERO[args.mode]
+    closed = float(kernel(g.a, g.b, params.rho, params.p_j, *[1.0] * k))
 
     def cond_and_small(u: np.ndarray) -> np.ndarray:
-        c = cond(u)
+        c = kernel(g.a, g.b, params.rho, params.p_j, *u.T)
         return np.stack([c, c < 1e-4], axis=1)
 
     est, small = estimate(cond_and_small, mc, draws_per_sample=k)
     share = round(small.mean * small.n) / small.n  # the count k/n, not a mean an ulp off a 4-decimal tie
-    print(f"mode = {mode} at ({x:g}, {y:g})")
+    print(f"mode = {args.mode} at ({x:g}, {y:g})")
     print(f"conditional P(S=0) at unit fading = {closed:.6e}")
     print(f"unconditional P(S=0) = {est.mean:.6e} +- {est.stderr:.2e}  [n={est.n}]")
     print(f"fraction of fading draws with conditional P < 1e-4 = {share:.4f}")
@@ -249,10 +191,10 @@ def cmd_prob_zero(args: argparse.Namespace) -> int:
 
 def cmd_cdf(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    mc = _resolve_mc(args)
+    mc = MCConfig(args.seed, args.samples)
     x, y = _resolve_at(args)
     g = gains(x, y, params.alpha)
-    step = float(args.p_step) if args.p_step is not None else 0.05
+    step = args.p_step
     levels = np.arange(step, 1.0 - step / 2.0, step)
     cond = sample_cond_prob_zero(g, params, mc)
     empirical = ecdf(cond, levels)
@@ -266,19 +208,9 @@ def cmd_cdf(args: argparse.Namespace) -> int:
 
 def cmd_policy(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    mc = _resolve_mc(args)
-    if args.at is None:
-        x, y = 0.0, 0.0
-    else:
-        x, y = _resolve_at(args)
+    mc = MCConfig(args.seed, args.samples)
+    x, y = args.at
     g = gains(x, y, params.alpha)
-    if args.ladder_db is None:
-        ladder = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
-    elif isinstance(args.ladder_db, str):
-        ladder = [float(tok) for tok in args.ladder_db.split()]
-    else:
-        ladder = [float(v) for v in args.ladder_db]
-
     print(
         f"policy comparison at ({x:g}, {y:g}): rho={params.rho:g} alpha={params.alpha:g} "
         f"p_t={params.p_t:g} n={mc.n_samples} seed={mc.seed}"
@@ -291,9 +223,8 @@ def cmd_policy(args: argparse.Namespace) -> int:
 
     # the semi-dynamic policy jams without bound whatever the rung's P_J: one report serves every row
     semi = policy_prob_zero(JamPolicy(JamPolicyKind.SEMI_DYNAMIC), g, params, mc)
-    for db in ladder:
-        pj = _db_to_linear(db)
-        rung = SystemParams(p_t=params.p_t, p_j=pj, rho=params.rho, alpha=params.alpha, delta=params.delta)
+    for db in args.ladder_db:
+        rung = SystemParams(p_t=params.p_t, p_j=decibel(db), rho=params.rho, alpha=params.alpha, delta=params.delta)
         const = policy_prob_zero(JamPolicy(JamPolicyKind.CONSTANT), g, rung, mc)
         print(
             f"{db:6.0f}  {const.estimate.mean:12.6e}  {_mean(const.p2):12.6e}  "
@@ -301,50 +232,41 @@ def cmd_policy(args: argparse.Namespace) -> int:
         )
     print("full-dynamic estimate = 0 (exact)")
     if args.p_accept is not None:
-        policy = JamPolicy(JamPolicyKind.GENERAL_DYNAMIC, p_accept=float(args.p_accept))
+        policy = JamPolicy(JamPolicyKind.GENERAL_DYNAMIC, p_accept=args.p_accept)
         rep = policy_prob_zero(policy, g, params, mc)
         print(
-            f"general-dynamic p={float(args.p_accept):g}: acceptance = {rep.acceptance.mean:.6f} "
+            f"general-dynamic p={args.p_accept:g}: acceptance = {rep.acceptance.mean:.6f} "
             f"+- {rep.acceptance.stderr:.2e}, accepted-mean conditional P = {rep.residual.mean:.6e}"
         )
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suite = args.suite if args.suite is not None else "all"
-    seed = int(args.seed) if args.seed is not None else int(os.environ.get("FDJAM_SEED", "0"))
-    try:
-        results = run_suite(suite, seed)
-    except KeyError:
-        raise _UsageError(f"unknown suite {suite!r}; choose from {', '.join(available_suites())}") from None
-    failures = 0
+    results = run_suite(args.suite, args.seed)
+    failures = sum(not r.passed for r in results)
     for r in results:
         mark = "ok  " if r.passed else "FAIL"
         tail = f"  ({r.detail})" if r.detail else ""
         print(f"{mark} {r.suite}/{r.name}{tail}")
-        failures += 0 if r.passed else 1
     print(f"{len(results)} checks, {failures} failures")
     return 0 if failures == 0 else 2
 
 
 def cmd_field(args: argparse.Namespace) -> int:
-    mode = args.mode if args.mode is not None else "colluding"
-    quantity = args.quantity if args.quantity is not None else "secrecy"
-    fading = _to_bool(args.fading) if args.fading is not None else False
-    pj_opt = _to_bool(args.pj_opt) if args.pj_opt is not None else False
     params = _resolve_params(args)
-    grid = _resolve_grid(args)
-    mc = _resolve_mc(args) if (fading or quantity == "prob-zero") else None
+    grid = GridSpec(args.x_min, args.x_max, args.y_min, args.y_max, args.step)
+    mc = MCConfig(args.seed, args.samples) if (args.fading or args.quantity == "prob-zero") else None
     fg = build_field(
-        mode,
+        args.mode,
         params,
         grid,
-        quantity=quantity,
-        fading=fading,
+        quantity=args.quantity,
+        fading=args.fading,
         mc=mc,
-        pj_per_cell="opt" if pj_opt else "fixed",
+        pj_per_cell="opt" if args.pj_opt else "fixed",
     )
-    print(f"field mode={mode} quantity={quantity} fading={fading} cells={grid.nx * grid.ny} ({grid.nx}x{grid.ny})")
+    cells = f"cells={grid.nx * grid.ny} ({grid.nx}x{grid.ny})"
+    print(f"field mode={args.mode} quantity={args.quantity} fading={args.fading} {cells}")
     xmin, ymin, vmin = grid_argmin(fg)
     xmax, ymax, vmax = grid_argmax(fg)
     print(f"min = {vmin:.6g} at ({xmin:g}, {ymin:g})")
@@ -356,36 +278,42 @@ def cmd_field(args: argparse.Namespace) -> int:
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value file; explicit flags override it")
+    common.add_argument("--config", help="flat key=value file of flags; explicit flags override it")
 
+    # each --*-db flag stores the linear value under its linear twin's name
     power = argparse.ArgumentParser(add_help=False)
-    power.add_argument("--pt", type=float, help="transmit power (linear, default 100)")
-    power.add_argument("--pt-db", type=float, help="transmit power in dB")
-    power.add_argument("--pj", type=float, help="jamming power (linear, default 1; inf allowed)")
-    power.add_argument("--pj-db", type=float, help="jamming power in dB")
-    power.add_argument("--pj-auto", action="store_true", default=None, help="set P_J = sqrt(P_T/rho)")
-    power.add_argument("--rho", type=float, help="self-interference gain (default 0.1)")
-    power.add_argument("--rho-db", type=float, help="self-interference gain in dB")
-    power.add_argument("--alpha", type=float, help="path-loss exponent (default 2)")
-    power.add_argument("--delta", type=float, help="exclusion radius (default 0.1)")
+    pt = power.add_mutually_exclusive_group()
+    pt.add_argument("--pt", type=float, default=100.0, help="transmit power, linear (default %(default)s)")
+    pt.add_argument("--pt-db", type=decibel, dest="pt", metavar="DB", help="transmit power in dB")
+    pj = power.add_mutually_exclusive_group()
+    pj.add_argument("--pj", type=float, default=1.0, help="jamming power, linear; inf allowed (default %(default)s)")
+    pj.add_argument("--pj-db", type=decibel, dest="pj", metavar="DB", help="jamming power in dB")
+    pj.add_argument("--pj-auto", action="store_true", help="set P_J = sqrt(P_T/rho)")
+    rho = power.add_mutually_exclusive_group()
+    rho.add_argument("--rho", type=float, default=0.1, help="self-interference gain (default %(default)s)")
+    rho.add_argument("--rho-db", type=decibel, dest="rho", metavar="DB", help="self-interference gain in dB")
+    power.add_argument("--alpha", type=float, default=2.0, help="path-loss exponent (default %(default)s)")
+    power.add_argument("--delta", type=float, default=0.1, help="exclusion radius (default %(default)s)")
 
     mc = argparse.ArgumentParser(add_help=False)
-    mc.add_argument("--samples", type=int, help="Monte Carlo sample count (default 100000)")
-    mc.add_argument("--seed", type=int, help="RNG seed (default $FDJAM_SEED or 0)")
+    mc.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count (default %(default)s)")
+    seed = os.environ.get("FDJAM_SEED", "0")  # a string, so argparse converts and checks it like a flag value
+    mc.add_argument("--seed", type=int, default=seed, help="RNG seed (default %(default)s, from $FDJAM_SEED or 0)")
 
     gridp = argparse.ArgumentParser(add_help=False)
-    gridp.add_argument("--x-min", type=float)
-    gridp.add_argument("--x-max", type=float)
-    gridp.add_argument("--y-min", type=float)
-    gridp.add_argument("--y-max", type=float)
-    gridp.add_argument("--step", type=float, help="grid step (default 0.01)")
+    gridp.add_argument("--x-min", type=float, default=-2.0, help="grid edge (default %(default)s)")
+    gridp.add_argument("--x-max", type=float, default=2.0, help="grid edge (default %(default)s)")
+    gridp.add_argument("--y-min", type=float, default=-2.0, help="grid edge (default %(default)s)")
+    gridp.add_argument("--y-max", type=float, default=2.0, help="grid edge (default %(default)s)")
+    gridp.add_argument("--step", type=float, default=0.01, help="grid step (default %(default)s)")
 
     io = argparse.ArgumentParser(add_help=False)
     io.add_argument("--out", help="write the grid to this path")
-    io.add_argument("--json", action="store_true", default=None, help="write JSON instead of CSV")
+    io.add_argument("--json", action="store_true", help="write JSON instead of CSV")
 
+    modes, xy = ("colluding", "pairwise"), dict(nargs=2, type=float, metavar=("X", "Y"))
     parser = _Parser(prog="fdjam", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = sub.add_parser("regions", parents=[common, power, gridp, io], help="classify the plane into R1..R4")
     p.set_defaults(func=cmd_regions)
@@ -393,51 +321,53 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("optjam", parents=[common, power], help="optimal jamming power for one eavesdropper")
     p.add_argument("--a", type=float, help="normalized transmitter-to-eve gain")
     p.add_argument("--b", type=float, help="normalized receiver-to-eve gain")
-    p.add_argument("--at", nargs=2, type=float, metavar=("X", "Y"), help="eavesdropper location")
+    p.add_argument("--at", **xy, help="eavesdropper location")
     p.set_defaults(func=cmd_optjam)
 
     p = sub.add_parser("prob-zero", parents=[common, power, mc], help="zero-secrecy probability under fading")
-    p.add_argument("--mode", help="colluding or pairwise (default colluding)")
-    p.add_argument("--at", nargs=2, type=float, metavar=("X", "Y"), help="eavesdropper location")
+    p.add_argument("--mode", choices=modes, default="colluding", help="eavesdropper model (default %(default)s)")
+    p.add_argument("--at", **xy, help="eavesdropper location")
     p.set_defaults(func=cmd_prob_zero)
 
     p = sub.add_parser("cdf", parents=[common, power, mc], help="CDF of the conditional zero-secrecy probability")
-    p.add_argument("--at", nargs=2, type=float, metavar=("X", "Y"), help="eavesdropper location")
-    p.add_argument("--p-step", type=float, help="level spacing (default 0.05)")
+    p.add_argument("--at", **xy, help="eavesdropper location")
+    p.add_argument("--p-step", type=float, default=0.05, help="level spacing (default %(default)s)")
     p.set_defaults(func=cmd_cdf)
 
     p = sub.add_parser("policy", parents=[common, power, mc], help="jamming policy comparison table")
-    p.add_argument("--at", nargs=2, type=float, metavar=("X", "Y"), help="eavesdropper location (default 0 0)")
-    p.add_argument("--ladder-db", nargs="+", type=float, help="P_J rungs in dB (default 0..60 by 10)")
+    p.add_argument("--at", **xy, default=(0.0, 0.0), help="eavesdropper location (default %(default)s)")
+    ladder = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
+    p.add_argument("--ladder-db", nargs="+", type=float, default=ladder, help="P_J rungs in dB (default %(default)s)")
     p.add_argument("--p-accept", type=float, help="also report the general-dynamic policy at this threshold")
     p.set_defaults(func=cmd_policy)
 
     p = sub.add_parser("verify", parents=[common, mc], help="run the self-check suites")
-    p.add_argument("--suite", help="suite name or 'all' (default all)")
+    p.add_argument("--suite", choices=available_suites(), default="all", help="suite name (default %(default)s)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("field", parents=[common, power, mc, gridp, io], help="sweep a field over the grid")
-    p.add_argument("--mode", help="colluding or pairwise (default colluding)")
-    p.add_argument("--quantity", help="secrecy or prob-zero (default secrecy)")
-    p.add_argument("--fading", action="store_true", default=None, help="draw eve-side fading per cell")
-    p.add_argument("--pj-opt", action="store_true", default=None, help="re-optimize P_J in every cell (colluding)")
+    p.add_argument("--mode", choices=modes, default="colluding", help="eavesdropper model (default %(default)s)")
+    quantities = ("secrecy", "prob-zero")
+    p.add_argument("--quantity", choices=quantities, default="secrecy", help="swept quantity (default %(default)s)")
+    p.add_argument("--fading", action="store_true", help="draw eve-side fading per cell")
+    p.add_argument("--pj-opt", action="store_true", help="re-optimize P_J in every cell (colluding)")
     p.set_defaults(func=cmd_field)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
-            raise _UsageError("a subcommand is required (see --help)")
-        _apply_config(args)
+        if args.config is not None:
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_argv(args.config, parser.commands[args.command])
+            args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"fdjam: error: {exc}", file=sys.stderr)
-        return 1
-    except FdjamError as exc:
+    except (_UsageError, FdjamError) as exc:
         print(f"fdjam: error: {exc}", file=sys.stderr)
         return 1
 

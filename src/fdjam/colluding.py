@@ -14,7 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, UnboundedOptimumError, UnsupportedRegimeError
-from .geometry import LinkGains, Region, SystemParams, _sign_array, gains, region_classify, sign_b_minus_rho_a
+from .geometry import (
+    EveLocation,
+    LinkGains,
+    Region,
+    SystemParams,
+    _sign_array,
+    gains,
+    region4_containment_threshold,
+    region_classify,
+    sign_b_minus_rho_a,
+)
 
 __all__ = [
     "OptJamResult",
@@ -136,16 +146,27 @@ def zero_region_predicate(g: LinkGains, params: SystemParams) -> bool:
 
 
 def _jam_coeffs_array(a, b, rho: float, p_t: float) -> tuple:
-    """(c2, c1, c0) of the jamming-power derivative over gain arrays that broadcast."""
-    c2 = rho * b * (b - rho * a)
-    c1 = 2.0 * rho * b * (a - 1.0)
-    c0 = a * b - rho + a * p_t * (b - rho)
-    return c2, c1, c0
+    """(c2, c1, c0) of the jamming-power derivative over gain arrays that broadcast.
+
+    Limits: a term with an exactly-zero factor is 0 even against an
+    infinite gain, as in _secrecy_array; that 0*inf is the only NaN c2 and
+    c1 can meet.  At a = inf, c0 = a*(b + P_T*(b - rho)) - rho is infinite
+    with the sign of b + P_T*(b - rho), or -rho where that is 0.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore"):
+        c2 = rho * b * (b - rho * a)
+        c1 = 2.0 * rho * b * (a - 1.0)
+        c0 = a * b - rho + a * p_t * (b - rho)
+    k = b + p_t * (b - rho)
+    c0 = np.where(np.isinf(a), np.where(k == 0, -rho, np.copysign(math.inf, k)), c0)
+    return np.where(np.isnan(c2), 0.0, c2), np.where(np.isnan(c1), 0.0, c1), c0
 
 
 def jam_derivative_coeffs(g: LinkGains, rho: float, p_t: float) -> tuple[float, float, float]:
     """(c2, c1, c0) with sign(dS/dP_J) = sign(-c2*P_J^2 + c1*P_J + c0) where S > 0."""
-    return _jam_coeffs_array(g.a, g.b, rho, p_t)
+    c2, c1, c0 = _jam_coeffs_array(g.a, g.b, rho, p_t)
+    return float(c2), float(c1), float(c0)
 
 
 @dataclass(frozen=True)
@@ -233,8 +254,6 @@ def worst_location(params: SystemParams):
     delta^alpha/(1+delta)^alpha, and P_J above gamma at the candidate point;
     then the minimizer of secrecy over d_A >= delta is (-delta - 0.5, 0).
     """
-    from .geometry import EveLocation, region4_containment_threshold
-
     if params.delta > 1:
         raise UnsupportedRegimeError(f"worst_location needs delta <= 1, got {params.delta}")
     thr = region4_containment_threshold(params.delta, params.alpha)

@@ -41,6 +41,9 @@ __all__ = [
     "read_json",
 ]
 
+# mode -> (conditional zero-secrecy kernel, exponential draws per sample)
+_COND_PROB_ZERO = {"colluding": (_cond_prob_zero_array, 2), "pairwise": (_cond_prob_zero_pair_kernel, 3)}
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -160,13 +163,13 @@ def build_field(
 def _prob_zero_field(mode: str, params: SystemParams, a_f, b_f, p_j, mc: MCConfig) -> np.ndarray:
     """Per-cell mean of the conditional zero-secrecy probability.
 
-    Cell i owns the i-th block of n*k uniforms of the seed's stream (k = 2
-    colluding, 3 pairwise).  Blocks of whole cells, at most _BLOCK samples,
+    Cell i owns the i-th block of n*k uniforms of the seed's stream (k from
+    _COND_PROB_ZERO).  Blocks of whole cells, at most _BLOCK samples,
     go to the kernel at once with gains and P_J as (cells, 1) columns
     against (cells, n) draws; a cell with n > _BLOCK is summed over
     sub-blocks of _BLOCK samples.
     """
-    kernel, k = (_cond_prob_zero_array, 2) if mode == "colluding" else (_cond_prob_zero_pair_kernel, 3)
+    kernel, k = _COND_PROB_ZERO[mode]
     n, rng, block = mc.n_samples, montecarlo._stream(mc.seed), montecarlo._BLOCK
     a, b = a_f.reshape(-1, 1), b_f.reshape(-1, 1)
     p_j = np.reshape(p_j, (-1, 1)) if np.ndim(p_j) else p_j

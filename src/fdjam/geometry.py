@@ -103,10 +103,6 @@ class EveLocation:
             raise InvalidParameterError(f"location must be finite, got ({self.x}, {self.y})")
 
 
-ALICE = EveLocation(-0.5, 0.0)
-BOB = EveLocation(0.5, 0.0)
-
-
 @dataclass(frozen=True)
 class LinkGains:
     """Large-scale gains from the two endpoints to one eavesdropper point.

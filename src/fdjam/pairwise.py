@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 from .colluding import LOG2E, _secrecy_array, gamma_coeff, positivity, snr_ab
 from .errors import InvalidParameterError, RegimeWarning, UnsupportedRegimeError
-from .geometry import LinkGains, Region, SystemParams, gains, region_classify, sign_b_minus_rho_a
+from .geometry import (
+    LinkGains,
+    Region,
+    SystemParams,
+    gains,
+    region4_containment_threshold,
+    region_classify,
+    sign_b_minus_rho_a,
+)
 
 __all__ = [
     "PairSecrecy",
@@ -255,8 +263,6 @@ def near_far_field(params: SystemParams) -> NearFarField:
     with a warning rather than an error because the plateau degrades
     gradually.
     """
-    from .geometry import region4_containment_threshold
-
     if not params.rho > 0:
         raise UnsupportedRegimeError("near_far_field needs rho > 0")
     p_j_auto = math.sqrt(params.p_t / params.rho)

@@ -1,8 +1,11 @@
 """Grid sweeps, export round-trips and the command-line front end."""
 
+import argparse
 import json
 import math
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +427,72 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys) -> None:
     bad.write_text("warp_factor = 9\n")
     assert cli.main(["optjam", "--a", "4", "--b", "1", "--config", str(bad)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, config, env",
+    [
+        (["optjam", "--a", "4", "--b", "1"], "rho = abc\n", None),
+        (["prob-zero", "--at", "0", "0"], "samples = 1e3\n", None),
+        (["prob-zero"], "at = 1\n", None),
+        (["prob-zero", "--at", "0", "0", "--samples", "100"], None, "abc"),
+    ],
+)
+def test_cli_config_and_env_values_are_checked_like_flags(tmp_path, monkeypatch, capsys, argv, config, env) -> None:
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    if env is not None:
+        monkeypatch.setenv("FDJAM_SEED", env)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fdjam: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, config, flags",
+    [
+        (["prob-zero", "--samples", "2000"], "at = 0.3 0.2\n", ["--at", "0.3", "0.2"]),
+        (["policy", "--samples", "2000"], "ladder_db = 0 30\n", ["--ladder-db", "0", "30"]),
+        (["field", "--step", "0.5", "--samples", "50"], "fading = true\njson = yes\n", ["--fading", "--json"]),
+    ],
+)
+def test_cli_config_values_match_the_flag_forms(tmp_path, capsys, argv, config, flags) -> None:
+    out = tmp_path / "grid.out"
+    argv = argv + ["--out", str(out)] if argv[0] == "field" else argv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    runs = []
+    for extra in (["--config", str(cfg)], flags):
+        assert cli.main(argv + extra) == 0
+        runs.append((capsys.readouterr().out, out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+
+
+def test_cli_help_prints_the_declared_defaults(monkeypatch, capsys) -> None:
+    monkeypatch.delenv("FDJAM_SEED", raising=False)
+    for name, sub in cli._build_parser().commands.items():
+        with pytest.raises(SystemExit) as stop:
+            cli.main([name, "--help"])
+        assert stop.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for action in sub._actions:
+            if action.default not in (None, argparse.SUPPRESS) and action.default is not False:
+                assert f"default {action.default}" in text, (name, action.dest)
+
+
+def test_readme_cli_commands_parse() -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.startswith("fdjam ")]
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])  # a usage error raises
+    assert {argv[1] for argv in commands} == set(parser.commands)
 
 
 def test_cli_seed_env_default(monkeypatch, capsys) -> None:

@@ -7,8 +7,6 @@ import pytest
 
 from fdjam.errors import InvalidParameterError
 from fdjam.geometry import (
-    ALICE,
-    BOB,
     DiskSide,
     EveLocation,
     LinkGains,
@@ -65,11 +63,6 @@ def test_parameter_validation() -> None:
         EveLocation(math.nan, 0.0)
     # infinite jamming power is the designated limit and must be accepted
     SystemParams(p_t=1.0, p_j=math.inf, rho=0.1)
-
-
-def test_endpoint_constants() -> None:
-    assert (ALICE.x, ALICE.y) == (-0.5, 0.0)
-    assert (BOB.x, BOB.y) == (0.5, 0.0)
 
 
 def test_gains_basic_values() -> None:

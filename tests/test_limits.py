@@ -1,4 +1,5 @@
-"""Limit suite for the five scalar secrecy/outage forms, the kernels under them and the policy quadrature.
+"""Limit suite for the five scalar secrecy/outage forms, the kernels under them, the jam-derivative
+coefficients and the policy quadrature.
 
 Every scalar form is a call into one array kernel, so the properties are
 stated once per quantity: no NaN, secrecy >= 0, probabilities in [0, 1], the
@@ -19,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fdjam import montecarlo
-from fdjam.colluding import _secrecy_array, secrecy_ab
+from fdjam.colluding import _secrecy_array, jam_derivative_coeffs, secrecy_ab
 from fdjam.colluding_fading import _cond_prob_zero_array, cond_prob_zero, secrecy_sample, v_terms
 from fdjam.geometry import LinkGains, SystemParams, gains
 from fdjam.montecarlo import MCConfig
@@ -93,6 +94,24 @@ def test_secrecy_limits(g, rho, p_j, p_t, a_t, b_t, b2_t, c, d) -> None:
     arr = _secrecy_array(ga, gb, p_t, rho, p_j, np.array([c, d]), np.array([d, c]), a_t, np.array([b_t, b2_t]))
     assert arr[0] == s_ab
     assert 0.5 * (arr[0] + arr[1]) == s_pair
+
+
+@SETTINGS
+@given(gain_pairs(), rho_s, p_t_s)
+@example(gains(0.5, 0.0, 2.0), 0.1, 100.0)  # Bob's node at a = 1: c1 meets inf*0
+@example(LinkGains(INF, 0.05), 0.1, 100.0)  # Alice's node with b < rho: c0 meets inf - inf
+@example(LinkGains(2.0, INF), 0.0, 100.0)  # rho = 0 against an infinite gain
+def test_jam_derivative_coeffs_limits(g, rho, p_t) -> None:
+    c2, c1, c0 = jam_derivative_coeffs(g, rho, p_t)
+    assert not any(math.isnan(c) for c in (c2, c1, c0))
+    a, b = g.a, g.b
+    if math.isinf(a):
+        k = b + p_t * (b - rho)
+        assert c0 == (-rho if k == 0 else math.copysign(INF, k))
+    elif not math.isinf(b):  # off the nodes the polynomial is the plain formula
+        assert (c2, c1, c0) == (rho * b * (b - rho * a), 2.0 * rho * b * (a - 1.0), a * b - rho + a * p_t * (b - rho))
+    if rho == 0:
+        assert c2 == 0.0 and c1 == 0.0
 
 
 @SETTINGS
