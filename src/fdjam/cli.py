@@ -114,7 +114,10 @@ def _resolve_at(args: argparse.Namespace) -> tuple[float, float]:
 
 def _emit_grid(fg, args: argparse.Namespace) -> None:
     if args.out is not None:
-        (write_json if args.json else write_csv)(fg, args.out)
+        try:
+            (write_json if args.json else write_csv)(fg, args.out)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out!r}: {exc.strerror or exc}") from exc
         print(f"wrote {args.out}")
 
 

@@ -186,7 +186,10 @@ def cdf_lower_bound(p: float, a: float, b: float, rho: float, p_j: float) -> flo
     """Lower bound on the CDF of cond_prob_zero at level p.
 
     exp(-a(1-p)/(b*P_J*p)) * b*p/(b*p + a*rho*(1-p)); the exponential factor
-    disappears at P_J = inf, where the bound is the exact CDF.
+    disappears at P_J = inf, where the bound is the exact CDF.  Its limits
+    at the endpoint nodes: 1 at b = inf (Eve on the jammer, where the
+    conditional probability is 0) and 0 at a = inf below p = 1 (Eve on the
+    transmitter, where it is 1).
     """
     if not 0 < p <= 1:
         raise InvalidParameterError(f"p must be in (0, 1], got {p}")
@@ -194,8 +197,10 @@ def cdf_lower_bound(p: float, a: float, b: float, rho: float, p_j: float) -> flo
         raise InvalidParameterError(f"cdf_lower_bound needs P_J > 0, got {p_j}")
     if not a > 0 or not b > 0:
         raise InvalidParameterError("gains must be > 0")
-    if p == 1.0:
+    if p == 1.0 or math.isinf(b):
         return 1.0
+    if math.isinf(a):
+        return 0.0
     tail = b * p / (b * p + a * rho * (1.0 - p))
     if math.isinf(p_j):
         return tail

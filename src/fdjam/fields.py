@@ -224,14 +224,16 @@ def grid_argmax(fg: FieldGrid) -> tuple[float, float, float]:
 
 
 def write_csv(fg: FieldGrid, path: str) -> None:
-    """Rows are x,y,value with y varying slowest, full float round-trip."""
-    xm, ym = np.meshgrid(fg.spec.xs(), fg.spec.ys())
-    rows = np.column_stack([xm.ravel(), ym.ravel(), fg.values.ravel()])
+    """Rows are x,y,value with y varying slowest, full float round-trip.
+
+    Each x and y is formatted once per axis, each value once.
+    """
+    xs = ["%.17g," % x for x in fg.spec.xs().tolist()]
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
-        for lo in range(0, rows.shape[0], 4096):  # one format call per block of rows
-            block = rows[lo : lo + 4096]
-            fh.write(("%.17g,%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
+        for y, row in zip(fg.spec.ys().tolist(), fg.values.tolist()):
+            y_txt = "%.17g," % y
+            fh.write("".join([x + y_txt + "%.17g\n" % v for x, v in zip(xs, row)]))
 
 
 def read_csv(path: str, spec: GridSpec) -> FieldGrid:
@@ -257,8 +259,9 @@ def write_json(fg: FieldGrid, path: str) -> None:
         "meta": fg.meta,
         "values": fg.values.tolist(),
     }
+    text = json.dumps(payload)  # one call to the C encoder; json.dump streams through the Python one
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(text)
 
 
 def read_json(path: str) -> FieldGrid:

@@ -9,7 +9,8 @@ count raw indicator events.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .montecarlo import Estimate, MCConfig, estimate
 from .pairwise_fading import pair_terms
 
 __all__ = [
-    "golden_section_max",
     "golden_max_secrecy",
     "quad_prob_zero_pair",
     "quad_policy_row",
@@ -32,60 +32,88 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_LANES = 1000  # lanes per block of golden_max_secrecy: its (lanes, grid) table stays near 16 MB
 
 
-def golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12, iters: int = 200
-) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
+def _golden_section_lanes(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    tol: float = 1e-12,
+    iters: int = 200,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximization of a function unimodal on each lane's [lo, hi].
+
+    f(x, idx) evaluates lanes idx at points x.  Every lane takes the scalar
+    update and stops once its own bracket is within tol.
+    """
+    lo, hi, every = lo.copy(), hi.copy(), np.arange(lo.size)
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = f(x1, every), f(x2, every)
+    live = every
     for _ in range(iters):
-        if hi - lo <= tol * max(1.0, abs(lo) + abs(hi)):
+        l, h = lo[live], hi[live]
+        live = live[~(h - l <= tol * np.maximum(1.0, np.abs(l) + np.abs(h)))]
+        if live.size == 0:
             break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
+        rise = f1[live] < f2[live]
+        up, down = live[rise], live[~rise]
+        lo[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
+        x2[up] = lo[up] + _GOLDEN * (hi[up] - lo[up])
+        f2[up] = f(x2[up], up)
+        hi[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
+        x1[down] = hi[down] - _GOLDEN * (hi[down] - lo[down])
+        f1[down] = f(x1[down], down)
     xm = 0.5 * (lo + hi)
-    return xm, f(xm)
+    return xm, f(xm, every)
 
 
-def _secrecy_over_pj(g: LinkGains, rho: float, p_t: float, p_j: np.ndarray) -> np.ndarray:
-    """Vectorized secrecy_ab(g, .) over a P_J array, recomputed from raw SNRs."""
+def _secrecy_over_pj(g: LinkGains, rho, p_t, p_j: np.ndarray) -> np.ndarray:
+    """Vectorized secrecy_ab(g, .) over a P_J array, recomputed from raw SNRs.
+
+    Only g.a and g.b are read; they, rho and p_t may be arrays that broadcast
+    against p_j.
+    """
     snr_main = p_t / (1.0 + rho * p_j)
     snr_eve = g.a * p_t / (1.0 + g.b * p_j)
     return np.maximum(0.0, (np.log1p(snr_main) - np.log1p(snr_eve)) / math.log(2.0))
 
 
 def golden_max_secrecy(
-    g: LinkGains, rho: float, p_t: float, hi: float = 1e9, grid_points: int = 2000
-) -> tuple[float, float]:
+    g: LinkGains | Sequence[LinkGains], rho, p_t, hi: float = 1e9, grid_points: int = 2000
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(argmax, max) of secrecy over P_J in [0, hi]: log grid then refinement.
 
     The grid pins down the basin (the objective need not be unimodal on the
     whole axis once the positive part clips), the golden section polishes it.
+    g is one LinkGains, or a sequence of them run as lanes with rho and p_t
+    scalars or one per lane; lanes give two arrays, each entry equal to the
+    lane's own scalar call.
     """
+    one = isinstance(g, LinkGains)
+    lanes = [g] if one else list(g)
+    n = len(lanes)
+    a, b = np.array([x.a for x in lanes]), np.array([x.b for x in lanes])
+    rho, p_t = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (rho, p_t))
     grid = np.concatenate(([0.0], np.geomspace(1e-6, hi, grid_points)))
-    vals = _secrecy_over_pj(g, rho, p_t, grid)
-    k = int(np.argmax(vals))
-    lo_b = grid[max(0, k - 1)]
-    hi_b = grid[min(len(grid) - 1, k + 1)]
-    if hi_b <= lo_b:
-        hi_b = lo_b + 1.0
+    best_x, best_f = np.empty(n), np.empty(n)
+    for start in range(0, n, _LANES):
+        blk = slice(start, start + _LANES)
+        ga, gb, r, pt = a[blk], b[blk], rho[blk], p_t[blk]
+        vals = _secrecy_over_pj(SimpleNamespace(a=ga[:, None], b=gb[:, None]), r[:, None], pt[:, None], grid)
+        k = np.argmax(vals, axis=1)
+        lo_b, hi_b = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
+        hi_b = np.where(hi_b <= lo_b, lo_b + 1.0, hi_b)
 
-    def f(pj: float) -> float:
-        return float(_secrecy_over_pj(g, rho, p_t, np.asarray([pj]))[0])
+        def f(pj: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            return _secrecy_over_pj(SimpleNamespace(a=ga[idx], b=gb[idx]), r[idx], pt[idx], pj)
 
-    x, fx = golden_section_max(f, lo_b, hi_b)
-    if vals[k] > fx:
-        return float(grid[k]), float(vals[k])
-    return x, fx
+        x, fx = _golden_section_lanes(f, lo_b, hi_b)
+        at_k = vals[np.arange(k.size), k]
+        best_x[blk] = np.where(at_k > fx, grid[k], x)
+        best_f[blk] = np.where(at_k > fx, at_k, fx)
+    return (float(best_x[0]), float(best_f[0])) if one else (best_x, best_f)
 
 
 def quad_prob_zero_pair(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +44,18 @@ __all__ = [
 ]
 
 # 48 Gauss-Legendre nodes moved from [-1, 1] to t in [0, 1] by t = 1 - ((1 - x)/2)^2,
-# which crowds them towards t = 1, where the wedge closes (_policy_integrand)
+# which crowds them towards t = 1, where the wedge closes (_policy_integrand, finite P_J)
 _GL_X, _GL_WX = np.polynomial.legendre.leggauss(48)
 _GL_T, _GL_W = 1.0 - (0.5 * (1.0 - _GL_X)) ** 2, 0.5 * (1.0 - _GL_X) * _GL_WX
+# 12 Gauss-Legendre nodes on [0, 1] for the smooth part of the semi-dynamic row (_semi_dynamic_row)
+_GL12_X, _GL12_WX = np.polynomial.legendre.leggauss(12)
+_GL12_T, _GL12_W = 0.5 * (1.0 + _GL12_X), 0.5 * _GL12_WX
+# e^x*E1(x) (_exp_e1): the power series of E1 below _E1_SPLIT (25 terms, highest first,
+# for Horner), a backward continued fraction of 32 terms above; both within 5e-14 relative
+_E1_SPLIT = 3.0
+_E1_SERIES = tuple((-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(25, 0, -1))
+_E1_CF_TERMS = 32
+_EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass(frozen=True)
@@ -264,27 +273,30 @@ _EXP_FLOOR = -700.0
 def _policy_integrand(u: np.ndarray, v: np.ndarray, a: float, b: float, rho: float, p_j: float) -> np.ndarray:
     """Per (b1, b2) row: [E_A{cond_prob_zero_pair * 1[A < w0]}, 1 - exp(-w0)], shape (m, 2).
 
-    The first column integrates e^-A~ * cond_prob_zero_pair over [0, top],
+    At P_J = inf the first column is the closed form _semi_dynamic_row.  At
+    finite P_J it integrates e^-A~ * cond_prob_zero_pair over [0, top],
     top = min(w0, _A_TOP), in t in [0, 1] with A~ = top*expm1(t*L)/expm1(L),
     L = log1p(c*top), that is A~ = expm1(t*L)/c: the map spreads the boundary
     layer of rate c at A~ = 0 over the nodes, and the nodes crowd towards
-    t = 1, where at finite P_J e^-E closes the wedge within a sliver below
-    w0.  An empty window (rho = 0 or B~ = 0 at P_J = inf) gives 0.  The
-    wedge coefficients, w0 and c come once per row from _wedge_coeffs; a node
+    t = 1, where e^-E closes the wedge within a sliver below w0.  The wedge
+    coefficients, w0 and c come once per row from _wedge_coeffs; a node
     costs one exp, of t*L - A~ - E, and a product masks it past the
     _W1_GUARD cut.  Rows go through in tiles of _TILE_ROWS.  The second
     column is the window bound (P2, or P1 at P_J = inf) on the same row.
     """
     c0, c2, d1, s, z = _wedge_coeffs(a, b, rho, p_j, u, v)
     w0 = np.sqrt(c0 / c2)
+    out = np.empty((u.shape[0], 2))
+    out[:, 1] = -np.expm1(-w0)
+    if math.isinf(p_j):
+        out[:, 0] = _semi_dynamic_row((rho * a / b) * u, (rho * b / a) * v, w0)
+        return out
     top = np.minimum(w0, _A_TOP)
-    with np.errstate(invalid="ignore", divide="ignore"):  # c = D1/C0 is inf or nan on an empty window
+    with np.errstate(invalid="ignore"):  # c = D1/C0 overflows only at extreme P_J
         ct = d1 / c0 * top
     stretch = np.maximum(np.log1p(np.where(np.isfinite(ct), ct, 0.0)), _MIN_STRETCH)
-    scale = top / np.expm1(stretch)  # 1/c, or 0 on an empty window
-    # an empty window (C0 = 0) has weight 0, and C0 = 1 keeps its nodes finite
-    c0, s = np.where(c0 > 0, c0, 1.0), np.broadcast_to(s, u.shape)
-    out, work = np.empty((u.shape[0], 2)), np.empty((5, _GL_T.size, _TILE_ROWS))
+    scale = top / np.expm1(stretch)  # 1/c
+    work = np.empty((5, _GL_T.size, _TILE_ROWS))
     for lo in range(0, u.shape[0], _TILE_ROWS):
         rows = slice(lo, lo + _TILE_ROWS)
         tl, w, w1, w2, w3 = work[:, :, : scale[rows].size]  # (nodes, rows) each, reused by every tile
@@ -299,7 +311,74 @@ def _policy_integrand(u: np.ndarray, v: np.ndarray, a: float, b: float, rho: flo
         vals *= np.exp(np.maximum(tl, _EXP_FLOOR, out=tl), out=tl)
         vals *= live
         out[rows, 0] = _GL_W @ vals * (stretch[rows] * scale[rows])
-    out[:, 1] = -np.expm1(-w0)
+    return out
+
+
+def _semi_dynamic_row(r1: np.ndarray, r2: np.ndarray, w0: np.ndarray) -> np.ndarray:
+    """E_A{cond_prob_zero_pair * 1[A < w0]} at P_J = inf, in closed form.
+
+    There E = 0 and K = w1/w2 = (r1*r2 - A~^2)/((A~ + r1)*(A~ + r2)) with
+    r1 = rho*B1~*a/b, r2 = rho*B2~*b/a and w0 = sqrt(r1*r2).  With
+    r_s = min(r1, r2) <= w0 <= r_b = max(r1, r2), K = r_s/(A~ + r_s) -
+    A~/(A~ + r_b), two positive terms whose integrals differ by at least
+    2 - 1/ln 2 ~ 56% of the first, so the difference keeps its digits:
+    - r_s*int_0^w0 e^-A~/(A~ + r_s) = r_s*(f(r_s) - e^-w0*f(r_s + w0)),
+      f = _exp_e1;
+    - int_0^w0 e^-A~*A~/(A~ + r_b), whose pole lies at least w0 below the
+      window: 12 Gauss-Legendre nodes for w0 < _E1_SPLIT, and above it
+      g(r_b) - e^-w0*(g(r_b + w0) + w0*f(r_b + w0)) with g(x) = 1 - x*f(x)
+      taken from the continued fraction's tail, free of cancellation.
+    An empty window (rho = 0 or B~ = 0) gives 0.
+    """
+    row, live = np.zeros_like(w0), w0 > 0
+    r_s, r_b, w0 = np.minimum(r1, r2)[live], np.maximum(r1, r2)[live], w0[live]
+    e_w0 = np.exp(-w0)
+    f = _exp_e1(np.concatenate((r_s, r_s + w0)))
+    near = r_s * (f[: r_s.size] - e_w0 * f[r_s.size :])
+    far, wide = np.empty_like(w0), w0 >= _E1_SPLIT
+    ww, rb = w0[~wide], r_b[~wide]
+    acc = np.zeros_like(ww)
+    for t, w in zip(_GL12_T, _GL12_W):
+        x = t * ww
+        acc += w * np.exp(-x) * x / (x + rb)
+    far[~wide] = acc * ww
+    ww, rb = w0[wide], r_b[wide]
+    x = np.concatenate((rb, rb + ww))
+    tail = _e1_cf_tail(x)
+    fx = 1.0 / (x + 1.0 - tail)
+    gx = (1.0 - tail) * fx
+    far[wide] = gx[: rb.size] - e_w0[wide] * (gx[rb.size :] + ww * fx[rb.size :])
+    row[live] = near - far
+    return row
+
+
+def _e1_cf_tail(x: np.ndarray) -> np.ndarray:
+    """The tail R of e^x*E1(x) = 1/(x + 1 - R), R = 1/(x + 3 - 4/(x + 5 - ...)), for x >= _E1_SPLIT.
+
+    1 - x*e^x*E1(x) = (1 - R)/(x + 1 - R) then has no cancellation.
+    """
+    tail = np.zeros_like(x)
+    for k in range(_E1_CF_TERMS, 0, -1):
+        tail = k * k / (x + (2 * k + 1) - tail)
+    return tail
+
+
+def _exp_e1(x) -> np.ndarray:
+    """e^x*E1(x) for x > 0, E1 the exponential integral int_x^inf e^-t/t dt.
+
+    Below _E1_SPLIT: e^x*(-gamma - log(x) - sum_k (-x)^k/(k*k!)); above it
+    the continued fraction of _e1_cf_tail.
+    """
+    x = np.asarray(x, dtype=float)
+    out, small = np.empty_like(x), x < _E1_SPLIT
+    xs = x[small]
+    poly = np.zeros_like(xs)
+    for coeff in _E1_SERIES:
+        poly += coeff
+        poly *= xs
+    out[small] = np.exp(xs) * (poly - _EULER_GAMMA - np.log(xs))
+    xl = x[~small]
+    out[~small] = 1.0 / (xl + 1.0 - _e1_cf_tail(xl))
     return out
 
 
@@ -315,7 +394,11 @@ def policy_prob_zero(
     draw); p_j = 0 falls back to the exact no-jam closed form.
 
     semi-dynamic: P_J > pj_star whenever it exists, unbounded power
-    otherwise; the constant construction at P_J = inf, bounded by p1.
+    otherwise; the constant construction at P_J = inf, bounded by p1, with
+    the a_tilde integral in closed form.
+
+    At an endpoint node any jamming zeroes the estimate, and the bound is
+    still p2 (p1) on the same stream: the window has no gain in it.
 
     full-dynamic: power chosen per (c, d) reality; never zero secrecy.
 
@@ -330,20 +413,18 @@ def policy_prob_zero(
         return PolicyReport(policy=policy, estimate=Estimate(0.0, 0.0, mc.n_samples))
     if kind in (JamPolicyKind.CONSTANT, JamPolicyKind.SEMI_DYNAMIC):
         semi = kind is JamPolicyKind.SEMI_DYNAMIC
-        p_j = math.inf if semi else params.p_j
-        if math.isinf(a) or math.isinf(b):
-            val = eve_at_node_prob(replace(params, p_j=p_j))
-            return PolicyReport(policy=policy, estimate=Estimate(val, 0.0, mc.n_samples))
+        p_j, n = (math.inf if semi else params.p_j), mc.n_samples
+        node = math.isinf(a) or math.isinf(b)
         if p_j == 0:
-            return PolicyReport(
-                policy=policy,
-                estimate=Estimate(prob_zero_nojam(g), 0.0, mc.n_samples),
-                p2=Estimate(1.0, 0.0, mc.n_samples),
+            val = eve_at_node_prob(params) if node else prob_zero_nojam(g)
+            return PolicyReport(policy=policy, estimate=Estimate(val, 0.0, n), p2=Estimate(1.0, 0.0, n))
+        if node:  # jamming zeroes the probability there, and the window mass has no gain in it
+            est, bound = Estimate(0.0, 0.0, n), p2_bound(rho, p_j, mc)
+        else:
+            est, bound = estimate(
+                lambda uv: _policy_integrand(uv[:, 0], uv[:, 1], a, b, rho, p_j), mc, draws_per_sample=2
             )
-        est, bound = estimate(lambda uv: _policy_integrand(uv[:, 0], uv[:, 1], a, b, rho, p_j), mc, draws_per_sample=2)
-        if semi:
-            return PolicyReport(policy=policy, estimate=est, p1=bound)
-        return PolicyReport(policy=policy, estimate=est, p2=bound)
+        return PolicyReport(policy=policy, estimate=est, **{"p1" if semi else "p2": bound})
     # general-dynamic
     p = float(policy.p_accept)
     draws = sample_matrix(mc, 3)
@@ -405,7 +486,20 @@ def homogeneous_secrecy(a_tilde: float, b1_tilde: float, b2_tilde: float, rho: f
 
 
 def homogeneous_tail_bound(s: float, rho: float) -> float:
-    """P{near-field secrecy <= s} < 2^s * rho * pi/4 (clipped at 1)."""
+    """P{near-field secrecy <= s} < 2^s * rho * pi/4 (clipped at 1).
+
+    At s = inf it is 1.  At rho = 0 the near-field secrecy is infinite, so
+    it is 0 for every finite s.  Past s = 1000, where 2^s overflows, it is
+    taken in log space.
+    """
+    if not rho >= 0 or math.isnan(s):
+        raise InvalidParameterError(f"homogeneous_tail_bound needs rho >= 0 and a level s, got rho={rho}, s={s}")
+    if s == math.inf:
+        return 1.0
+    if rho == 0:
+        return 0.0
+    if s > 1000.0:
+        return math.exp(min(0.0, s * math.log(2.0) + math.log(rho * math.pi / 4.0)))
     return min(1.0, 2.0**s * rho * math.pi / 4.0)
 
 

@@ -112,15 +112,18 @@ def test_optimal_jamming_matches_search_oracle() -> None:
     t0 = time.perf_counter()
     bad = 0
     regions = {r: 0 for r in Region}
+    draws = []
     for _ in range(10_000):
         a = float(10.0 ** rng.uniform(-3, 3))
         b = float(10.0 ** rng.uniform(-3, 3))
         rho = float(10.0 ** rng.uniform(-4, math.log10(0.5)))
         p_t = float(10.0 ** rng.uniform(0, 4))
-        g = LinkGains(a, b)
+        draws.append((LinkGains(a, b), rho, p_t))
+    gs, rhos, p_ts = zip(*draws)
+    searched = golden_max_secrecy(gs, np.array(rhos), np.array(p_ts))  # one lane per draw
+    for (g, rho, p_t), pj_o, s_o in zip(draws, *searched):
         res = opt_jam(g, rho, p_t)
         regions[res.region] += 1
-        pj_o, s_o = golden_max_secrecy(g, rho, p_t)
         s_c = secrecy_ab(g, SystemParams(p_t=p_t, p_j=res.p_j_opt, rho=rho))
         rel = abs(res.p_j_opt - pj_o) / max(res.p_j_opt, 1e-30)
         if not (rel < 1e-6 or s_o - s_c < 1e-10):

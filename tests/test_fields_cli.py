@@ -235,6 +235,15 @@ def test_cli_usage_errors(capsys) -> None:
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "empty-path"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys, where, fmt) -> None:
+    out = str(tmp_path / "no-such-dir" / "f.csv") if where == "missing-directory" else ""
+    assert cli.main(["regions", "--step", "0.5", "--out", out, *fmt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fdjam: error: cannot write {out!r}: ") and err.count("\n") == 1
+
+
 def test_cli_prob_zero_pairwise_small_probability_mass(capsys) -> None:
     rc = cli.main(
         [
@@ -315,6 +324,18 @@ def test_cli_policy_table(capsys) -> None:
         assert constant < p2
     assert "full-dynamic estimate = 0 (exact)" in out
     assert "general-dynamic p=0.0001" in out
+
+
+def test_cli_policy_at_an_endpoint_node_prints_its_bounds(capsys) -> None:
+    assert cli.main(["policy", "--at", "0.5", "0", "--samples", "100", "--ladder-db", "0", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    rows = [line.split() for line in out.splitlines() if line.split()[:1] in (["0"], ["10"])]
+    assert len(rows) == 2
+    for row in rows:
+        constant, p2, semi, p1, _ = (float(v) for v in row[1:6])
+        assert constant == semi == 0.0
+        assert 0.0 < p1 < p2
 
 
 POLICY_TABLE = (

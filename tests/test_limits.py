@@ -1,5 +1,5 @@
 """Limit suite for the five scalar secrecy/outage forms, the kernels under them, the jam-derivative
-coefficients and the policy quadrature.
+coefficients, the CDF lower bound, the near-field law and the policy rows.
 
 Every scalar form is a call into one array kernel, so the properties are
 stated once per quantity: no NaN, secrecy >= 0, probabilities in [0, 1], the
@@ -7,9 +7,12 @@ kernel on arrays equals the scalar form element by element, and the closed
 limits (infinite gain at an endpoint, P_J in {0, inf}, rho = 0, zero
 fading, b = rho*a, w1 at the _W1_GUARD cutoff) hold as literal values.
 The pairwise wedge coefficients reproduce the w-form K = w1/w2, E = w3/w1
-and the closed forms of the window and the layer rate.  The policy
-quadrature keeps 0 <= estimate row <= window-bound row, with an empty
-window at P_J = inf when rho = 0 or B~ = 0.
+and the closed forms of the window and the layer rate.  The policy rows
+(the quadrature at finite P_J, the closed form at P_J = inf) keep
+0 <= estimate row <= window-bound row, with an empty window at P_J = inf
+when rho = 0 or B~ = 0.  The CDF lower bound and the near-field law keep
+their node, rho = 0 and infinite-level limits, with typed errors the only
+failures.
 """
 
 import math
@@ -21,7 +24,8 @@ from hypothesis import strategies as st
 
 from fdjam import montecarlo
 from fdjam.colluding import _secrecy_array, jam_derivative_coeffs, secrecy_ab
-from fdjam.colluding_fading import _cond_prob_zero_array, cond_prob_zero, secrecy_sample, v_terms
+from fdjam.colluding_fading import _cond_prob_zero_array, cdf_lower_bound, cond_prob_zero, secrecy_sample, v_terms
+from fdjam.errors import InvalidParameterError
 from fdjam.geometry import LinkGains, SystemParams, gains
 from fdjam.montecarlo import MCConfig
 from fdjam.pairwise_fading import (
@@ -32,6 +36,8 @@ from fdjam.pairwise_fading import (
     _policy_integrand,
     _wedge_coeffs,
     cond_prob_zero_pair,
+    homogeneous_secrecy,
+    homogeneous_tail_bound,
     p1_bound,
     p2_bound,
     pair_terms,
@@ -310,3 +316,75 @@ def test_policy_prob_zero_at_rho_zero(monkeypatch, p_j: float) -> None:
         assert const.p2 == p2_bound(0.0, p_j, mc)
         assert const.p2.mean == pytest.approx(-math.expm1(-1.0 / p_j), rel=1e-12)  # B~ drops out
         assert 0.0 < const.estimate.mean < const.p2.mean
+
+
+@SETTINGS
+@given(gain_pairs(), rho_s, power, st.one_of(st.floats(1e-6, 1.0), st.just(1.0)))
+@example(gains(0.5, 0.0, 2.0), 0.01, 1000.0, 0.5)  # Bob's node: b = inf
+@example(gains(-0.5, 0.0, 2.0), 0.01, 1000.0, 0.5)  # Alice's node: a = inf
+@example(LinkGains(INF, 1.0), 0.0, INF, 0.5)  # a = inf against rho = 0
+@example(LinkGains(1.0, INF), 0.0, 10.0, 0.5)  # b = inf against rho = 0
+@example(LinkGains(2.0, 0.5), 0.0, 10.0, 0.3)  # rho = 0
+def test_cdf_lower_bound_limits(g, rho, p_j, p) -> None:
+    if not p_j > 0:
+        with pytest.raises(InvalidParameterError):
+            cdf_lower_bound(p, g.a, g.b, rho, p_j)
+        return
+    bound = cdf_lower_bound(p, g.a, g.b, rho, p_j)
+    assert not math.isnan(bound) and 0.0 <= bound <= 1.0
+    if p == 1.0 or math.isinf(g.b):  # Eve on the jammer: the conditional probability is 0
+        assert bound == 1.0
+    elif math.isinf(g.a):  # Eve on the transmitter: it is 1
+        assert bound == 0.0
+    else:
+        exact = g.b * p / (g.b * p + g.a * rho * (1.0 - p))  # the CDF at P_J = inf
+        assert bound <= exact
+        if math.isinf(p_j):
+            assert bound == exact
+
+
+@SETTINGS
+@given(fading, fading, fading, rho_s)
+@example(0.0, 0.0, 1.0, 0.1)  # no signal and no self-interference: the second wins
+@example(1.0, 1.0, 1.0, 0.0)
+def test_homogeneous_secrecy_limits(a_t, b1_t, b2_t, rho) -> None:
+    if rho == 0:
+        with pytest.raises(InvalidParameterError):
+            homogeneous_secrecy(a_t, b1_t, b2_t, rho)
+        return
+    s = homogeneous_secrecy(a_t, b1_t, b2_t, rho)
+    assert not math.isnan(s)
+    if b1_t * b2_t == 0.0:
+        assert s == INF
+    elif a_t == 0.0:
+        assert s == -INF
+    else:
+        assert s == pytest.approx(math.log2(a_t / (rho * math.sqrt(b1_t * b2_t))), rel=1e-12, abs=1e-12)
+
+
+@SETTINGS
+@given(st.floats(allow_nan=False), rho_s)
+@example(INF, 0.0)  # the level every secrecy lies below
+@example(5.0, 0.0)  # no self-interference: the near-field secrecy is infinite
+@example(2000.0, 0.1)  # 2^s overflows
+@example(1020.0, 1e-300)  # 2^s overflows and the product does not
+@example(-INF, 0.1)
+def test_homogeneous_tail_bound_limits(s, rho) -> None:
+    bound = homogeneous_tail_bound(s, rho)
+    assert not math.isnan(bound) and 0.0 <= bound <= 1.0
+    if s == INF:
+        assert bound == 1.0
+    elif rho == 0:
+        assert bound == 0.0
+    elif s <= 1000.0:
+        assert bound == min(1.0, 2.0**s * rho * math.pi / 4.0)
+    else:  # in log space
+        log_bound = s * math.log(2.0) + math.log(rho * math.pi / 4.0)
+        if log_bound >= 0:
+            assert bound == 1.0
+        else:
+            assert math.log(bound) == pytest.approx(log_bound, rel=1e-12)
+    if s < 1e300:
+        assert homogeneous_tail_bound(s + 1.0, rho) >= bound
+    with pytest.raises(InvalidParameterError):
+        homogeneous_tail_bound(math.nan, rho)

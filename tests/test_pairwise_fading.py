@@ -14,6 +14,7 @@ from fdjam.oracles import mc_cond_prob_zero_pair, quad_policy_row, quad_prob_zer
 from fdjam.pairwise_fading import (
     JamPolicy,
     JamPolicyKind,
+    _exp_e1,
     _policy_integrand,
     cond_prob_zero_pair,
     cond_prob_zero_pair_array,
@@ -213,6 +214,70 @@ def test_policy_integrand_in_the_far_field(p_j: float) -> None:
     # at (1.3, 0.7) and -30 dB (the window ~1/P_J is wider than e^-A~ reaches) the
     # 48-node rule is within 2.2e-9 of the oracle; 32 nodes miss by 1.3e-4
     _rows_against_the_window_oracle(gains(1.3, 0.7, 2.0), p_j, atol=1e-8)
+
+
+# (x, e^x*E1(x)) to 17 digits, from a 40-digit evaluation; the series/continued
+# fraction split of _exp_e1 lies at x = 3
+EXP_E1_TABLE = (
+    (1e-300, 690.19831223331217),
+    (1e-12, 27.053805451055069),
+    (1e-3, 6.337874070325488),
+    (0.1, 2.0146425447084516),
+    (0.5, 0.92291063248373047),
+    (1.0, 0.59634736232319407),
+    (2.0, 0.36132861688822258),
+    (2.9999999999999996, 0.26208374025531853),
+    (3.0, 0.2620837402553185),
+    (3.5, 0.23081933159801029),
+    (5.0, 0.1704221762847322),
+    (10.0, 0.091563333939788082),
+    (30.0, 0.032289738758980125),
+    (100.0, 0.0099019422867330184),
+    (1e4, 9.999000199940024e-5),
+    (1e10, 9.999999999e-11),
+)
+
+
+def test_exp_e1_against_a_table() -> None:
+    x, want = np.array(EXP_E1_TABLE).T
+    np.testing.assert_allclose(_exp_e1(x), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("at", [(0.0, 0.0), (-0.6, 0.0), (0.49, 0.0), (0.499, 0.0), (1.3, 0.7)])
+@pytest.mark.parametrize("rho", [1e-4, 0.01, 0.1, 1.0])
+def test_semi_dynamic_row_matches_the_window_oracle(at, rho: float) -> None:
+    # at P_J = inf the row is a closed form in e^x*E1(x); near Bob's node r1 and r2
+    # lie 12 decades apart, where a plain sum of four E1 terms loses its digits
+    g = gains(*at, 2.0)
+    u, v = np.random.default_rng(29).exponential(size=(2, 8))
+    # edge rows B~ = 1e-9 and B~ = 30, and B~ = 4, whose window rho*4 at rho = 1 lies
+    # just past the split at 3 between the two evaluations of the smooth part
+    u = np.concatenate((u, [1e-9, 1e-9, 30.0, 30.0, 4.0]))
+    v = np.concatenate((v, [1e-9, 30.0, 1e-9, 30.0, 4.0]))
+    rows = _policy_integrand(u, v, g.a, g.b, rho, math.inf)
+    params = SystemParams(p_t=1.0, p_j=math.inf, rho=rho)
+    ref = np.array([quad_policy_row(g, params, float(b1), float(b2)) for b1, b2 in zip(u, v)])
+    gap = np.abs(rows[:, 0] - ref)
+    assert np.all(gap <= 1e-12)
+    assert np.all(gap <= 1e-9 * ref)
+    np.testing.assert_allclose(rows[:, 1], -np.expm1(-rho * np.sqrt(u * v)), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("at", [(0.5, 0.0), (-0.5, 0.0)])
+def test_policy_at_an_endpoint_node_keeps_its_bound(at) -> None:
+    # any jamming zeroes the probability at a node; the window mass has no gain
+    # in it, so each rung still reports its bound on the same stream
+    g = gains(*at, 2.0)
+    mc = MCConfig(seed=3, n_samples=5000)
+    params = SystemParams(p_t=1.0, p_j=10.0, rho=0.1)
+    const = policy_prob_zero(JamPolicy(JamPolicyKind.CONSTANT), g, params, mc)
+    semi = policy_prob_zero(JamPolicy(JamPolicyKind.SEMI_DYNAMIC), g, params, mc)
+    assert const.estimate == semi.estimate == montecarlo.Estimate(0.0, 0.0, mc.n_samples)
+    assert const.p1 is None and const.p2 == p2_bound(params.rho, params.p_j, mc)
+    assert semi.p2 is None and semi.p1 == p1_bound(params.rho, mc)
+    silent = SystemParams(p_t=1.0, p_j=0.0, rho=0.1)
+    rep = policy_prob_zero(JamPolicy(JamPolicyKind.CONSTANT), g, silent, mc)
+    assert (rep.estimate.mean, rep.p2.mean) == (eve_at_node_prob(silent), 1.0)  # the window is unbounded
 
 
 @pytest.mark.parametrize("kind", [JamPolicyKind.CONSTANT, JamPolicyKind.SEMI_DYNAMIC])
