@@ -128,23 +128,46 @@ def classify_jam_response(g: LinkGains, rho: float, a_tilde: float, b_tilde: flo
     of d/dP_J of cond_prob_zero is -(a0 + a1*P_J): a0 > 0 with a1 >= 0 means
     larger is always better (optimal-infinite); a0 > 0 with a1 < 0 gives the
     interior minimizer a0/(-a1); a0 <= 0 means jamming only hurts.
+
+    At an endpoint node a product with an exactly-zero factor is 0, and the
+    rest are the limits along the infinite gain: at b = inf the bracket of
+    a1 is regrouped as b*(a - A~) - a*rho*B~, and the minimizer a0/(-a1)
+    tends to a/(rho*B~*(A~ - a)); where it diverges the response is
+    optimal-infinite.
     """
     if not rho > 0:
         raise InvalidParameterError(f"classify_jam_response needs rho > 0, got {rho}")
     a, b = g.a, g.b
-    a0 = a * (b - rho * b_tilde)
-    a1 = rho * b_tilde * (a * (b - rho * b_tilde) - b * a_tilde)
+    a0 = _times(a, b - rho * b_tilde)
+    if math.isinf(b):
+        bracket = _times(b, a - a_tilde) - a * rho * b_tilde
+    else:
+        bracket = a0 - b * a_tilde
+    a1 = _times(rho * b_tilde, bracket)
     if a0 > 0 and a1 >= 0:
         return JamResponse(JamResponseKind.OPTIMAL_INFINITE, math.inf)
     if a0 > 0:
-        return JamResponse(JamResponseKind.OPTIMAL_FINITE, a0 / -a1)
+        p_j_opt = a / (rho * b_tilde * (a_tilde - a)) if math.isinf(a1) else a0 / -a1
+        if math.isinf(p_j_opt):
+            return JamResponse(JamResponseKind.OPTIMAL_INFINITE, math.inf)
+        return JamResponse(JamResponseKind.OPTIMAL_FINITE, p_j_opt)
     return JamResponse(JamResponseKind.OPTIMAL_ZERO, 0.0)
 
 
+def _times(x: float, y: float) -> float:
+    """x*y, with 0 wherever a factor is exactly 0, also against an infinite one."""
+    return 0.0 if x == 0 or y == 0 else x * y
+
+
 def rho_for_eta(a: float, b: float, eta: float) -> float:
-    """rho making b/(rho*a) equal eta."""
+    """rho making b/(rho*a) equal eta: 0 at a = inf or eta = inf, inf at b = inf.
+
+    b = inf with eta = inf has no single answer and raises.
+    """
     if not eta > 0:
         raise InvalidParameterError(f"eta must be > 0, got {eta}")
+    if math.isinf(b) and math.isinf(eta):
+        raise InvalidParameterError("rho_for_eta is undefined at b = inf with eta = inf")
     return b / (eta * a)
 
 
@@ -154,6 +177,9 @@ def decreasing_prob_complement(a: float, b: float, rho: float) -> float:
     With eta = b/(rho*a) and delta = eta - 1 the complement is
     exp(-a) * (1 - expm1(-delta*a)/delta), which stays exact to several
     digits even when it is ~1e-42; the eta = 1 limit is (1+a)exp(-a).
+    Below eta = 1 the same sum of positive terms is
+    exp(-a) - exp(-eta*a)*expm1(delta*a)/(-delta), where expm1(-delta*a)
+    would overflow past a ~ 709.
     """
     if not a > 0:
         raise InvalidParameterError(f"a must be > 0, got {a}")
@@ -165,6 +191,8 @@ def decreasing_prob_complement(a: float, b: float, rho: float) -> float:
     if eta == 1.0:
         return math.exp(math.log1p(a) - a)
     delta = eta - 1.0
+    if delta < 0:
+        return math.exp(-a) - math.exp(-eta * a) * math.expm1(delta * a) / -delta
     factor = 1.0 - math.expm1(-delta * a) / delta if not math.isinf(delta) else 1.0
     # factor > 0 for all delta > -1, so the log-space route is always open
     return math.exp(-a + math.log(factor))

@@ -150,11 +150,12 @@ def quad_policy_row(g: LinkGains, params: SystemParams, b1_tilde: float, b2_tild
     e^-(c* + d*)*(1 - v1*u1)/((1 + u1)*(1 + v1)), with the v's and u's read
     off the two phases' SINRs; it vanishes once v1*u1 >= 1, at A~ = w0.  The
     A~ integral is composite Simpson on two geometric grids of 20001 points,
-    one in log(A~) over [1e-15*w0, w0/2] for the boundary layer at A~ = 0
-    and one in log(w0 - A~) over the upper half, where e^-(c* + d*) closes
-    the wedge within a sliver below w0 at finite P_J.  The piece below 1e-15*w0 is
-    taken as its length (the integrand is 1 at A~ = 0); the one above
-    w0*(1 - 1e-15) is dropped (the integrand vanishes at w0).
+    one in log(A~) over [lo, w0/2] for the boundary layer at A~ = 0 and one
+    in log(w0 - A~) over the upper half, where e^-(c* + d*) closes the wedge
+    within a sliver below w0 at finite P_J.  lo is 1e-15 times the least of
+    w0 and the A~ at which v1 or u1 reaches 1, the scales of that layer; the
+    piece below lo is taken as its length (the integrand is 1 at A~ = 0),
+    and the one above w0 - 1e-15*w0 is dropped (the integrand vanishes at w0).
     """
     a, b, rho, p_j = g.a, g.b, params.rho, params.p_j
     if math.isinf(a) or math.isinf(b):
@@ -162,11 +163,14 @@ def quad_policy_row(g: LinkGains, params: SystemParams, b1_tilde: float, b2_tild
     if math.isinf(p_j):
         r1, r2 = rho * b1_tilde, rho * b2_tilde  # SINR_B = A~*P_T/(r1*P_J)
         w0 = math.sqrt(r1 * r2)
+        layers = (a * r1 / b, b * r2 / a)
     else:
         q1, q2 = 1.0 + rho * b1_tilde * p_j, 1.0 + rho * b2_tilde * p_j
         w0 = math.sqrt(q1 * q2) / p_j
+        layers = (a * q1 / (b * p_j), b * q2 / (a * p_j))
     if w0 == 0.0:
         return 0.0
+    lo = 1e-15 * min(w0, *layers)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         if math.isinf(p_j):
@@ -182,11 +186,12 @@ def quad_policy_row(g: LinkGains, params: SystemParams, b1_tilde: float, b2_tild
     def simpson(f: np.ndarray, h: float) -> float:
         return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
 
-    s, h = np.linspace(math.log(1e-15 * w0), math.log(0.5 * w0), 20001, retstep=True)
+    s, h = np.linspace(math.log(lo), math.log(0.5 * w0), 20001, retstep=True)
     lower = np.exp(s)
+    s, h_up = np.linspace(math.log(1e-15 * w0), math.log(0.5 * w0), 20001, retstep=True)
     upper = np.exp(s[::-1])  # w0 - A~, from w0/2 down to 1e-15*w0
     return float(
-        lower[0] + simpson(lower * integrand(lower), h) + simpson(upper * integrand(w0 - upper), h)
+        lower[0] + simpson(lower * integrand(lower), h) + simpson(upper * integrand(w0 - upper), h_up)
     )
 
 

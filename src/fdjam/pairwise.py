@@ -103,12 +103,15 @@ def positivity_universal(rho: float) -> bool:
 
 
 def t_factor(g: LinkGains, params: SystemParams) -> float:
-    """T = (1+SNR_AE)(1+SNR_BE) in its cancellation-free rational form."""
+    """T = (1+SNR_AE)(1+SNR_BE) = (1 + a*P_T/(1+b*P_J))*(1 + b*P_T/(1+a*P_J)).
+
+    Every term is positive, so nothing cancels, and the form reaches its
+    limit 1 at P_J = inf (or where b*P_J overflows) without inf/inf.
+    """
     a, b, p_t, p_j = g.a, g.b, params.p_t, params.p_j
     if math.isinf(a) or math.isinf(b):
         raise InvalidParameterError("t_factor needs finite gains")
-    num = (1.0 + b * p_j + a * p_t) * (1.0 + a * p_j + b * p_t)
-    return num / ((1.0 + b * p_j) * (1.0 + a * p_j))
+    return (1.0 + a * p_t / (1.0 + b * p_j)) * (1.0 + b * p_t / (1.0 + a * p_j))
 
 
 def pair_hypotheses_hold(g: LinkGains, params: SystemParams) -> bool:
@@ -208,21 +211,22 @@ def _axis_gains(d: float, alpha: float) -> LinkGains:
 def deriv_x_axis(d: float, params: SystemParams) -> float:
     """d/dx of the pair secrecy (bits) along y = 0, at d_A = d.
 
-    Equals -(log2 e)/2 times dlnT/dd; only T varies with position.  Uses
-    a' = -alpha*a/d and b' = alpha*b/(1-d), which is valid for any real
-    alpha on both sides of d = 1.
+    Equals -(log2 e)/2 times dlnT/dd; only T varies with position.  With
+    x = a*P_T/(1+b*P_J), y = b*P_T/(1+a*P_J) (T = (1+x)(1+y)) and the
+    logarithmic slopes a'/a = -alpha/d, b'/b = alpha/(1-d), which hold for
+    any real alpha on both sides of d = 1,
+    dlnT/dd = x/(1+x)*(a'/a - b'/b*(1 - 1/f_b)) + y/(1+y)*(b'/b - a'/a*(1 - 1/f_a)),
+    f_b = 1+b*P_J and f_a = 1+a*P_J.  The large-P_J parts cancel inside the
+    brackets, so at P_J = inf (x = y = 0) the slope is 0.
     """
     g = _axis_gains(d, params.alpha)
     if not pair_hypotheses_hold(g, params):
         raise UnsupportedRegimeError("deriv_x_axis needs the positive-secrecy hypotheses")
     a, b, p_t, p_j, alpha = g.a, g.b, params.p_t, params.p_j, params.alpha
-    ap = -alpha * a / d
-    bp = alpha * b / (1.0 - d)
-    f1 = 1.0 + b * p_j + a * p_t
-    f2 = 1.0 + a * p_j + b * p_t
-    f3 = 1.0 + b * p_j
-    f4 = 1.0 + a * p_j
-    dlnt = (bp * p_j + ap * p_t) / f1 + (ap * p_j + bp * p_t) / f2 - bp * p_j / f3 - ap * p_j / f4
+    la, lb = -alpha / d, alpha / (1.0 - d)
+    f_b, f_a = 1.0 + b * p_j, 1.0 + a * p_j
+    x, y = a * p_t / f_b, b * p_t / f_a
+    dlnt = x / (1.0 + x) * (la - lb * (1.0 - 1.0 / f_b)) + y / (1.0 + y) * (lb - la * (1.0 - 1.0 / f_a))
     return -0.5 * LOG2E * dlnt
 
 

@@ -43,10 +43,21 @@ __all__ = [
     "secrecy_sample_pair",
 ]
 
-# 48 Gauss-Legendre nodes moved from [-1, 1] to t in [0, 1] by t = 1 - ((1 - x)/2)^2,
-# which crowds them towards t = 1, where the wedge closes (_policy_integrand, finite P_J)
-_GL_X, _GL_WX = np.polynomial.legendre.leggauss(48)
-_GL_T, _GL_W = 1.0 - (0.5 * (1.0 - _GL_X)) ** 2, 0.5 * (1.0 - _GL_X) * _GL_WX
+
+def _crowded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(t, w): n Gauss-Legendre nodes moved from [-1, 1] to t in [0, 1] by t = 1 - ((1 - x)/2)^2.
+
+    The map crowds the nodes towards t = 1, where the wedge closes
+    (_policy_integrand, finite P_J).
+    """
+    x, wx = np.polynomial.legendre.leggauss(n)
+    return 1.0 - (0.5 * (1.0 - x)) ** 2, 0.5 * (1.0 - x) * wx
+
+
+# The A~ rules of _policy_integrand: 32 nodes for a row whose wedge closes inside its
+# window (w0 <= _A_TOP), 48 for one whose window is cut at _A_TOP and never closes
+_CLOSING_RULE = _crowded_rule(32)
+_WIDE_RULE = _crowded_rule(48)
 # 12 Gauss-Legendre nodes on [0, 1] for the smooth part of the semi-dynamic row (_semi_dynamic_row)
 _GL12_X, _GL12_WX = np.polynomial.legendre.leggauss(12)
 _GL12_T, _GL12_W = 0.5 * (1.0 + _GL12_X), 0.5 * _GL12_WX
@@ -259,11 +270,13 @@ def semi_dynamic_cap(rho: float) -> float:
     return math.pi * rho / 4.0
 
 
-# Rows per quadrature tile: the five (48, rows) temporaries stay in cache (~2 MB).
+# Rows per quadrature tile: the five (nodes, rows) temporaries stay in cache (~1.3 MB at
+# 32 nodes, ~2 MB at 48).
 _TILE_ROWS = 1024
 # Smallest stretch L = log1p(c*w0); below it the map is linear in t to 1e-8.
 _MIN_STRETCH = 1e-8
-# A~ past which e^-A~ < 5e-18: the quadrature stops there when the window is wider.
+# A~ past which e^-A~ < 5e-18: the quadrature stops there when the window is wider, and
+# such a row takes _WIDE_RULE.
 _A_TOP = 40.0
 # Floor of the quadrature's exp argument: e^-700 < 1e-304 adds nothing to a row, and
 # numpy's exp runs 20-100x slower where its result is subnormal or underflows.
@@ -277,12 +290,14 @@ def _policy_integrand(u: np.ndarray, v: np.ndarray, a: float, b: float, rho: flo
     finite P_J it integrates e^-A~ * cond_prob_zero_pair over [0, top],
     top = min(w0, _A_TOP), in t in [0, 1] with A~ = top*expm1(t*L)/expm1(L),
     L = log1p(c*top), that is A~ = expm1(t*L)/c: the map spreads the boundary
-    layer of rate c at A~ = 0 over the nodes, and the nodes crowd towards
-    t = 1, where e^-E closes the wedge within a sliver below w0.  The wedge
+    layer of rate c at A~ = 0 over the nodes.  Each row picks its rule from
+    its own window: where the wedge closes inside it (w0 <= _A_TOP), e^-E
+    closes it within a sliver below w0, and the 32 nodes of _CLOSING_RULE,
+    crowded towards t = 1, resolve it; a window cut at _A_TOP never closes,
+    and such a row takes the 48 nodes of _WIDE_RULE.  The wedge
     coefficients, w0 and c come once per row from _wedge_coeffs; a node
-    costs one exp, of t*L - A~ - E, and a product masks it past the
-    _W1_GUARD cut.  Rows go through in tiles of _TILE_ROWS.  The second
-    column is the window bound (P2, or P1 at P_J = inf) on the same row.
+    costs one exp (_rows_on_rule).  The second column is the window bound
+    (P2, or P1 at P_J = inf) on the same row.
     """
     c0, c2, d1, s, z = _wedge_coeffs(a, b, rho, p_j, u, v)
     w0 = np.sqrt(c0 / c2)
@@ -296,22 +311,61 @@ def _policy_integrand(u: np.ndarray, v: np.ndarray, a: float, b: float, rho: flo
         ct = d1 / c0 * top
     stretch = np.maximum(np.log1p(np.where(np.isfinite(ct), ct, 0.0)), _MIN_STRETCH)
     scale = top / np.expm1(stretch)  # 1/c
-    work = np.empty((5, _GL_T.size, _TILE_ROWS))
-    for lo in range(0, u.shape[0], _TILE_ROWS):
+    wide = w0 > _A_TOP
+    for rule, idx in ((_CLOSING_RULE, np.flatnonzero(~wide)), (_WIDE_RULE, np.flatnonzero(wide))):
+        if idx.size:
+            out[idx, 0] = _rows_on_rule(rule, (c0[idx], c2, d1[idx], s[idx], z), stretch[idx], scale[idx])
+    return out
+
+
+def _rows_on_rule(rule: tuple, coeffs: tuple, stretch: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The first column of _policy_integrand at finite P_J for some rows, on the A~ rule (t, w).
+
+    coeffs, stretch and scale hold those rows only.  At a node, A~ =
+    expm1(t*L)*scale, and one exp of t*L - A~ - E gives e^-A~*e^-E times
+    the map's Jacobian over L*scale; a product masks it past the _W1_GUARD
+    cut.  Rows go through in tiles of _TILE_ROWS, in five (nodes, rows)
+    buffers that every tile reuses, and _node_sum makes each row's value
+    depend on that row alone.
+    """
+    t, w = rule
+    c0, c2, d1, s, z = coeffs
+    row = np.empty(c0.size)
+    # (nodes, rows) views into one slab of at least the 48-node size whatever the rule: glibc
+    # sets its mmap and trim thresholds from the largest block a process has freed, and after
+    # a smaller slab the prob-zero fields that follow a rung in the same process ran 8-15% slower
+    work = np.empty((5, max(t.size, _WIDE_RULE[0].size), _TILE_ROWS))[:, : t.size]
+    for lo in range(0, c0.size, _TILE_ROWS):
         rows = slice(lo, lo + _TILE_ROWS)
-        tl, w, w1, w2, w3 = work[:, :, : scale[rows].size]  # (nodes, rows) each, reused by every tile
-        np.multiply(_GL_T[:, None], stretch[rows], out=tl)
-        np.multiply(np.expm1(tl, out=w), scale[rows], out=w)
-        _wedge((c0[rows], c2, d1[rows], s[rows], z), w, out=(w1, w2, w3))
-        tl -= w  # t*L - A~
-        cut = np.multiply(w2, _W1_GUARD, out=w)  # past it, max() keeps E finite on the node the product masks
+        tl, a_t, w1, w2, w3 = work[:, :, : scale[rows].size]  # (nodes, rows) each
+        np.multiply(t[:, None], stretch[rows], out=tl)
+        np.multiply(np.expm1(tl, out=a_t), scale[rows], out=a_t)
+        _wedge((c0[rows], c2, d1[rows], s[rows], z), a_t, out=(w1, w2, w3))
+        tl -= a_t  # t*L - A~
+        cut = np.multiply(w2, _W1_GUARD, out=a_t)  # past it, max() keeps E finite on the node the product masks
         live = w1 > cut
         tl -= np.divide(w3, np.maximum(w1, cut, out=cut), out=w3)
         vals = np.divide(w1, w2, out=w1)  # K
         vals *= np.exp(np.maximum(tl, _EXP_FLOOR, out=tl), out=tl)
         vals *= live
-        out[rows, 0] = _GL_W @ vals * (stretch[rows] * scale[rows])
-    return out
+        vals *= w[:, None]
+        row[rows] = _node_sum(vals) * (stretch[rows] * scale[rows])
+    return row
+
+
+def _node_sum(vals: np.ndarray) -> np.ndarray:
+    """The sum over axis 0 (the nodes), by halving in place.
+
+    Every column takes the same additions in the same order whatever the
+    other columns hold; a BLAS matrix-vector product rounds its trailing
+    columns differently, which would make a row's value depend on its tile.
+    """
+    k = vals.shape[0]
+    while k > 1:
+        half = k // 2
+        vals[:half] += vals[k - half : k]
+        k -= half
+    return vals[0]
 
 
 def _semi_dynamic_row(r1: np.ndarray, r2: np.ndarray, w0: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ and the closed forms of the window and the layer rate.  The policy rows
 0 <= estimate row <= window-bound row, with an empty window at P_J = inf
 when rho = 0 or B~ = 0.  The CDF lower bound and the near-field law keep
 their node, rho = 0 and infinite-level limits, with typed errors the only
-failures.
+failures.  So do the T factor and the forms built on it (secrecy_from_t,
+the x-axis slope, the left/right asymmetry), lambda, the decreasing-response
+probability, rho_for_eta and the jam-response classes.
 """
 
 import math
@@ -23,11 +25,24 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fdjam import montecarlo
-from fdjam.colluding import _secrecy_array, jam_derivative_coeffs, secrecy_ab
-from fdjam.colluding_fading import _cond_prob_zero_array, cdf_lower_bound, cond_prob_zero, secrecy_sample, v_terms
-from fdjam.errors import InvalidParameterError
+from fdjam.colluding import _secrecy_array, jam_derivative_coeffs, lambda_factor, positivity, secrecy_ab
+from fdjam.colluding_fading import (
+    JamResponseKind,
+    _cond_prob_zero_array,
+    cdf_lower_bound,
+    classify_jam_response,
+    cond_prob_zero,
+    decreasing_prob_complement,
+    decreasing_prob_lower_bound,
+    rho_for_eta,
+    secrecy_sample,
+    v_terms,
+)
+from fdjam.errors import InvalidParameterError, UnsupportedRegimeError
 from fdjam.geometry import LinkGains, SystemParams, gains
 from fdjam.montecarlo import MCConfig
+from fdjam.oracles import deriv_x_axis_even_alpha
+from fdjam.pairwise import deriv_x_axis, lr_asymmetry, pair_hypotheses_hold, secrecy_from_t, secrecy_pair, t_factor
 from fdjam.pairwise_fading import (
     _W1_GUARD,
     JamPolicy,
@@ -388,3 +403,192 @@ def test_homogeneous_tail_bound_limits(s, rho) -> None:
         assert homogeneous_tail_bound(s + 1.0, rho) >= bound
     with pytest.raises(InvalidParameterError):
         homogeneous_tail_bound(math.nan, rho)
+
+
+@SETTINGS
+@given(gain_pairs(), rho_s, power, p_t_s)
+@example(gains(0.0, 0.0, 2.0), 0.01, INF, 100.0)  # P_J = inf: T = 1, secrecy 0
+@example(gains(0.0, 0.0, 2.0), 0.01, 1e300, 100.0)  # b*P_J*a*P_J overflows
+@example(gains(0.0, 0.0, 2.0), 0.0, INF, 100.0)  # rho = 0: the whole link rate is secret
+@example(gains(0.5, 0.0, 2.0), 0.01, 10.0, 100.0)  # Bob's node
+@example(LinkGains(INF, 1.0), 0.1, 10.0, 100.0)  # Alice's node
+@example(LinkGains(4.0, 0.4), 0.1, 50.0, 100.0)  # b = rho*a
+@example(LinkGains(2.0, 0.5), 0.1, 0.0, 100.0)  # no jamming
+def test_t_factor_and_secrecy_from_t_limits(g, rho, p_j, p_t) -> None:
+    p = SystemParams(p_t=p_t, p_j=p_j, rho=rho)
+    if math.isinf(g.a) or math.isinf(g.b):
+        with pytest.raises(InvalidParameterError):
+            t_factor(g, p)
+        with pytest.raises(UnsupportedRegimeError):
+            secrecy_from_t(g, p)
+        return
+    t = t_factor(g, p)
+    assert not math.isnan(t) and t >= 1.0
+    assert t == t_factor(g.swapped(), p)
+    if math.isinf(p_j):
+        assert t == 1.0
+    elif p_j == 0:
+        assert t == (1.0 + g.a * p_t) * (1.0 + g.b * p_t)
+    if not pair_hypotheses_hold(g, p):
+        with pytest.raises(UnsupportedRegimeError):
+            secrecy_from_t(g, p)
+        return
+    s = secrecy_from_t(g, p)
+    assert not math.isnan(s)
+    assert s == pytest.approx(secrecy_pair(g, p).s, rel=1e-9, abs=1e-9)
+
+
+@SETTINGS
+@given(gain_pairs(), rho_s, power)
+@example(LinkGains(INF, 1.0), 0.1, INF)  # Alice's node
+@example(LinkGains(1.0, INF), 0.1, 0.0)  # Bob's node without jamming: b*P_J = inf*0
+@example(LinkGains(1.0, INF), 0.0, INF)
+@example(LinkGains(2.0, 1.0), 0.0, INF)  # rho = 0 at P_J = inf
+@example(LinkGains(4.0, 0.4), 0.1, INF)  # b = rho*a: lambda -> 1 at P_J = inf
+def test_lambda_factor_limits(g, rho, p_j) -> None:
+    p = SystemParams(p_t=1.0, p_j=p_j, rho=rho)
+    lam = lambda_factor(g, p)
+    assert not math.isnan(lam) and lam >= 0.0
+    if math.isinf(g.a):
+        assert lam == 0.0
+    elif p_j == 0:
+        assert lam == 1.0 / g.a
+    elif math.isinf(p_j):
+        assert lam == (INF if rho == 0 or math.isinf(g.b) else g.b / (rho * g.a))
+    elif math.isinf(g.b):
+        assert lam == INF
+    if abs(lam - 1.0) > 1e-9:  # away from the rounding of lambda = 1, lambda > 1 is positive secrecy
+        assert (lam > 1.0) == positivity(g, p)
+
+
+axis_d = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 5.0))
+
+
+@SETTINGS
+@given(axis_d, rho_s, power, p_t_s)
+@example(0.3, 0.01, INF, 100.0)  # P_J = inf: the slope's limit 0
+@example(0.3, 0.01, 1e300, 100.0)
+@example(1.4, 0.0, INF, 100.0)  # rho = 0 beyond Bob
+@example(1.0, 0.01, 10.0, 100.0)  # Bob's node
+@example(0.0, 0.01, 10.0, 100.0)  # Alice's node
+@example(0.7, 1e-4, 1e4, 100.0)
+def test_deriv_x_axis_limits(d, rho, p_j, p_t) -> None:
+    p = SystemParams(p_t=p_t, p_j=p_j, rho=rho)
+    if d in (0.0, 1.0):
+        with pytest.raises(InvalidParameterError):
+            deriv_x_axis(d, p)
+        return
+    if not pair_hypotheses_hold(gains(d - 0.5, 0.0, 2.0), p):
+        with pytest.raises(UnsupportedRegimeError):
+            deriv_x_axis(d, p)
+        return
+    slope = deriv_x_axis(d, p)
+    assert not math.isnan(slope)
+    if math.isinf(p_j):
+        assert slope == 0.0
+    elif p_j > 1e100:  # past the range of the polynomial's powers of P_J; the slope falls like P_T/P_J
+        assert abs(slope) < 1e-90
+    else:  # the literal N(d)/D(d) polynomial
+        assert slope == pytest.approx(deriv_x_axis_even_alpha(d, p), rel=1e-6, abs=1e-12)
+
+
+@SETTINGS
+@given(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(1e-3, 0.499)), rho_s, power, p_t_s)
+@example(0.1, 0.01, INF, 100.0)  # both sides at T = 1
+@example(0.1, 0.01, 1e300, 100.0)
+@example(0.5, 0.01, 10.0, 100.0)  # the right point is on Bob's node
+@example(0.05, 1e-4, 1e4, 1e6)
+def test_lr_asymmetry_limits(delta, rho, p_j, p_t) -> None:
+    p = SystemParams(p_t=p_t, p_j=p_j, rho=rho)
+    if not 0 < delta < 0.5:
+        with pytest.raises(InvalidParameterError):
+            lr_asymmetry(delta, p)
+        return
+    left, right, gap = lr_asymmetry(delta, p)
+    assert not any(math.isnan(x) for x in (left, right, gap))
+    assert left >= 1.0 and right >= 1.0 and gap == right - left
+    if math.isinf(p_j):
+        assert (left, right, gap) == (1.0, 1.0, 0.0)
+
+
+@SETTINGS
+@given(gain_pairs(), rho_s)
+@example(LinkGains(INF, 1.0), 0.1)  # a = inf: the event is sure
+@example(LinkGains(1.0, INF), 0.1)  # b = inf: eta = inf
+@example(LinkGains(2.0, 0.5), 0.0)  # rho = 0: eta = inf
+@example(LinkGains(4.0, 0.4), 0.1)  # b = rho*a: eta = 1
+@example(LinkGains(1e3, 1e-3), 0.9)  # eta ~ 1e-6: expm1(-(eta - 1)*a) overflows
+@example(LinkGains(800.0, 400.0), 1.0)  # eta = 1/2 past a ~ 709
+def test_decreasing_prob_limits(g, rho) -> None:
+    comp = decreasing_prob_complement(g.a, g.b, rho)
+    low = decreasing_prob_lower_bound(g.a, g.b, rho)
+    assert not math.isnan(comp) and 0.0 <= comp <= 1.0
+    assert low == 1.0 - comp
+    a = g.a
+    eta = INF if rho == 0 or math.isinf(g.b) else g.b / (rho * a)
+    if math.isinf(a):
+        assert comp == 0.0
+    elif math.isinf(eta):
+        assert comp == pytest.approx(math.exp(-a), rel=1e-12)
+    elif eta == 1.0:
+        assert comp == pytest.approx((1.0 + a) * math.exp(-a), rel=1e-12)
+    elif abs(eta - 1.0) > 0.1 and eta * a < 700:  # the plain closed form keeps its digits there
+        want = (eta * math.exp(-a) - math.exp(-eta * a)) / (eta - 1.0)
+        assert comp == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+
+@SETTINGS
+@given(gain_pairs(), st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.just(INF)))
+@example(LinkGains(1.0, INF), INF)  # inf/inf: no single rho
+@example(LinkGains(INF, 1.0), 2.0)  # a = inf: rho = 0
+@example(LinkGains(1.0, INF), 2.0)  # b = inf: rho = inf
+@example(LinkGains(2.0, 1.0), 0.0)
+def test_rho_for_eta_limits(g, eta) -> None:
+    if eta == 0 or (math.isinf(g.b) and math.isinf(eta)):
+        with pytest.raises(InvalidParameterError):
+            rho_for_eta(g.a, g.b, eta)
+        return
+    rho = rho_for_eta(g.a, g.b, eta)
+    assert not math.isnan(rho) and rho >= 0.0
+    if math.isinf(g.a) or math.isinf(eta):
+        assert rho == 0.0
+    elif math.isinf(g.b):
+        assert rho == INF
+    else:
+        assert g.b / (rho * g.a) == pytest.approx(eta, rel=1e-14)
+
+
+@SETTINGS
+@given(gain_pairs(), rho_s, fading, fading)
+@example(LinkGains(INF, 1.0), 0.1, 1.0, 0.0)  # a = inf and B~ = 0: a1 = 0*inf
+@example(LinkGains(INF, 0.05), 0.1, 1.0, 0.5)  # a = inf with b = rho*B~: a0 = inf*0
+@example(LinkGains(1.0, INF), 0.1, 2.0, 1.0)  # b = inf: a1 = inf - inf
+@example(LinkGains(1.0, INF), 0.1, 1.0, 1.0)  # b = inf, A~ = a: the minimizer diverges
+@example(LinkGains(2.0, 1.0), 0.0, 1.0, 1.0)  # rho = 0
+@example(LinkGains(4.0, 0.4), 0.1, 1.0, 4.0)  # b = rho*B~
+def test_classify_jam_response_limits(g, rho, a_t, b_t) -> None:
+    if rho == 0:
+        with pytest.raises(InvalidParameterError):
+            classify_jam_response(g, rho, a_t, b_t)
+        return
+    resp = classify_jam_response(g, rho, a_t, b_t)
+    p_opt = resp.p_j_opt
+    assert not math.isnan(p_opt)
+    if resp.kind is JamResponseKind.OPTIMAL_INFINITE:
+        assert p_opt == INF
+    elif resp.kind is JamResponseKind.OPTIMAL_FINITE:
+        assert 0.0 < p_opt < INF
+    else:
+        assert p_opt == 0.0
+
+    def prob(p_j: float) -> float:
+        return cond_prob_zero(g, SystemParams(p_t=1.0, p_j=p_j, rho=rho), a_t, b_t)
+
+    # the class names the power that minimizes the conditional zero-secrecy probability
+    probes = [0.0, 1e-3, 1.0, 1e3, 1e6]
+    if resp.kind is JamResponseKind.OPTIMAL_FINITE:
+        probes += [p_opt * 0.999, p_opt * 1.001]
+    best = prob(1e12 if math.isinf(p_opt) else p_opt)
+    assert all(best <= prob(p_j) + 1e-12 for p_j in probes if p_j <= 1e12)
+    if math.isinf(g.b):  # Eve on the jammer: any jamming zeroes the probability
+        assert resp.kind is not JamResponseKind.OPTIMAL_ZERO

@@ -8,13 +8,17 @@ import pytest
 
 from fdjam.errors import InvalidParameterError
 from fdjam.geometry import LinkGains, SystemParams, gains
-from fdjam import montecarlo
+from fdjam import montecarlo, pairwise_fading
 from fdjam.montecarlo import MCConfig, estimate
 from fdjam.oracles import mc_cond_prob_zero_pair, quad_policy_row, quad_prob_zero_pair
 from fdjam.pairwise_fading import (
     JamPolicy,
     JamPolicyKind,
+    _A_TOP,
+    _WIDE_RULE,
+    _crowded_rule,
     _exp_e1,
+    _node_sum,
     _policy_integrand,
     cond_prob_zero_pair,
     cond_prob_zero_pair_array,
@@ -211,9 +215,85 @@ def test_policy_integrand_matches_the_window_oracle(at, p_j: float) -> None:
 
 @pytest.mark.parametrize("p_j", [1e-3, 1.0, 1e3, math.inf])
 def test_policy_integrand_in_the_far_field(p_j: float) -> None:
-    # at (1.3, 0.7) and -30 dB (the window ~1/P_J is wider than e^-A~ reaches) the
-    # 48-node rule is within 2.2e-9 of the oracle; 32 nodes miss by 1.3e-4
+    # at (1.3, 0.7) and -30 dB the window ~1/P_J is wider than e^-A~ reaches and is cut
+    # at _A_TOP, so the wedge never closes: those rows keep the 48-node rule, within
+    # 2.2e-9 of the oracle, where 32 nodes miss by 1.3e-4
     _rows_against_the_window_oracle(gains(1.3, 0.7, 2.0), p_j, atol=1e-8)
+
+
+def _window(u, v, rho: float, p_j: float) -> np.ndarray:
+    """w0 = sqrt((1 + rho*B1~*P_J)*(1 + rho*B2~*P_J))/P_J at finite P_J."""
+    return np.sqrt((1.0 + rho * p_j * u) * (1.0 + rho * p_j * v)) / p_j
+
+
+def test_policy_rule_is_chosen_per_row() -> None:
+    # rho = 1, P_J = 0.03: B~ = 0.1 gives w0 ~ 33, a wedge that closes inside the window
+    # (32 nodes), and B~ = 30 gives ~ 63, a window cut at _A_TOP (48 nodes); a row's value
+    # must not depend on the rows that share its block, or a rung would depend on how
+    # montecarlo.estimate blocks the stream
+    g, rho, p_j = gains(0.3, 0.2, 2.0), 1.0, 0.03
+    edge = np.array([[0.1, 0.1], [30.0, 30.0], [0.1, 30.0], [30.0, 0.1]])
+    draws = np.random.default_rng(43).exponential(size=(2500, 2)) * np.array([1.0, 12.0])
+    u, v = np.concatenate((edge, draws)).T
+    wide = _window(u, v, rho, p_j) > _A_TOP
+    assert wide[1] and not wide[0] and 100 < wide.sum() < 2400
+    rows = _policy_integrand(u, v, g.a, g.b, rho, p_j)
+    for i in (0, 1, 2, 3, 1234, 2503):
+        assert np.array_equal(_policy_integrand(u[i : i + 1], v[i : i + 1], g.a, g.b, rho, p_j)[0], rows[i])
+    for lo, hi in ((7, 2504), (1, 1030), (1500, 1501)):
+        assert np.array_equal(_policy_integrand(u[lo:hi], v[lo:hi], g.a, g.b, rho, p_j), rows[lo:hi])
+    params = SystemParams(p_t=1.0, p_j=p_j, rho=rho)
+    ref = np.array([quad_policy_row(g, params, float(b1), float(b2)) for b1, b2 in zip(u[:12], v[:12])])
+    np.testing.assert_allclose(rows[:12, 0], ref, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("nodes", [1, 3, 5, 32, 48])
+def test_node_sum_is_a_sum_of_each_column_alone(nodes: int) -> None:
+    # the quadrature's node sum: within the dtype's rounding of an exact sum, and each
+    # column bit for bit what it is when summed alone
+    vals = np.random.default_rng(nodes).random((nodes, 9))
+    alone = [_node_sum(vals[:, j : j + 1].copy())[0] for j in range(9)]
+    got = _node_sum(vals.copy())
+    np.testing.assert_allclose(got, [math.fsum(col) for col in vals.T], rtol=nodes * 2.3e-16, atol=0.0)
+    assert got.tolist() == alone
+
+
+@pytest.mark.parametrize("at", [(0.0, 0.0), (-0.6, 0.0), (0.49, 0.0), (0.499, 0.0), (1.3, 0.7), (0.2, 1.5)])
+def test_closing_rule_against_128_nodes(monkeypatch, at) -> None:
+    # where the wedge closes inside the window, 32 crowded nodes are within 1.4e-10 of 128
+    # on the same map (measured) and case means within 5e-9; the rows whose window is cut
+    # at _A_TOP are the 48-node rows; B~ = 100 gives such rows at rho = 1 below 10 dB
+    g = gains(*at, 2.0)
+    u, v = np.random.default_rng(31).exponential(size=(2, 2000))
+    u, v = np.concatenate((u, [1e-9, 30.0, 100.0])), np.concatenate((v, [1e-9, 30.0, 100.0]))
+    wide_rows = 0
+    for rho in (1e-4, 0.01, 0.1, 1.0):
+        for db in range(-10, 81, 10):
+            p_j = 10.0 ** (db / 10.0)
+            rows = _policy_integrand(u, v, g.a, g.b, rho, p_j)[:, 0]
+            closing = _window(u, v, rho, p_j) <= _A_TOP
+            with monkeypatch.context() as m:
+                m.setattr(pairwise_fading, "_CLOSING_RULE", _crowded_rule(128))
+                fine = _policy_integrand(u, v, g.a, g.b, rho, p_j)[:, 0]
+                m.setattr(pairwise_fading, "_CLOSING_RULE", _WIDE_RULE)
+                all_48 = _policy_integrand(u, v, g.a, g.b, rho, p_j)[:, 0]
+            assert np.all(np.abs(rows[closing] - fine[closing]) <= 1e-9)
+            assert abs(rows[closing].mean() - fine[closing].mean()) <= 2e-8 * fine[closing].mean()
+            assert np.array_equal(rows[~closing], all_48[~closing])
+            wide_rows += int(np.sum(~closing))
+    assert wide_rows > 0
+
+
+@pytest.mark.parametrize("rho", [1e-4, 0.01, 0.1, 1.0])
+def test_window_oracle_resolves_a_tiny_self_interference_fading(rho: float) -> None:
+    # with one B~ tiny, the layer where v1 or u1 reaches 1 lies far below 1e-15*w0; the
+    # oracle starts its lower grid below that scale and meets the closed form to 1e-12
+    g = gains(0.499, 0.0, 2.0)
+    u, v = np.array([1e-9, 1e-9, 30.0]), np.array([30.0, 5.0, 1e-9])
+    rows = _policy_integrand(u, v, g.a, g.b, rho, math.inf)[:, 0]
+    params = SystemParams(p_t=1.0, p_j=math.inf, rho=rho)
+    ref = np.array([quad_policy_row(g, params, float(b1), float(b2)) for b1, b2 in zip(u, v)])
+    np.testing.assert_allclose(ref, rows, rtol=1e-12, atol=0.0)
 
 
 # (x, e^x*E1(x)) to 17 digits, from a 40-digit evaluation; the series/continued
