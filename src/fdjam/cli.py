@@ -348,7 +348,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--suite", choices=available_suites(), default="all", help="suite name (default %(default)s)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("field", parents=[common, power, mc, gridp, io], help="sweep a field over the grid")
+    p = sub.add_parser(
+        "field",
+        parents=[common, power, mc, gridp, io],
+        help="sweep a field over the grid",
+        description="Sweep one quantity over the grid. --samples and --seed set the draws of a --fading field "
+        "and of a pairwise prob-zero field; they do not reach a colluding prob-zero field, which is a "
+        "deterministic cubature with a per-cell error (written to --json output under \"error\").",
+    )
     p.add_argument("--mode", choices=modes, default="colluding", help="eavesdropper model (default %(default)s)")
     quantities = ("secrecy", "prob-zero")
     p.add_argument("--quantity", choices=quantities, default="secrecy", help="swept quantity (default %(default)s)")

@@ -38,6 +38,22 @@ __all__ = [
     "secrecy_sample",
 ]
 
+# e^x*E1(x) (_exp_e1): the power series of E1 below _E1_SPLIT (25 terms, highest first,
+# for Horner), a backward continued fraction of 32 terms above; both within 5e-14 relative
+_E1_SPLIT = 3.0
+_E1_SERIES = tuple((-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(25, 0, -1))
+_E1_CF_TERMS = 32
+_EULER_GAMMA = 0.5772156649015329
+# The B~ rules of _prob_zero_cubature: Gauss-Legendre nodes on [0, 1]; a cell reports the
+# 48-node value, and its gap to the 32-node one as the error
+_B_RULE, _B_CHECK_RULE = ((0.5 * (1.0 + x), 0.5 * w) for x, w in map(np.polynomial.legendre.leggauss, (48, 32)))
+# B~ past which e^-B~ < 5e-18: the B~ integral stops there
+_B_TOP = 40.0
+# Smallest stretch L = log1p(c*_B_TOP); below it the map is linear in t to 1e-8
+_MIN_STRETCH = 1e-8
+# Cells per block of _prob_zero_cubature: its (cells, nodes) temporaries stay near 0.8 MB
+_CUBATURE_CELLS = 2048
+
 
 @dataclass(frozen=True)
 class ZeroSecrecyTermsColluding:
@@ -82,6 +98,126 @@ def _cond_prob_zero_array(a, b, rho: float, p_j, a_t, b_t) -> np.ndarray:
     """exp(-v2)/(1+v1) over fading arrays, with the limits of _v_arrays."""
     v1, v2 = _v_arrays(a, b, rho, p_j, a_t, b_t)
     return np.exp(-v2) / (1.0 + v1)
+
+
+def _prob_zero_cubature(a, b, rho: float, p_j, upper: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """E over (A~, B~) ~ Exp(1)^2 of exp(-v2)/(1+v1) per cell, and its error; a, b, p_j broadcast.
+
+    With s = a*(1 + rho*B~*P_J) the A~ integral is s/(s+1)*h(x),
+    x = (s+1)/(b*P_J), h(x) = x*e^x*E1(x) (_x_exp_e1).  B~ goes over
+    [0, _B_TOP] on the log map B~ = expm1(t*L)/c, c = rho*P_J,
+    L = log1p(c*_B_TOP), which spreads the scale 1/c on which s moves over
+    the nodes of _B_RULE; the error is the gap to _B_CHECK_RULE.  The
+    limits of _v_arrays are taken exactly, with error 0: 1 at a = inf,
+    a/(a+1) at P_J = 0, 0 at b = inf for P_J > 0, the B~ mean of a
+    constant at rho*P_J = 0, and at P_J = inf, where h(kappa*B~) is left
+    with kappa = a*rho/b, its mean kappa*(kappa - 1 - ln kappa)/(kappa - 1)^2
+    (_pj_inf_mean).  upper=True gives E{1/(1+v1)} instead, the same
+    construction without exp(-v2): the A~ integral is h(s/(b*P_J)).
+    """
+    shape = np.broadcast(a, b, p_j).shape
+    a, b, p_j = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b, p_j))
+    val, err = np.zeros(a.size), np.zeros(a.size)
+    finite = ~np.isinf(a)
+    val[~finite] = 1.0
+    off = finite & (p_j == 0)
+    val[off] = 1.0 if upper else a[off] / (a[off] + 1.0)
+    live = finite & (p_j > 0)  # at b = inf, x = 0 and h(0) = 0 give the limit 0
+    inf_pj = live & np.isinf(p_j)
+    val[inf_pj] = _pj_inf_mean(a[inf_pj] * rho / b[inf_pj])
+    live &= ~inf_pj
+    c = rho * np.where(np.isinf(p_j), 0.0, p_j)
+    flat = live & (c == 0)
+    val[flat] = _a_mean(a[flat], b[flat] * p_j[flat], upper)
+    idx = np.flatnonzero(live & (c > 0))
+    for lo in range(0, idx.size, _CUBATURE_CELLS):
+        cells = idx[lo : lo + _CUBATURE_CELLS]
+        args = (a[cells], b[cells] * p_j[cells], c[cells], upper)
+        val[cells] = _on_b_rule(_B_RULE, *args)
+        err[cells] = np.abs(val[cells] - _on_b_rule(_B_CHECK_RULE, *args))
+    return val.reshape(shape), err.reshape(shape)
+
+
+def _on_b_rule(rule: tuple, a: np.ndarray, b_pj: np.ndarray, c: np.ndarray, upper: bool) -> np.ndarray:
+    """The B~ integral of _a_mean per cell on the rule (t, w), through the log map of _prob_zero_cubature."""
+    t, w = rule
+    stretch = np.maximum(np.log1p(c * _B_TOP), _MIN_STRETCH)[:, None]
+    scale = _B_TOP / np.expm1(stretch)  # 1/c
+    tl = t * stretch  # (cells, nodes)
+    b_t = np.expm1(tl) * scale
+    s = a[:, None] * (1.0 + c[:, None] * b_t)
+    # e^-B~ times the map's Jacobian over L*scale
+    vals = _a_mean(s, b_pj[:, None], upper) * np.exp(tl - b_t)
+    return (vals * w).sum(axis=1) * (stretch * scale)[:, 0]
+
+
+def _a_mean(s, b_pj, upper: bool) -> np.ndarray:
+    """The A~ integral at s = a*(1 + rho*B~*P_J): s/(s+1)*h((s+1)/(b*P_J)), or h(s/(b*P_J)) for upper."""
+    if upper:
+        return _x_exp_e1(s / b_pj)
+    return s / (s + 1.0) * _x_exp_e1((s + 1.0) / b_pj)
+
+
+def _pj_inf_mean(kappa: np.ndarray) -> np.ndarray:
+    """E over B~ ~ Exp(1) of h(kappa*B~), h(x) = x*e^x*E1(x): kappa*(d - ln kappa)/d^2, d = kappa - 1.
+
+    ln kappa is log1p(d) where d is exact (|d| < 1/2) and log(kappa) where
+    kappa - 1 would drop digits of kappa.  Near d = 0, where d - ln kappa
+    cancels, (d - ln kappa)/d^2 is its series to d^7 (remainder below
+    1e-17).  kappa = 0 gives 0 and kappa = inf gives 1.
+    """
+    d = kappa - 1.0
+    near = np.abs(d) < 1e-2
+    safe, d = np.where(near, 1.0, d), np.where(near, d, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) and inf/inf, replaced below
+        ln_k = np.where(np.abs(safe) < 0.5, np.log1p(safe), np.log(np.where(near, 1.0, kappa)))
+        out = kappa / safe * ((safe - ln_k) / safe)
+    series = np.zeros_like(d)
+    for k in range(9, 1, -1):
+        series = series * d + (-1.0) ** k / k
+    out = np.where(near, kappa * series, out)
+    return np.where(kappa == 0, 0.0, np.where(np.isinf(kappa), 1.0, out))
+
+
+def _x_exp_e1(x) -> np.ndarray:
+    """h(x) = x*e^x*E1(x) for x >= 0: 0 at x = 0, 1/(1 + (1 - R)/x) above _E1_SPLIT, 1 at x = inf."""
+    x = np.asarray(x, dtype=float)
+    out, small = np.empty_like(x), x < _E1_SPLIT
+    xs = x[small]
+    out[small] = xs * _exp_e1(np.maximum(xs, np.finfo(float).tiny))
+    xl = x[~small]
+    out[~small] = 1.0 / (1.0 + (1.0 - _e1_cf_tail(xl)) / xl)
+    return out
+
+
+def _e1_cf_tail(x: np.ndarray) -> np.ndarray:
+    """The tail R of e^x*E1(x) = 1/(x + 1 - R), R = 1/(x + 3 - 4/(x + 5 - ...)), for x >= _E1_SPLIT.
+
+    1 - x*e^x*E1(x) = (1 - R)/(x + 1 - R) then has no cancellation.
+    """
+    tail = np.zeros_like(x)
+    for k in range(_E1_CF_TERMS, 0, -1):
+        tail = k * k / (x + (2 * k + 1) - tail)
+    return tail
+
+
+def _exp_e1(x) -> np.ndarray:
+    """e^x*E1(x) for x > 0, E1 the exponential integral int_x^inf e^-t/t dt.
+
+    Below _E1_SPLIT: e^x*(-gamma - log(x) - sum_k (-x)^k/(k*k!)); above it
+    the continued fraction of _e1_cf_tail.
+    """
+    x = np.asarray(x, dtype=float)
+    out, small = np.empty_like(x), x < _E1_SPLIT
+    xs = x[small]
+    poly = np.zeros_like(xs)
+    for coeff in _E1_SERIES:
+        poly += coeff
+        poly *= xs
+    out[small] = np.exp(xs) * (poly - _EULER_GAMMA - np.log(xs))
+    xl = x[~small]
+    out[~small] = 1.0 / (xl + 1.0 - _e1_cf_tail(xl))
+    return out
 
 
 def sample_cond_prob_zero(g: LinkGains, params: SystemParams, mc: MCConfig) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Rectangular grid sweeps of every scalar field, with CSV/JSON export.
 
 Grids are row-major with y as the slow axis, and every field kind is
-computed with array operations over the whole grid.  A fading or prob-zero
-field draws from montecarlo's stream of its seed, with the row-major cells
-as samples: cell i owns the i-th consecutive block of k*n uniforms (fading
-secrecy k = 2, n = 1; colluding prob-zero k = 2; pairwise prob-zero k = 3).
-A cell's draws thus depend only on (seed, cell index, n, k), not on
-evaluation order.  Exports carry every parameter needed to regenerate a
-field.
+computed with array operations over the whole grid.  A fading or pairwise
+prob-zero field draws from montecarlo's stream of its seed, with the
+row-major cells as samples: cell i owns the i-th consecutive block of k*n
+uniforms (fading secrecy k = 2, n = 1; pairwise prob-zero k = 3).  A cell's
+draws thus depend only on (seed, cell index, n, k), not on evaluation
+order.  A colluding prob-zero field draws nothing: each cell is a cubature
+with a per-cell error estimate.  Exports carry every parameter needed to
+regenerate a field.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import montecarlo
 from .colluding import _at_optimum, _secrecy_array, p_j_opt_array
-from .colluding_fading import _cond_prob_zero_array
+from .colluding_fading import _B_CHECK_RULE, _B_RULE, _cond_prob_zero_array, _prob_zero_cubature
 from .errors import InvalidParameterError
 from .geometry import SystemParams, _region_array, gain_fields
 from .montecarlo import MCConfig
@@ -79,13 +80,16 @@ class FieldGrid:
     spec: GridSpec
     values: np.ndarray  # shape (ny, nx)
     meta: dict = field(default_factory=dict)
+    error: np.ndarray | None = None  # per-cell error estimate of a cubature field, shape (ny, nx)
 
     def __post_init__(self) -> None:
+        shape = (self.spec.ny, self.spec.nx)
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.spec.ny, self.spec.nx):
-            raise InvalidParameterError(
-                f"values shape {self.values.shape} does not match grid ({self.spec.ny}, {self.spec.nx})"
-            )
+        if self.error is not None:
+            self.error = np.asarray(self.error, dtype=float)
+        for name, arr in (("values", self.values), ("error", self.error)):
+            if arr is not None and arr.shape != shape:
+                raise InvalidParameterError(f"{name} shape {arr.shape} does not match grid {shape}")
 
 
 def _params_meta(params: SystemParams) -> dict:
@@ -111,8 +115,12 @@ def build_field(
 
     mode: "colluding" or "pairwise".
     quantity: "secrecy" (exact, or one fading draw per cell when
-    fading=True) or "prob-zero" (per-cell Monte Carlo mean over the fading
-    the link conditions on; needs mc; intended for coarse grids).
+    fading=True) or "prob-zero", the zero-secrecy probability averaged over
+    the fading the link conditions on.  Colluding prob-zero cells are a
+    cubature (colluding_fading._prob_zero_cubature), whose per-cell error
+    the field carries in .error and whose rule the meta names; pairwise
+    prob-zero cells are per-cell Monte Carlo means and need mc.  mc also
+    seeds the draws of fading=True and is ignored otherwise.
     pj_per_cell: "fixed" uses params.p_j everywhere; "opt" re-optimizes the
     colluding jamming power in every cell.
     """
@@ -124,17 +132,20 @@ def build_field(
         raise InvalidParameterError(f"unknown pj_per_cell {pj_per_cell!r}")
     if pj_per_cell == "opt" and mode != "colluding":
         raise InvalidParameterError("per-cell optimal jamming applies to colluding mode only")
-    needs_mc = quantity == "prob-zero" or fading
-    if needs_mc and mc is None:
-        raise InvalidParameterError("fading or prob-zero sweeps need an MCConfig")
+    drawn = fading or (quantity == "prob-zero" and mode == "pairwise")
+    if drawn and mc is None:
+        raise InvalidParameterError("fading or pairwise prob-zero sweeps need an MCConfig")
 
     a_f, b_f = gain_fields(*np.meshgrid(grid.xs(), grid.ys()), params.alpha)
     p_j = params.p_j
     if pj_per_cell == "opt":
         p_j = _at_optimum(b_f, p_j_opt_array(a_f, b_f, params.rho, params.p_t))
 
-    if quantity == "prob-zero":
-        values = _prob_zero_field(mode, params, a_f, b_f, p_j, mc)
+    error = None
+    if quantity == "prob-zero" and mode == "colluding":
+        values, error = _prob_zero_cubature(a_f, b_f, params.rho, p_j)
+    elif quantity == "prob-zero":
+        values = _prob_zero_field(params, a_f, b_f, p_j, mc)
     else:
         c = d = 1.0
         if fading:
@@ -154,33 +165,34 @@ def build_field(
         "pj_per_cell": pj_per_cell,
         **_params_meta(params),
     }
-    if mc is not None:
+    if error is not None:
+        rule = "gauss-legendre in B~ on a log map, A~ in closed form"
+        meta.update(method="cubature", rule=rule, nodes=_B_RULE[0].size, error_nodes=_B_CHECK_RULE[0].size)
+    elif mc is not None:
         meta["seed"] = mc.seed
         meta["n_samples"] = mc.n_samples
-    return FieldGrid(spec=grid, values=values, meta=meta)
+    return FieldGrid(spec=grid, values=values, meta=meta, error=error)
 
 
-def _prob_zero_field(mode: str, params: SystemParams, a_f, b_f, p_j, mc: MCConfig) -> np.ndarray:
-    """Per-cell mean of the conditional zero-secrecy probability.
+def _prob_zero_field(params: SystemParams, a_f, b_f, p_j: float, mc: MCConfig) -> np.ndarray:
+    """Per-cell mean of the pairwise conditional zero-secrecy probability.
 
     Cell i owns the i-th block of n*k uniforms of the seed's stream (k from
     _COND_PROB_ZERO).  Blocks of whole cells, at most _BLOCK samples,
-    go to the kernel at once with gains and P_J as (cells, 1) columns
-    against (cells, n) draws; a cell with n > _BLOCK is summed over
-    sub-blocks of _BLOCK samples.
+    go to the kernel at once with gains as (cells, 1) columns against
+    (cells, n) draws; a cell with n > _BLOCK is summed over sub-blocks of
+    _BLOCK samples.
     """
-    kernel, k = _COND_PROB_ZERO[mode]
+    kernel, k = _COND_PROB_ZERO["pairwise"]
     n, rng, block = mc.n_samples, montecarlo._stream(mc.seed), montecarlo._BLOCK
     a, b = a_f.reshape(-1, 1), b_f.reshape(-1, 1)
-    p_j = np.reshape(p_j, (-1, 1)) if np.ndim(p_j) else p_j
     per, sub = max(1, block // n), min(n, block)
     total = np.zeros(a.shape[0])
     for lo in range(0, a.shape[0], per):
         cells = slice(lo, lo + per)
-        pj = p_j[cells] if np.ndim(p_j) else p_j
         for done in range(0, n, sub):
             e = montecarlo._exp_draws(rng, (a[cells].shape[0], min(sub, n - done), k))
-            total[cells] += kernel(a[cells], b[cells], params.rho, pj, *np.moveaxis(e, -1, 0)).sum(axis=1)
+            total[cells] += kernel(a[cells], b[cells], params.rho, p_j, *np.moveaxis(e, -1, 0)).sum(axis=1)
     return (total / n).reshape(a_f.shape)
 
 
@@ -259,6 +271,8 @@ def write_json(fg: FieldGrid, path: str) -> None:
         "meta": fg.meta,
         "values": fg.values.tolist(),
     }
+    if fg.error is not None:
+        payload["error"] = fg.error.tolist()
     text = json.dumps(payload)  # one call to the C encoder; json.dump streams through the Python one
     with open(path, "w") as fh:
         fh.write(text)
@@ -268,4 +282,5 @@ def read_json(path: str) -> FieldGrid:
     with open(path) as fh:
         payload = json.load(fh)
     spec = GridSpec(**payload["grid"])
-    return FieldGrid(spec=spec, values=np.array(payload["values"]), meta=payload.get("meta", {}))
+    error = np.array(payload["error"]) if "error" in payload else None
+    return FieldGrid(spec=spec, values=np.array(payload["values"]), meta=payload.get("meta", {}), error=error)

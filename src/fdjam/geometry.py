@@ -1,4 +1,4 @@
-"""Link geometry, normalization, and eavesdropper region classification.
+"""Link geometry and eavesdropper region classification.
 
 The two legitimate endpoints sit at (-0.5, 0) and (0.5, 0) so that their
 separation is the unit of distance.  All powers and gains are normalized:
@@ -19,15 +19,11 @@ import numpy as np
 from .errors import InvalidParameterError
 
 __all__ = [
-    "RawLinkParams",
     "SystemParams",
     "EveLocation",
     "LinkGains",
     "Region",
     "DiskBoundary",
-    "NormalizedLink",
-    "normalize",
-    "denormalize",
     "gains",
     "gain_fields",
     "region_classify",
@@ -35,35 +31,6 @@ __all__ = [
     "region4_containment_threshold",
     "sign_b_minus_rho_a",
 ]
-
-
-@dataclass(frozen=True)
-class RawLinkParams:
-    """Physical (un-normalized) link parameters, all in linear units.
-
-    Attributes:
-        g_prime: direct-link gain between the endpoints (> 0).
-        pt_prime: transmit power (> 0).
-        pj_prime: jamming power (>= 0).
-        rho_prime: residual self-interference gain after cancellation (>= 0).
-        noise_b: receiver noise variance at the legitimate receiver (> 0).
-        noise_e: receiver noise variance at the eavesdropper (> 0).
-    """
-
-    g_prime: float
-    pt_prime: float
-    pj_prime: float
-    rho_prime: float
-    noise_b: float
-    noise_e: float
-
-    def __post_init__(self) -> None:
-        for name in ("g_prime", "pt_prime", "noise_b", "noise_e"):
-            if not getattr(self, name) > 0:
-                raise InvalidParameterError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("pj_prime", "rho_prime"):
-            if not getattr(self, name) >= 0:
-                raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -168,60 +135,6 @@ class DiskBoundary:
         q = (np.asarray(x, dtype=float) + self.x0) ** 2 + np.asarray(y, dtype=float) ** 2
         out = q > self.r**2 if self.side is DiskSide.LEFT_EXCLUSION else q < self.r**2
         return out if isinstance(x, np.ndarray) else bool(out)
-
-
-@dataclass(frozen=True)
-class NormalizedLink:
-    """Output of normalize(): the dimensionless quantities the model uses."""
-
-    p_t: float
-    p_j: float
-    rho: float
-    a: float
-    b: float
-
-
-def normalize(raw: RawLinkParams, a_prime: float, b_prime: float) -> NormalizedLink:
-    """Reduce physical powers, gains and noise levels to normalized form.
-
-    The direct link gain and the legitimate receiver noise are absorbed into
-    the powers; the eavesdropper noise is absorbed into its gains.
-
-    Args:
-        raw: physical parameters.
-        a_prime: physical gain from the transmitter at (-0.5, 0) to Eve (> 0).
-        b_prime: physical gain from the other endpoint to Eve (> 0).
-    """
-    if not a_prime > 0 or not b_prime > 0:
-        raise InvalidParameterError("a_prime and b_prime must be > 0")
-    return NormalizedLink(
-        p_t=raw.g_prime * raw.pt_prime / raw.noise_b,
-        p_j=raw.g_prime * raw.pj_prime / raw.noise_b,
-        rho=raw.rho_prime / raw.g_prime,
-        a=a_prime * raw.noise_b / (raw.g_prime * raw.noise_e),
-        b=b_prime * raw.noise_b / (raw.g_prime * raw.noise_e),
-    )
-
-
-def denormalize(
-    link: NormalizedLink, g_prime: float, noise_b: float, noise_e: float
-) -> tuple[RawLinkParams, float, float]:
-    """Invert normalize() given the absorbed scale factors.
-
-    Returns the physical parameters and the pair (a_prime, b_prime).
-    """
-    if not g_prime > 0 or not noise_b > 0 or not noise_e > 0:
-        raise InvalidParameterError("g_prime and noise variances must be > 0")
-    raw = RawLinkParams(
-        g_prime=g_prime,
-        pt_prime=link.p_t * noise_b / g_prime,
-        pj_prime=link.p_j * noise_b / g_prime,
-        rho_prime=link.rho * g_prime,
-        noise_b=noise_b,
-        noise_e=noise_e,
-    )
-    scale = g_prime * noise_e / noise_b
-    return raw, link.a * scale, link.b * scale
 
 
 def gains(x: float, y: float, alpha: float) -> LinkGains:

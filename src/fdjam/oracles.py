@@ -2,8 +2,9 @@
 
 Nothing here shares algebra with the formulas under test: the maximizer is
 a log-grid plus golden-section search over actual secrecy evaluations, the
-wedge probability is a direct 2-D quadrature, and the Monte Carlo oracles
-count raw indicator events.
+wedge probability is a direct 2-D quadrature, the colluding outage is a
+2-D quadrature over both link fadings, and the Monte Carlo oracles count
+raw indicator events.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "golden_max_secrecy",
     "quad_prob_zero_pair",
     "quad_policy_row",
+    "quad_prob_zero_colluding",
     "mc_cond_prob_zero_colluding",
     "mc_cond_prob_zero_pair",
     "deriv_x_axis_even_alpha",
@@ -33,6 +35,7 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _LANES = 1000  # lanes per block of golden_max_secrecy: its (lanes, grid) table stays near 16 MB
+_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)  # per panel of quad_prob_zero_colluding
 
 
 def _golden_section_lanes(
@@ -193,6 +196,58 @@ def quad_policy_row(g: LinkGains, params: SystemParams, b1_tilde: float, b2_tild
     return float(
         lower[0] + simpson(lower * integrand(lower), h) + simpson(upper * integrand(w0 - upper), h_up)
     )
+
+
+def quad_prob_zero_colluding(g: LinkGains, params: SystemParams) -> float:
+    """E over (A~, B~) ~ Exp(1)^2 of P{zero secrecy | A~, B~} against colluding eavesdroppers.
+
+    Given the link fadings, secrecy is zero when C~*a*P_T/(1 + D~*b*P_J) >=
+    A~*P_T/(1 + rho*B~*P_J) over Exp(1) (C~, D~); with theta =
+    A~/(a*(1 + rho*B~*P_J)) and m = theta*b*P_J its D~-mean is
+    exp(-theta)/(1 + m), and at P_J = inf theta = 0 and m =
+    A~*b/(a*rho*B~).  Both integrals are composite 16-node Gauss-Legendre
+    rules on panels: geometric, ratio at most 4, from a quarter of the
+    layer scale to 1, then width 4 up to 61 e-folds of the decay.  In B~ the
+    layer scale is 1/(rho*P_J), where 1 + rho*B~*P_J vanishes, and 1e-15 at
+    P_J = inf, where the A~ integral has a log branch at B~ = 0; in A~ it is
+    the pole of 1/(1 + m), on the scale of e^-(A~ + theta), per B~ node.
+    Needs finite gains.
+    """
+    a, b, rho, p_j = g.a, g.b, params.rho, params.p_j
+    if math.isinf(a) or math.isinf(b):
+        raise InvalidParameterError("quad_prob_zero_colluding needs finite gains")
+    if math.isinf(p_j) and rho == 0:
+        return 0.0  # the jamming drowns the eavesdropper and spares the link
+    layer = 1e-15 if math.isinf(p_j) else 0.25 / max(1.0, rho * p_j)
+    b_t, b_w = _panel_rule(np.array([layer]))
+    b_t, b_w = b_t[0], b_w[0]
+    if math.isinf(p_j):
+        theta_per_a, m_per_a = np.zeros_like(b_t), b / (a * rho * b_t)
+    else:
+        theta_per_a = 1.0 / (a * (1.0 + rho * b_t * p_j))
+        m_per_a = theta_per_a * b * p_j
+    rate = 1.0 + theta_per_a  # e^-(A~ + theta) = e^-(rate*A~)
+    with np.errstate(divide="ignore"):
+        u, w = _panel_rule(0.25 * np.minimum(1.0, rate / m_per_a))  # u = rate*A~
+    a_t = u / rate[:, None]
+    inner = (np.exp(-u) / (1.0 + m_per_a[:, None] * a_t) * w).sum(axis=1) / rate
+    return float((np.exp(-b_t) * inner * b_w).sum())
+
+
+def _panel_rule(layer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights over [0, 61] per row of layer: panels of quad_prob_zero_colluding.
+
+    [0, layer], then as many geometric panels to 1 as the smallest layer
+    needs at ratio 4 (shared by every row), then width 4 to 61.
+    """
+    count = max(1, math.ceil(math.log(1.0 / layer.min()) / math.log(4.0)))
+    steps = np.arange(count + 1) / count
+    geometric = layer[:, None] ** (1.0 - steps)  # layer .. 1
+    linear = np.broadcast_to(np.arange(5.0, 62.0, 4.0), (layer.size, 15))
+    edges = np.concatenate((np.zeros((layer.size, 1)), geometric, linear), axis=1)
+    half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+    nodes = edges[:, :-1, None] + half * (1.0 + _GL16_X)
+    return nodes.reshape(layer.size, -1), (half * _GL16_W).reshape(layer.size, -1)
 
 
 def mc_cond_prob_zero_colluding(

@@ -238,7 +238,11 @@ def singularity_asymptote(x: float, alpha: float) -> float:
 def lr_asymmetry(delta: float, params: SystemParams) -> tuple[float, float, float]:
     """(T_left, T_right, T_right - T_left) at distance delta from (0.5, 0).
 
-    The right side always has the larger T, hence the smaller secrecy.
+    Without jamming the left side, nearer the transmitter, has the larger
+    T: T = (1 + a*P_T)(1 + b*P_T) grows with a.  Jamming turns the gap
+    around: past a crossover near P_J = delta^(alpha/2)*sqrt(P_T) for small
+    delta (about 0.5 at delta = 0.05, P_T = 100) the right side has the
+    larger T, hence the smaller secrecy, until both reach 1 at P_J = inf.
     """
     if not 0 < delta < 0.5:
         raise InvalidParameterError(f"delta must be in (0, 0.5), got {delta}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colluding_fading import _v_arrays
+from .colluding_fading import _E1_SPLIT, _e1_cf_tail, _exp_e1, _v_arrays
 from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams
 from .montecarlo import Estimate, MCConfig, estimate, sample_matrix
@@ -61,12 +61,6 @@ _WIDE_RULE = _crowded_rule(48)
 # 12 Gauss-Legendre nodes on [0, 1] for the smooth part of the semi-dynamic row (_semi_dynamic_row)
 _GL12_X, _GL12_WX = np.polynomial.legendre.leggauss(12)
 _GL12_T, _GL12_W = 0.5 * (1.0 + _GL12_X), 0.5 * _GL12_WX
-# e^x*E1(x) (_exp_e1): the power series of E1 below _E1_SPLIT (25 terms, highest first,
-# for Horner), a backward continued fraction of 32 terms above; both within 5e-14 relative
-_E1_SPLIT = 3.0
-_E1_SERIES = tuple((-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(25, 0, -1))
-_E1_CF_TERMS = 32
-_EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass(frozen=True)
@@ -404,36 +398,6 @@ def _semi_dynamic_row(r1: np.ndarray, r2: np.ndarray, w0: np.ndarray) -> np.ndar
     far[wide] = gx[: rb.size] - e_w0[wide] * (gx[rb.size :] + ww * fx[rb.size :])
     row[live] = near - far
     return row
-
-
-def _e1_cf_tail(x: np.ndarray) -> np.ndarray:
-    """The tail R of e^x*E1(x) = 1/(x + 1 - R), R = 1/(x + 3 - 4/(x + 5 - ...)), for x >= _E1_SPLIT.
-
-    1 - x*e^x*E1(x) = (1 - R)/(x + 1 - R) then has no cancellation.
-    """
-    tail = np.zeros_like(x)
-    for k in range(_E1_CF_TERMS, 0, -1):
-        tail = k * k / (x + (2 * k + 1) - tail)
-    return tail
-
-
-def _exp_e1(x) -> np.ndarray:
-    """e^x*E1(x) for x > 0, E1 the exponential integral int_x^inf e^-t/t dt.
-
-    Below _E1_SPLIT: e^x*(-gamma - log(x) - sum_k (-x)^k/(k*k!)); above it
-    the continued fraction of _e1_cf_tail.
-    """
-    x = np.asarray(x, dtype=float)
-    out, small = np.empty_like(x), x < _E1_SPLIT
-    xs = x[small]
-    poly = np.zeros_like(xs)
-    for coeff in _E1_SERIES:
-        poly += coeff
-        poly *= xs
-    out[small] = np.exp(xs) * (poly - _EULER_GAMMA - np.log(xs))
-    xl = x[~small]
-    out[~small] = 1.0 / (xl + 1.0 - _e1_cf_tail(xl))
-    return out
 
 
 def policy_prob_zero(

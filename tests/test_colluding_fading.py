@@ -12,6 +12,7 @@ import pytest
 from fdjam.colluding_fading import (
     JamResponseKind,
     _cond_prob_zero_array,
+    _prob_zero_cubature,
     cdf_lower_bound,
     classify_jam_response,
     cond_prob_zero,
@@ -27,7 +28,7 @@ from fdjam.colluding_fading import (
 from fdjam.errors import InvalidParameterError
 from fdjam.geometry import LinkGains, SystemParams, gains
 from fdjam.montecarlo import MCConfig, estimate
-from fdjam.oracles import mc_cond_prob_zero_colluding
+from fdjam.oracles import mc_cond_prob_zero_colluding, quad_prob_zero_colluding
 
 
 def test_v_terms_unit_fading() -> None:
@@ -104,6 +105,16 @@ def test_unconditional_below_upper_bound() -> None:
     samples = sample_cond_prob_zero(g, params, mc)
     assert samples.shape == (mc.n_samples,)
     assert p.mean == pytest.approx(float(samples.mean()), rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [1e-9, 0.49, 0.51, 0.989, 0.991, 1.0 - 1e-7, 1.0, 1.0 + 1e-6, 1.009, 1.011, 1.49, 1.51, 1e9])
+def test_infinite_jamming_mean_across_its_branches(kappa: float) -> None:
+    # at P_J = inf the outage is E{h(kappa*B~)}, kappa = a*rho/b: a series within 1e-2 of
+    # kappa = 1, log1p(kappa - 1) within 1/2 of it and log(kappa) beyond
+    g, params = LinkGains(kappa, 1.0), SystemParams(p_t=1.0, p_j=math.inf, rho=1.0)
+    value, error = _prob_zero_cubature(g.a, g.b, params.rho, params.p_j)
+    assert float(value) == pytest.approx(quad_prob_zero_colluding(g, params), rel=1e-13, abs=0.0)
+    assert error == 0.0
 
 
 def test_jam_response_classes_name_the_minimizer() -> None:

@@ -494,6 +494,37 @@ def test_cli_config_values_match_the_flag_forms(tmp_path, capsys, argv, config, 
     assert runs[0] == runs[1]
 
 
+def test_colluding_prob_zero_field_carries_its_cubature_error(tmp_path) -> None:
+    # no MCConfig needed; the meta names the rule, the error rides along in JSON only
+    params = SystemParams(p_t=100.0, p_j=10.0, rho=0.05)
+    fg = build_field("colluding", params, SMALL, quantity="prob-zero")
+    assert fg.error.shape == fg.values.shape and np.all(fg.error >= 0.0)
+    assert (fg.meta["method"], fg.meta["nodes"], fg.meta["error_nodes"]) == ("cubature", 48, 32)
+    assert "seed" not in fg.meta and "n_samples" not in fg.meta
+    assert build_field("colluding", params, SMALL, quantity="prob-zero", mc=MCConfig(seed=1, n_samples=5)).meta == fg.meta
+    path = tmp_path / "field.json"
+    write_json(fg, str(path))
+    back = read_json(str(path))
+    assert np.array_equal(back.values, fg.values) and np.array_equal(back.error, fg.error)
+    assert back.meta == fg.meta
+    bare = build_field("colluding", params, SMALL)
+    write_json(bare, str(path))
+    assert "error" not in json.loads(path.read_text()) and read_json(str(path)).error is None
+    # CSV holds x,y,value alone, byte for byte as for a field without an error
+    write_csv(fg, str(tmp_path / "with.csv"))
+    write_csv(FieldGrid(spec=SMALL, values=fg.values), str(tmp_path / "without.csv"))
+    assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+    with pytest.raises(InvalidParameterError):
+        FieldGrid(spec=SMALL, values=fg.values, error=np.zeros((2, 2)))
+
+
+def test_field_help_says_what_samples_and_seed_reach(capsys) -> None:
+    with pytest.raises(SystemExit):
+        cli.main(["field", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "they do not reach a colluding prob-zero field, which is a deterministic cubature" in text
+
+
 def test_cli_help_prints_the_declared_defaults(monkeypatch, capsys) -> None:
     monkeypatch.delenv("FDJAM_SEED", raising=False)
     for name, sub in cli._build_parser().commands.items():

@@ -1,4 +1,4 @@
-"""Geometry layer: normalization, gains, region taxonomy, the rho-disk."""
+"""Geometry layer: gains, region taxonomy, the rho-disk."""
 
 import math
 
@@ -10,14 +10,10 @@ from fdjam.geometry import (
     DiskSide,
     EveLocation,
     LinkGains,
-    NormalizedLink,
-    RawLinkParams,
     Region,
     SystemParams,
-    denormalize,
     gain_fields,
     gains,
-    normalize,
     region4_containment_threshold,
     region_classify,
     rho_disk,
@@ -25,30 +21,7 @@ from fdjam.geometry import (
 )
 
 
-def test_normalize_denormalize_round_trip() -> None:
-    raw = RawLinkParams(
-        g_prime=2.5, pt_prime=40.0, pj_prime=8.0, rho_prime=0.05, noise_b=1e-3, noise_e=2e-3
-    )
-    link = normalize(raw, a_prime=0.7, b_prime=0.2)
-    assert link.p_t == pytest.approx(2.5 * 40.0 / 1e-3)
-    assert link.rho == pytest.approx(0.05 / 2.5)
-    back, a_prime, b_prime = denormalize(link, raw.g_prime, raw.noise_b, raw.noise_e)
-    assert back == raw
-    assert a_prime == pytest.approx(0.7)
-    assert b_prime == pytest.approx(0.2)
-
-
-def test_normalize_rejects_nonpositive_gains() -> None:
-    raw = RawLinkParams(1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        normalize(raw, a_prime=0.0, b_prime=1.0)
-    with pytest.raises(InvalidParameterError):
-        denormalize(NormalizedLink(1.0, 0.0, 0.0, 1.0, 1.0), 0.0, 1.0, 1.0)
-
-
 def test_parameter_validation() -> None:
-    with pytest.raises(InvalidParameterError):
-        RawLinkParams(g_prime=-1.0, pt_prime=1.0, pj_prime=0.0, rho_prime=0.0, noise_b=1.0, noise_e=1.0)
     with pytest.raises(InvalidParameterError):
         SystemParams(p_t=0.0, p_j=1.0, rho=0.1)
     with pytest.raises(InvalidParameterError):

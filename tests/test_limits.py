@@ -14,7 +14,9 @@ when rho = 0 or B~ = 0.  The CDF lower bound and the near-field law keep
 their node, rho = 0 and infinite-level limits, with typed errors the only
 failures.  So do the T factor and the forms built on it (secrecy_from_t,
 the x-axis slope, the left/right asymmetry), lambda, the decreasing-response
-probability, rho_for_eta and the jam-response classes.
+probability, rho_for_eta and the jam-response classes.  The colluding
+unconditional outage, its upper bound and the prob-zero cubature stay in
+[0, 1], each below its bound.
 """
 
 import math
@@ -29,6 +31,7 @@ from fdjam.colluding import _secrecy_array, jam_derivative_coeffs, lambda_factor
 from fdjam.colluding_fading import (
     JamResponseKind,
     _cond_prob_zero_array,
+    _prob_zero_cubature,
     cdf_lower_bound,
     classify_jam_response,
     cond_prob_zero,
@@ -36,6 +39,8 @@ from fdjam.colluding_fading import (
     decreasing_prob_lower_bound,
     rho_for_eta,
     secrecy_sample,
+    uncond_prob_zero,
+    uncond_upper_bound,
     v_terms,
 )
 from fdjam.errors import InvalidParameterError, UnsupportedRegimeError
@@ -592,3 +597,68 @@ def test_classify_jam_response_limits(g, rho, a_t, b_t) -> None:
     assert all(best <= prob(p_j) + 1e-12 for p_j in probes if p_j <= 1e12)
     if math.isinf(g.b):  # Eve on the jammer: any jamming zeroes the probability
         assert resp.kind is not JamResponseKind.OPTIMAL_ZERO
+
+
+# the colluding outage limits, as _v_arrays takes them: Alice's node, Bob's node with and
+# without jamming, rho = 0 at finite and infinite P_J, and b = rho*a (kappa = 1 at P_J = inf)
+COLLUDING_LIMITS = [
+    (LinkGains(INF, 1.0), 0.1, 10.0),
+    (LinkGains(1.0, INF), 0.1, 10.0),
+    (LinkGains(1.0, INF), 0.1, 0.0),
+    (LinkGains(1.0, INF), 0.1, INF),
+    (LinkGains(2.0, 1.0), 0.0, 10.0),
+    (LinkGains(2.0, 1.0), 0.0, INF),
+    (LinkGains(4.0, 0.4), 0.1, INF),
+    (LinkGains(4.0, 0.4), 0.1, 50.0),
+]
+
+
+def _colluding_limit(g: LinkGains, rho: float, p_j: float) -> float | None:
+    """The literal zero-secrecy probability where a limit fixes it, else None."""
+    if math.isinf(g.a):
+        return 1.0  # Eve on the transmitter
+    if p_j == 0:
+        return g.a / (g.a + 1.0)  # the mean of exp(-A~/a)
+    if math.isinf(g.b) or (math.isinf(p_j) and rho == 0):
+        return 0.0  # the jamming reaches Eve and spares the link
+    return None
+
+
+def _with_examples(test):
+    for args in reversed(COLLUDING_LIMITS):
+        test = example(*args)(test)
+    return test
+
+
+@SETTINGS
+@given(gain_pairs(), rho_s, power)
+@_with_examples
+def test_prob_zero_cubature_limits(g, rho, p_j) -> None:
+    value, error = (float(v) for v in _prob_zero_cubature(g.a, g.b, rho, p_j))
+    bound, _ = (float(v) for v in _prob_zero_cubature(g.a, g.b, rho, p_j, upper=True))
+    assert not any(math.isnan(v) for v in (value, error, bound))
+    assert 0.0 <= value <= bound <= 1.0 and error >= 0.0
+    limit = _colluding_limit(g, rho, p_j)
+    if limit is not None:
+        assert (value, error) == (limit, 0.0)
+    if math.isinf(p_j) or rho * p_j == 0:
+        assert error == 0.0  # closed forms
+    # the kernel on arrays is the scalar call element by element
+    arr, _ = _prob_zero_cubature(np.array([g.a, 3.0]), np.array([g.b, 0.5]), rho, p_j)
+    assert arr[0] == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(gain_pairs(), rho_s, power)
+@_with_examples
+def test_uncond_prob_zero_limits(g, rho, p_j) -> None:
+    p, mc = SystemParams(p_t=1.0, p_j=p_j, rho=rho), MCConfig(seed=3, n_samples=64)
+    est, bound = uncond_prob_zero(g, p, mc), uncond_upper_bound(g, p, mc)
+    for e in (est, bound):
+        assert not math.isnan(e.mean) and not math.isnan(e.stderr)
+        assert 0.0 <= e.mean <= 1.0 and e.stderr >= 0.0 and e.n == mc.n_samples
+    # exp(-v2)/(1+v1) <= 1/(1+v1) draw by draw on the one stream
+    assert est.mean <= bound.mean + 1e-15
+    limit = _colluding_limit(g, rho, p_j)
+    if limit is not None and (p_j > 0 or math.isinf(g.a)):  # at P_J = 0 a finite a leaves a draw mean
+        assert est.mean == limit and est.stderr == 0.0

@@ -171,6 +171,15 @@ def test_left_right_asymmetry() -> None:
         lr_asymmetry(0.7, params)
 
 
+@pytest.mark.parametrize("p_j, sign", [(0.0, -1.0), (10.0, 1.0), (1e4, 1.0)])
+def test_lr_asymmetry_sign_turns_with_jamming(p_j: float, sign: float) -> None:
+    # unjammed, the side nearer the transmitter has the larger T (T_left 4.47e6
+    # against 3.67e6); jamming past delta*sqrt(P_T) = 0.5 hands it to the right
+    params = SystemParams(p_t=100.0, p_j=p_j, rho=0.01)
+    t_left, t_right, diff = lr_asymmetry(0.05, params)
+    assert math.copysign(1.0, diff) == sign and diff == t_right - t_left
+
+
 def test_node_peaks_value() -> None:
     # rho * P_J = 1 gives (1/2) log2(1 + P_T/2)
     assert node_peaks(SystemParams(p_t=100.0, p_j=100.0, rho=0.01)) == pytest.approx(

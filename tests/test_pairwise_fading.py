@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fdjam.errors import InvalidParameterError
+from fdjam.colluding_fading import _exp_e1, _x_exp_e1
 from fdjam.geometry import LinkGains, SystemParams, gains
 from fdjam import montecarlo, pairwise_fading
 from fdjam.montecarlo import MCConfig, estimate
@@ -17,7 +18,6 @@ from fdjam.pairwise_fading import (
     _A_TOP,
     _WIDE_RULE,
     _crowded_rule,
-    _exp_e1,
     _node_sum,
     _policy_integrand,
     cond_prob_zero_pair,
@@ -321,6 +321,13 @@ EXP_E1_TABLE = (
 def test_exp_e1_against_a_table() -> None:
     x, want = np.array(EXP_E1_TABLE).T
     np.testing.assert_allclose(_exp_e1(x), want, rtol=1e-13, atol=0.0)
+
+
+def test_x_exp_e1_against_the_table_and_its_limits() -> None:
+    # h(x) = x*e^x*E1(x), the A~ integral of the colluding outage: 0 at x = 0, 1 at x = inf
+    x, want = np.array(EXP_E1_TABLE).T
+    np.testing.assert_allclose(_x_exp_e1(x), x * want, rtol=1e-13, atol=0.0)
+    assert _x_exp_e1(np.array([0.0, math.inf])).tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("at", [(0.0, 0.0), (-0.6, 0.0), (0.49, 0.0), (0.499, 0.0), (1.3, 0.7)])
