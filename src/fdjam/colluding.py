@@ -102,11 +102,14 @@ def _gamma_array(a, b, rho: float) -> np.ndarray:
 
 
 def gamma_coeff(g: LinkGains, rho: float) -> float:
-    """gamma = (a - 1)/(b - rho*a); NaN on the boundary b = rho*a (_gamma_array).
+    """gamma = (a - 1)/(b - rho*a) (_gamma_array).
 
     This is the jamming power at which secrecy switches on (sign of b - rho*a
-    positive) or off (negative).
+    positive) or off (negative).  On the boundary b = rho*a it diverges with
+    opposite signs on the two sides, and UnsupportedRegimeError is raised.
     """
+    if sign_b_minus_rho_a(g.a, g.b, rho) == 0:
+        raise UnsupportedRegimeError(f"gamma is undefined on b = rho*a, got a={g.a}, b={g.b}, rho={rho}")
     return float(_gamma_array(g.a, g.b, rho))
 
 

@@ -11,6 +11,7 @@ probability is exp(-v2)/(1+v1).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,29 @@ __all__ = [
     "secrecy_sample",
 ]
 
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes and weights on [-1, 1], the weights within about 2e-14 relative.
+
+    The nodes are numpy's, which leggauss has already polished by a Newton
+    step; its weights come from the derivative before that step and are off
+    by up to 1.3e-12 relative at 48 nodes.  Here the weights are
+    2/((1 - x^2)*P_n'(x)^2) with P_n' from the three-term recurrence at the
+    polished nodes.  Each n is computed once, and the read-only arrays are
+    shared by the rules built on them.
+    """
+    x = np.polynomial.legendre.leggauss(n)[0]
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    dp = n * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    w = 0.5 * (w + w[::-1])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 # e^x*E1(x) (_exp_e1): the power series of E1 below _E1_SPLIT (25 terms, highest first,
 # for Horner), a backward continued fraction of 32 terms above; both within 5e-14 relative
 _E1_SPLIT = 3.0
@@ -46,7 +70,7 @@ _E1_CF_TERMS = 32
 _EULER_GAMMA = 0.5772156649015329
 # The B~ rules of _prob_zero_cubature: Gauss-Legendre nodes on [0, 1]; a cell reports the
 # 48-node value, and its gap to the 32-node one as the error
-_B_RULE, _B_CHECK_RULE = ((0.5 * (1.0 + x), 0.5 * w) for x, w in map(np.polynomial.legendre.leggauss, (48, 32)))
+_B_RULE, _B_CHECK_RULE = ((0.5 * (1.0 + x), 0.5 * w) for x, w in map(_gauss_legendre, (48, 32)))
 # B~ past which e^-B~ < 5e-18: the B~ integral stops there
 _B_TOP = 40.0
 # Smallest stretch L = log1p(c*_B_TOP); below it the map is linear in t to 1e-8

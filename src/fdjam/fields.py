@@ -181,7 +181,9 @@ def _prob_zero_field(params: SystemParams, a_f, b_f, p_j: float, mc: MCConfig) -
     _COND_PROB_ZERO).  Blocks of whole cells, at most _BLOCK samples,
     go to the kernel at once with gains as (cells, 1) columns against
     (cells, n) draws; a cell with n > _BLOCK is summed over sub-blocks of
-    _BLOCK samples.
+    _BLOCK samples.  The kernel tests the gain-free window first and takes
+    the wedge only on the draws inside it, about pi*rho/4 of them at large
+    P_J, so at paper settings most of a field's time is the stream itself.
     """
     kernel, k = _COND_PROB_ZERO["pairwise"]
     n, rng, block = mc.n_samples, montecarlo._stream(mc.seed), montecarlo._BLOCK

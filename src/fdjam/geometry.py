@@ -140,15 +140,21 @@ class DiskBoundary:
 def gains(x: float, y: float, alpha: float) -> LinkGains:
     """Large-scale gains at location (x, y) for path-loss exponent alpha.
 
-    A point exactly on an endpoint gets an infinite gain marker.
+    A point exactly on an endpoint gets an infinite gain marker, and so does
+    one so near it that d^-alpha overflows.
     """
     if alpha < 2:
         raise InvalidParameterError(f"alpha must be >= 2, got {alpha}")
+
+    def gain(d: float) -> float:
+        try:
+            return d**-alpha
+        except (ZeroDivisionError, OverflowError):
+            return math.inf
+
     d_a = math.hypot(x + 0.5, y)
     d_b = math.hypot(x - 0.5, y)
-    a = math.inf if d_a == 0 else d_a**-alpha
-    b = math.inf if d_b == 0 else d_b**-alpha
-    return LinkGains(a=a, b=b, d_a=d_a, d_b=d_b)
+    return LinkGains(a=gain(d_a), b=gain(d_b), d_a=d_a, d_b=d_b)
 
 
 def gain_fields(x: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:

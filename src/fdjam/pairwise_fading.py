@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colluding_fading import _E1_SPLIT, _e1_cf_tail, _exp_e1, _v_arrays
+from .colluding_fading import _E1_SPLIT, _e1_cf_tail, _exp_e1, _gauss_legendre, _v_arrays
 from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams
 from .montecarlo import Estimate, MCConfig, estimate, sample_matrix
@@ -50,7 +50,7 @@ def _crowded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     The map crowds the nodes towards t = 1, where the wedge closes
     (_policy_integrand, finite P_J).
     """
-    x, wx = np.polynomial.legendre.leggauss(n)
+    x, wx = _gauss_legendre(n)
     return 1.0 - (0.5 * (1.0 - x)) ** 2, 0.5 * (1.0 - x) * wx
 
 
@@ -59,7 +59,7 @@ def _crowded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 _CLOSING_RULE = _crowded_rule(32)
 _WIDE_RULE = _crowded_rule(48)
 # 12 Gauss-Legendre nodes on [0, 1] for the smooth part of the semi-dynamic row (_semi_dynamic_row)
-_GL12_X, _GL12_WX = np.polynomial.legendre.leggauss(12)
+_GL12_X, _GL12_WX = _gauss_legendre(12)
 _GL12_T, _GL12_W = 0.5 * (1.0 + _GL12_X), 0.5 * _GL12_WX
 
 
@@ -128,14 +128,22 @@ def _wedge_coeffs(a, b, rho: float, p_j: float, b1_t, b2_t) -> tuple:
     1/(1 + c*A~), has rate c = D1/C0.  At P_J = inf the w's diverge; the
     coefficients are divided by P_J^2 once more, C0 = rho^2*B1~*B2~,
     C2 = 1, D1 = rho*(B1~*a/b + B2~*b/a) and S = Z = 0, the limits of K and
-    of E = 0.
+    of E = 0.  C0, C2 and the jamming factors come from _wedge_window.
     """
+    c0, c2, g1, g2 = _wedge_window(rho, p_j, b1_t, b2_t)
     if math.isinf(p_j):
-        return rho**2 * b1_t * b2_t, 1.0, (rho * a / b) * b1_t + (rho * b / a) * b2_t, 0.0, 0.0
-    q1, q2 = 1.0 + (rho * p_j) * b1_t, 1.0 + (rho * p_j) * b2_t
+        return c0, c2, (rho * a / b) * g1 + (rho * b / a) * g2, 0.0, 0.0
     inv_a, inv_b = 1.0 / a, 1.0 / b
-    d1 = (p_j * a * inv_b) * q1 + (p_j * b * inv_a) * q2
-    return q1 * q2, p_j**2, d1, inv_b * q1 + inv_a * q2, p_j * (inv_a + inv_b)
+    d1 = (p_j * a * inv_b) * g1 + (p_j * b * inv_a) * g2
+    return c0, c2, d1, inv_b * g1 + inv_a * g2, p_j * (inv_a + inv_b)
+
+
+def _wedge_window(rho: float, p_j: float, b1_t, b2_t) -> tuple:
+    """(C0, C2, g1, g2), the gain-free part of _wedge_coeffs: g = q at finite P_J and B~ at P_J = inf."""
+    if math.isinf(p_j):
+        return rho**2 * b1_t * b2_t, 1.0, b1_t, b2_t
+    q1, q2 = 1.0 + (rho * p_j) * b1_t, 1.0 + (rho * p_j) * b2_t
+    return q1 * q2, p_j**2, q1, q2
 
 
 def _wedge(coeffs: tuple, a_t, out: tuple = (None, None, None)) -> tuple:
@@ -168,19 +176,37 @@ def cond_prob_zero_pair_array(
 def _cond_prob_zero_pair_kernel(a, b, rho: float, p_j: float, a_t, b1_t, b2_t) -> np.ndarray:
     """cond_prob_zero_pair over fading arrays; the gains a, b may be arrays that broadcast.
 
-    K*exp(-E) where w1 > _W1_GUARD*w2, else 0.  At an endpoint node (a or
-    b infinite) the limit is 0 for P_J > 0 and exp(-A~*(1/a + 1/b)) without
-    jamming, where only the finite-gain phase can fail.
+    K*exp(-E) where w1 > _W1_GUARD*w2, else 0.  The gain-free window test
+    C0 > C2*A~^2 comes first, on about 1024 evenly spaced draws: if under a
+    quarter of them are inside, the wedge is taken on the in-window draws
+    alone, gathered with their gains, and scattered into zeros.  At an
+    endpoint node (a or b infinite) the limit is 0 for P_J > 0 and
+    exp(-A~*(1/a + 1/b)) without jamming, where only the finite-gain phase
+    can fail.
     """
+
+    def inside(at, u, v):  # exactly where _wedge gives w1 > 0: fl(C0 - x) > 0 iff C0 > x
+        c0, c2, _, _ = _wedge_window(rho, p_j, u, v)
+        return c0 > c2 * (at * at)
+
     a_t, node = np.asarray(a_t, dtype=float), np.isinf(a) | np.isinf(b)
     if np.any(node):
         limit = np.exp(-a_t * (1.0 / a + 1.0 / b)) if p_j == 0 else 0.0
         a, b = np.where(node, 1.0, a), np.where(node, 1.0, b)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), a_t.shape, np.shape(b1_t), np.shape(b2_t))
+    step = max(1, math.prod(shape) // 1024)
+    probe = inside(*(np.broadcast_to(x, shape).flat[::step] for x in (a_t, b1_t, b2_t)))
+    if gather := 4 * np.count_nonzero(probe) < probe.size:
+        pick = np.flatnonzero(np.broadcast_to(inside(a_t, b1_t, b2_t), shape))
+        a, b, a_t, b1_t, b2_t = (np.broadcast_to(x, shape).flat[pick] for x in (a, b, a_t, b1_t, b2_t))
     w1, w2, w3 = _wedge(_wedge_coeffs(a, b, rho, p_j, b1_t, b2_t), a_t)
     live = w1 > _W1_GUARD * w2
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         # E = 0 where masked: numpy's exp is ~20x slower where its result underflows
         val = np.where(live, w1 / w2 * np.exp(-w3 / np.where(live, w1, np.inf)), 0.0)
+    if gather:
+        np.put(out := np.zeros(shape), pick, val)
+        val = out
     return np.where(node, limit, val) if np.any(node) else val
 
 
@@ -481,7 +507,7 @@ def p2_bound(rho: float, p_j: float, mc: MCConfig) -> Estimate:
         raise InvalidParameterError(f"p2_bound needs P_J > 0, got {p_j}")
 
     def window_mass(uv: np.ndarray) -> np.ndarray:
-        c0, c2, *_ = _wedge_coeffs(1.0, 1.0, rho, p_j, uv[:, 0], uv[:, 1])  # w0 = sqrt(C0/C2) has no gains
+        c0, c2, _, _ = _wedge_window(rho, p_j, uv[:, 0], uv[:, 1])
         return -np.expm1(-np.sqrt(c0 / c2))
 
     return estimate(window_mass, mc, draws_per_sample=2)

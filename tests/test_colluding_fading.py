@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from fdjam.colluding_fading import (
+    _B_CHECK_RULE,
+    _B_RULE,
     JamResponseKind,
     _cond_prob_zero_array,
+    _gauss_legendre,
     _prob_zero_cubature,
     cdf_lower_bound,
     classify_jam_response,
@@ -215,3 +218,46 @@ def test_secrecy_sample_zero_event_frequency() -> None:
     vals = [secrecy_sample(g, params, float(c), float(d)) for c, d in rng.exponential(size=(200, 2))]
     assert all(v >= 0.0 for v in vals)
     assert any(v > 0.0 for v in vals)
+
+
+@pytest.mark.parametrize("n", [12, 32, 48])
+def test_gauss_legendre_rule_is_exact_on_polynomials(n: int) -> None:
+    # the n-node rule integrates x^k over [-1, 1] for every k < 2n, to rounding, and keeps
+    # numpy's nodes; its weights stay within numpy's own 1.3e-12 of numpy's weights
+    x, w = _gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.all(np.abs(x - ref_x) <= 2e-16) and np.array_equal(x, -x[::-1])
+    assert np.all(np.abs(w / ref_w - 1.0) <= 2e-12) and np.array_equal(w, w[::-1])
+    for k in range(0, 2 * n, 2):
+        assert abs((w * x**k).sum() * (k + 1) / 2.0 - 1.0) <= 1e-14, k
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double")
+@pytest.mark.parametrize("n", [12, 32, 48])
+def test_gauss_legendre_weights_against_extended_precision(n: int) -> None:
+    # the weights at the true roots, from Newton steps and the recurrence in long double
+    # (a 64-bit mantissa), within 3e-14 relative; numpy's own are off by 1.3e-12 at 48 nodes
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    for step in range(4):
+        p0, p1 = np.ones_like(x), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        dp = n * (x * p1 - p0) / ((x - 1) * (x + 1))
+        if step < 3:
+            x = x - p1 / dp
+    want = 2 / ((1 - x) * (1 + x) * dp * dp)
+    _, w = _gauss_legendre(n)
+    assert np.max(np.abs(w / want - 1)) <= 3e-14
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 100.0, 1e4])
+def test_b_rule_integrates_the_exponential(c: float) -> None:
+    # the integral of e^-B~ over [0, 40] on the log map B~ = expm1(t*L)/c,
+    # L = log1p(40*c), of _prob_zero_cubature: numpy's 48-node weights left it 7e-14 off
+    exact = -math.expm1(-40.0)
+    stretch = math.log1p(40.0 * c)
+    scale = 40.0 / math.expm1(stretch)
+    for (t, w), tol in ((_B_RULE, 2e-14), (_B_CHECK_RULE, 2e-14 if c <= 1.0 else 1e-9)):
+        tl = t * stretch
+        got = (np.exp(tl - np.expm1(tl) * scale) * w).sum() * stretch * scale
+        assert abs(got / exact - 1.0) <= tol, (t.size, got / exact - 1.0)

@@ -203,9 +203,10 @@ def test_prob_zero_cell_is_the_mean_over_its_slice(mode: str, grid: GridSpec) ->
 ORACLE_PJ = [0.0, *(10.0 ** (db / 10) for db in range(-30, 90, 10)), math.inf]
 # the gated grid cells: the corners (+-2, +-2), the origin and two near the nodes
 ORACLE_CELLS = [(-2.0, -2.0), (2.0, -2.0), (-2.0, 2.0), (2.0, 2.0), (0.0, 0.0), (-0.6, 0.0), (0.4, 0.1)]
-# Rounding floor of the comparison, relative: numpy's 48-node Legendre weights are off by up
-# to 1.3e-12 relative at the ends (7e-14 on a cell), and the oracle is good to about 2e-14
-ROUNDING = 2e-13
+# Rounding floor of the comparison, relative: the oracle is good to about 2e-14, and so are
+# the B~ rule's weights (colluding_fading._gauss_legendre); gaps beyond the reported error
+# reach 2.2e-14 over the gated cells
+ROUNDING = 5e-14
 
 
 def _gate_against_oracle(g: LinkGains, p: SystemParams, value: float, error: float) -> None:

@@ -16,7 +16,12 @@ failures.  So do the T factor and the forms built on it (secrecy_from_t,
 the x-axis slope, the left/right asymmetry), lambda, the decreasing-response
 probability, rho_for_eta and the jam-response classes.  The colluding
 unconditional outage, its upper bound and the prob-zero cubature stay in
-[0, 1], each below its bound.
+[0, 1], each below its bound.  The windowed pairwise kernel gives the bits
+of the wedge taken on every draw, in every layout.  The geometry (the sign
+of b - rho*a, the regions, the rho disk), gamma, the zero-region predicate,
+the worst location and the optimal jamming power keep their node, rho = 0
+and boundary limits, with typed errors the only failures: gamma raises on
+b = rho*a, where it diverges.
 """
 
 import math
@@ -26,8 +31,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fdjam import montecarlo
-from fdjam.colluding import _secrecy_array, jam_derivative_coeffs, lambda_factor, positivity, secrecy_ab
+from fdjam import montecarlo, pairwise_fading
+from fdjam.colluding import (
+    _secrecy_array,
+    gamma_coeff,
+    jam_derivative_coeffs,
+    lambda_factor,
+    opt_jam,
+    p_j_opt_array,
+    positivity,
+    secrecy_ab,
+    worst_location,
+    zero_region_predicate,
+)
 from fdjam.colluding_fading import (
     JamResponseKind,
     _cond_prob_zero_array,
@@ -43,8 +59,19 @@ from fdjam.colluding_fading import (
     uncond_upper_bound,
     v_terms,
 )
-from fdjam.errors import InvalidParameterError, UnsupportedRegimeError
-from fdjam.geometry import LinkGains, SystemParams, gains
+from fdjam.errors import InvalidParameterError, UnboundedOptimumError, UnsupportedRegimeError
+from fdjam.fields import GridSpec, build_field
+from fdjam.geometry import (
+    DiskSide,
+    LinkGains,
+    Region,
+    SystemParams,
+    gains,
+    region4_containment_threshold,
+    region_classify,
+    rho_disk,
+    sign_b_minus_rho_a,
+)
 from fdjam.montecarlo import MCConfig
 from fdjam.oracles import deriv_x_axis_even_alpha
 from fdjam.pairwise import deriv_x_axis, lr_asymmetry, pair_hypotheses_hold, secrecy_from_t, secrecy_pair, t_factor
@@ -54,8 +81,11 @@ from fdjam.pairwise_fading import (
     JamPolicyKind,
     _cond_prob_zero_pair_kernel,
     _policy_integrand,
+    _wedge,
     _wedge_coeffs,
+    _wedge_window,
     cond_prob_zero_pair,
+    cond_prob_zero_pair_array,
     homogeneous_secrecy,
     homogeneous_tail_bound,
     p1_bound,
@@ -287,6 +317,113 @@ def test_window_and_layer_rate_from_the_coefficients(a, b, rho, p_j, u, v) -> No
         q1, q2 = 1.0 + rho * u * p_j, 1.0 + rho * v * p_j
         assert w0 == pytest.approx(math.sqrt(rho**2 * u * v + (1.0 + rho * (u + v) * p_j) / p_j**2), rel=1e-14)
         assert d1 / c0 == pytest.approx(p_j * (a / (b * q2) + b / (a * q1)), rel=1e-13)
+
+
+def _wedge_on_every_draw(a, b, rho: float, p_j: float, a_t, b1_t, b2_t) -> tuple:
+    """(K*exp(-E) or 0, live, E) with the wedge terms taken on every draw, no window test first."""
+    w1, w2, w3 = _wedge(_wedge_coeffs(a, b, rho, p_j, b1_t, b2_t), a_t)
+    live = w1 > _W1_GUARD * w2
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        e_exp = w3 / np.where(live, w1, np.inf)
+        return np.where(live, w1 / w2 * np.exp(-e_exp), 0.0), live, e_exp
+
+
+def _draws_on_the_window_edge(rho: float, p_j: float, seed: int) -> tuple:
+    """(A~, B1~, B2~) with A~ on w0 = sqrt(C0/C2), up to 4 ulps either side of it and at 0, w0/2
+    and 0.99*w0, for B~ in random draws, zero and one; A~ is clipped at 0 and stays finite where
+    the window is unbounded."""
+    rng = np.random.default_rng(seed)
+    u = np.concatenate((rng.exponential(size=40), [0.0, 0.0, 1.0]))
+    v = np.concatenate((rng.exponential(size=40), [0.0, 1.0, 1.0]))
+    c0, c2, _, _ = _wedge_window(rho, p_j, u, v)
+    with np.errstate(divide="ignore"):
+        w0 = np.sqrt(c0 / c2)
+    w0 = np.where(np.isfinite(w0), w0, rng.exponential(size=w0.size))  # P_J = 0: every A~ is inside
+    edge = [w0]
+    for _ in range(4):
+        edge = [np.nextafter(edge[0], -INF)] + edge + [np.nextafter(edge[-1], INF)]
+    edge += [0.0 * w0, 0.5 * w0, 0.99 * w0]
+    a_t = np.maximum(np.concatenate(edge), 0.0)
+    return a_t, np.tile(u, len(edge)), np.tile(v, len(edge))
+
+
+def _record_wedge_sizes(monkeypatch) -> list:
+    """The number of draws of every later call to pairwise_fading._wedge, in call order."""
+    sizes = []
+
+    def recording(coeffs, a_t, *rest):
+        sizes.append(np.size(a_t))
+        return _wedge(coeffs, a_t, *rest)
+
+    monkeypatch.setattr(pairwise_fading, "_wedge", recording)
+    return sizes
+
+
+_NODE_MIX = [(0.7, 1.3), (4.0, 0.4), (INF, 0.3), (0.3, INF), (1e-3, 1e3), (2.0, 2.0)]
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("p_j", [0.0, 1e-3, 1.0, 1e4, INF])
+def test_windowed_kernel_on_the_window_edge(monkeypatch, rho: float, p_j: float) -> None:
+    # A~ on w0 and a few ulps off it, with node gains mixed in: every element is the scalar
+    # form and the wedge taken on every draw, bit for bit, and off the nodes it is 0 exactly
+    # where w1 <= _W1_GUARD*w2 or where exp(-E) underflows.  Padded with draws far outside
+    # the window, the kernel gathers (the wedge sees fewer draws than the batch) and must
+    # give the same bits; at P_J = 0 the window is the whole half-line and nothing is outside.
+    a_t, u, v = _draws_on_the_window_edge(rho, p_j, seed=int(1e3 * rho) + 7)
+    mix = np.array(_NODE_MIX)[np.arange(a_t.size) % len(_NODE_MIX)]
+    a, b = mix[:, 0], mix[:, 1]
+    sizes = _record_wedge_sizes(monkeypatch)
+    got = _cond_prob_zero_pair_kernel(a, b, rho, p_j, a_t, u, v)
+    n, pad = a_t.size, 20 * a_t.size
+    far = np.full(pad, 1e4)  # with B~ = 0 the window is A~ < 1/P_J, at most 1e3 here
+    padded = _cond_prob_zero_pair_kernel(
+        np.concatenate((a, np.full(pad, 0.7))), np.concatenate((b, np.full(pad, 1.3))), rho, p_j,
+        np.concatenate((a_t, far)), np.concatenate((u, np.zeros(pad))), np.concatenate((v, np.zeros(pad))),
+    )
+    node = np.isinf(a) | np.isinf(b)
+    want, live, e_exp = _wedge_on_every_draw(np.where(node, 1.0, a), np.where(node, 1.0, b), rho, p_j, a_t, u, v)
+    want = np.where(node, np.exp(-a_t * (1.0 / a + 1.0 / b)) if p_j == 0 else 0.0, want)
+    assert got.tobytes() == want.tobytes()
+    assert padded[:n].tobytes() == want.tobytes() and np.all(padded[n:] == 0.0)
+    assert sizes[1] < n + pad or p_j == 0  # the padded batch was gathered, unless the window is unbounded
+    assert np.array_equal((got == 0.0)[~node], (~live | (e_exp > 745.0))[~node])
+    p = SystemParams(p_t=1.0, p_j=p_j, rho=rho)
+    for i in range(n):
+        assert cond_prob_zero_pair(LinkGains(a[i], b[i]), p, a_t[i], u[i], v[i]) == got[i]
+        if not node[i]:
+            _assert_matches_w_form(a[i], b[i], rho, p_j, a_t[i], u[i], v[i])
+
+
+@pytest.mark.parametrize("p_j", [0.0, 1.0, 1e4, INF])
+def test_windowed_kernel_is_the_same_in_every_layout(p_j: float) -> None:
+    # contiguous columns, strided (m, 3) column views and (cells, n) draws against
+    # (cells, 1) gains give the same bits for the same draws
+    cells, n = 6, 500
+    e = montecarlo._exp_draws(montecarlo._stream(11), (cells * n, 3))
+    a = np.repeat(np.array([0.7, 4.0, INF, 0.3, 1e-3, 2.0]), n)
+    b = np.repeat(np.array([1.3, 0.4, 0.3, INF, 1e3, 2.0]), n)
+    strided = _cond_prob_zero_pair_kernel(a, b, 0.01, p_j, e[:, 0], e[:, 1], e[:, 2])
+    contiguous = _cond_prob_zero_pair_kernel(a, b, 0.01, p_j, *np.ascontiguousarray(e.T))
+    blocks = _cond_prob_zero_pair_kernel(
+        a[::n, None], b[::n, None], 0.01, p_j, *np.moveaxis(e.reshape(cells, n, 3), -1, 0)
+    )
+    assert not e[:, 0].flags.c_contiguous
+    assert strided.tobytes() == contiguous.tobytes() == blocks.reshape(-1).tobytes()
+
+
+def test_the_wedge_runs_only_on_the_window_at_paper_settings(monkeypatch) -> None:
+    # At rho = 0.01, P_J = 1e4 the window holds about pi*rho/4 ~ 0.8% of the draws; the
+    # kernel must not take the wedge terms on the rest, in the array form or in a field
+    sizes = _record_wedge_sizes(monkeypatch)
+    params = SystemParams(p_t=1e6, p_j=1e4, rho=0.01)
+    e = montecarlo._exp_draws(montecarlo._stream(3), (100_000, 3))
+    cond_prob_zero_pair_array(gains(0.0, 0.0, 2.0), params, e[:, 0], e[:, 1], e[:, 2])
+    assert 0 < sum(sizes) < 0.05 * 100_000
+    sizes.clear()
+    grid = GridSpec(-1.0, 1.0, -0.95, 1.05, 0.5)
+    build_field("pairwise", params, grid, quantity="prob-zero", mc=MCConfig(seed=3, n_samples=4000))
+    assert 0 < sum(sizes) < 0.05 * grid.nx * grid.ny * 4000
 
 
 @SETTINGS
@@ -662,3 +799,148 @@ def test_uncond_prob_zero_limits(g, rho, p_j) -> None:
     limit = _colluding_limit(g, rho, p_j)
     if limit is not None and (p_j > 0 or math.isinf(g.a)):  # at P_J = 0 a finite a leaves a draw mean
         assert est.mean == limit and est.stderr == 0.0
+
+
+# gains on the boundary b = rho*a, each with its rho, exact in floating point
+ON_BOUNDARY = [(LinkGains(4.0, 0.4), 0.1), (LinkGains(1.0, 1.0), 1.0), (LinkGains(0.5, 0.25), 0.5)]
+
+
+def _with_boundary_examples(*rest):
+    """Add an example per ON_BOUNDARY pair, followed by the arguments rest."""
+
+    def add(test):
+        for g, rho in reversed(ON_BOUNDARY):
+            test = example(g, rho, *rest)(test)
+        return test
+
+    return add
+
+
+@SETTINGS
+@given(gain_pairs(), rho_s)
+@_with_boundary_examples()
+@example(LinkGains(INF, 1.0), 0.0)  # rho*a is identically 0 along rho = 0, even at a = inf
+@example(LinkGains(INF, 1.0), 0.1)
+@example(LinkGains(1.0, INF), 0.1)
+def test_sign_region_and_gamma_limits(g, rho) -> None:
+    s = sign_b_minus_rho_a(g.a, g.b, rho)
+    assert s in (-1, 0, 1)
+    if rho == 0 or math.isinf(g.b):
+        assert s == 1
+    elif math.isinf(g.a):
+        assert s == -1
+    else:
+        assert s == int(np.sign(g.b - rho * g.a))
+    region = region_classify(g, rho)
+    assert region is {(True, False): Region.R1, (True, True): Region.R2, (False, False): Region.R3,
+                      (False, True): Region.R4}[(s > 0, g.a >= 1.0)]
+    if s == 0:
+        with pytest.raises(UnsupportedRegimeError):
+            gamma_coeff(g, rho)
+        return
+    gam = gamma_coeff(g, rho)
+    assert not math.isnan(gam)
+    if math.isinf(g.b):
+        assert gam == 0.0
+    elif math.isinf(g.a):
+        assert gam == (INF if rho == 0 else -1.0 / rho)
+    else:
+        assert gam == (g.a - 1.0) / (g.b - rho * g.a)
+
+
+@pytest.mark.parametrize("g, rho", ON_BOUNDARY)
+def test_gamma_raises_on_the_boundary(g, rho) -> None:
+    assert g.b == rho * g.a and sign_b_minus_rho_a(g.a, g.b, rho) == 0
+    with pytest.raises(UnsupportedRegimeError):
+        gamma_coeff(g, rho)
+    res = opt_jam(g, rho, 100.0)  # the result type still reports them as NaN, with p_j_opt = 0
+    assert math.isnan(res.gamma) and math.isnan(res.beta) and res.p_j_opt == 0.0
+
+
+@SETTINGS
+@given(st.one_of(st.just(0.0), st.floats(1e-4, 0.99), st.just(1.0), st.floats(1.01, 100.0)), st.floats(2.0, 6.0),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+@example(0.0, 2.0, 1.0, 0.5)
+@example(1.0, 2.0, 0.3, -1.0)
+@example(0.1, 2.0, -0.5, 0.0)  # the transmitter, inside every rho < 1 disk
+def test_rho_disk_limits(rho, alpha, x, y) -> None:
+    # the disk is the sign of b - rho*a at every location off the endpoints and off its circle
+    disk = rho_disk(rho, alpha)
+    assert not (math.isnan(disk.x0) or math.isnan(disk.r))
+    if rho == 1:
+        assert disk.side is DiskSide.HALF_PLANE
+    else:
+        assert disk.r >= 0.0
+        assert disk.side is (DiskSide.LEFT_EXCLUSION if rho < 1 else DiskSide.RIGHT_INCLUSION)
+        assert (disk.x0 >= 0.5) if rho < 1 else (disk.x0 < 0.0)
+    g = gains(x, y, alpha)
+    if math.isinf(g.a) or math.isinf(g.b):
+        return
+    assume(abs(g.b - rho * g.a) > 1e-9 * (g.b + rho * g.a))
+    assert bool(disk.secrecy_side(x, y)) == (sign_b_minus_rho_a(g.a, g.b, rho) > 0)
+    assert np.array_equal(disk.secrecy_side(np.array([x, x]), np.array([y, y])), [disk.secrecy_side(x, y)] * 2)
+
+
+@SETTINGS
+@given(gain_pairs(), st.one_of(st.just(0.0), st.floats(1e-4, 0.3)), st.floats(2.0, 4.0), power)
+@example(LinkGains(4.0, 0.4), 0.1, 2.0, 10.0)  # b = rho*a, folded into R4
+@example(LinkGains(INF, 1.0), 0.1, 2.0, 10.0)
+@example(LinkGains(1.0, INF), 0.1, 2.0, INF)
+@example(LinkGains(4.0, 1.0), 0.0, 2.0, 0.0)
+def test_zero_region_predicate_limits(g, rho, alpha, p_j) -> None:
+    # in its regime the predicate is "secrecy is zero": it never disagrees with positivity
+    p = SystemParams(p_t=100.0, p_j=p_j, rho=rho, alpha=alpha)
+    try:
+        zero = zero_region_predicate(g, p)
+    except UnsupportedRegimeError:
+        assert not rho < 2.0**-alpha or not p_j > 0 or region_classify(g, rho) is Region.R3
+        return
+    assert zero == (not positivity(g, p))
+
+
+@SETTINGS
+@given(st.floats(1e-3, 1.5), st.floats(0.0, 1.0), st.floats(2.0, 4.0), power, st.floats(0.0, 2.0 * math.pi))
+@example(0.1, 0.0, 2.0, 1e4, 0.0)
+@example(1.0, 0.5, 2.0, INF, 1.0)
+@example(0.05, 0.0, 2.0, 0.0, 0.0)
+def test_worst_location_limits(delta, rho_frac, alpha, p_j, theta) -> None:
+    # within its conditions the candidate (-delta - 0.5, 0) has no more secrecy than another point
+    # on the exclusion circle d_A = delta; outside them it raises UnsupportedRegimeError
+    rho = rho_frac * region4_containment_threshold(delta, alpha)
+    p = SystemParams(p_t=100.0, p_j=p_j, rho=rho, alpha=alpha, delta=delta)
+    try:
+        loc = worst_location(p)
+    except UnsupportedRegimeError:
+        return
+    assert (loc.x, loc.y) == (-delta - 0.5, 0.0)
+    at_loc = secrecy_ab(gains(loc.x, loc.y, alpha), p)
+    other = secrecy_ab(gains(-0.5 + delta * math.cos(theta), delta * math.sin(theta), alpha), p)
+    assert not math.isnan(at_loc) and at_loc <= other + 1e-12
+
+
+@SETTINGS
+@given(gain_pairs(), rho_s, st.floats(1e-2, 1e6))
+@_with_boundary_examples(100.0)
+@example(LinkGains(INF, 0.05), 0.1, 100.0)
+@example(LinkGains(0.5, INF), 0.1, 100.0)
+@example(LinkGains(4.0, 1.0), 0.0, 100.0)
+def test_opt_jam_limits(g, rho, p_t) -> None:
+    if rho == 0:
+        with pytest.raises(UnboundedOptimumError):
+            opt_jam(g, rho, p_t)
+        with pytest.raises(UnboundedOptimumError):
+            p_j_opt_array(np.array([g.a]), np.array([g.b]), rho, p_t)
+        return
+    res = opt_jam(g, rho, p_t)
+    assert not math.isnan(res.p_j_opt) and res.p_j_opt >= 0.0
+    assert p_j_opt_array(np.array([g.a, g.a]), np.array([g.b, g.b]), rho, p_t).tolist() == [res.p_j_opt] * 2
+    s = sign_b_minus_rho_a(g.a, g.b, rho)
+    assert math.isnan(res.gamma) == math.isnan(res.beta) == (s == 0)
+    if math.isinf(g.a) or math.isinf(g.b) or s <= 0:
+        assert res.p_j_opt == 0.0
+        return
+    assert res.gamma == gamma_coeff(g, rho)
+    # no nearby power and no jamming at all does better, up to the flatness of the optimum
+    best = secrecy_ab(g, SystemParams(p_t=p_t, p_j=res.p_j_opt, rho=rho))
+    for p_j in (0.0, 0.5 * res.p_j_opt, 2.0 * res.p_j_opt, res.p_j_opt + 1.0):
+        assert secrecy_ab(g, SystemParams(p_t=p_t, p_j=p_j, rho=rho)) <= best + 1e-9 * max(best, 1.0)
