@@ -54,17 +54,27 @@ class Estimate:
         return f"{self.mean:.6g} +- {self.stderr:.2g} (n={self.n})"
 
 
-def _stream(seed: int) -> np.random.Generator:
-    """The one stream of a seed; every caller consumes it in sample order."""
-    return np.random.Generator(np.random.Philox(key=seed))
+def _stream(seed: int, word: int = 0) -> np.random.Generator:
+    """The one stream of a seed, opened at its uniform number `word`.
+
+    Every caller consumes it in sample order.  Philox turns counter c into
+    the uniforms [4c, 4c + 4), one 64-bit word each, so the stream from word
+    w is the counter w // 4 with its first w % 4 uniforms skipped: the same
+    draws as the stream from word 0 after w uniforms.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=word // 4))
+    if word % 4:
+        rng.random(word % 4)
+    return rng
 
 
-def _exp_draws(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+def _exp_draws(rng: np.random.Generator, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """The stream's next Exp(1) draws -log1p(-u), computed in place so one array is alive.
 
-    u lies in [0, 1), so the argument of log never reaches 0 and draws are finite.
+    out, of the given shape, receives them instead of a new array.  u lies
+    in [0, 1), so the argument of log never reaches 0 and draws are finite.
     """
-    u = rng.random(shape)
+    u = rng.random(shape, out=out)
     np.log1p(np.negative(u, out=u), out=u)
     return np.negative(u, out=u)
 

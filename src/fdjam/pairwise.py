@@ -231,7 +231,12 @@ def deriv_x_axis(d: float, params: SystemParams) -> float:
 
 
 def singularity_asymptote(x: float, alpha: float) -> float:
-    """Leading behavior of deriv_x_axis as x -> 0.5: -(log2 e)/2 * alpha/(0.5-x)."""
+    """Leading behavior of deriv_x_axis as x -> 0.5: -(log2 e)/2 * alpha/(0.5-x).
+
+    At x = 0.5 itself, Bob's node, the slope diverges and the form raises.
+    """
+    if x == 0.5:
+        raise InvalidParameterError(f"the asymptote diverges at Bob's node x = 0.5, got {x}")
     return -0.5 * LOG2E * alpha / (0.5 - x)
 
 
@@ -252,8 +257,22 @@ def lr_asymmetry(delta: float, params: SystemParams) -> tuple[float, float, floa
 
 
 def lr_asymmetry_asymptotic(delta: float, params: SystemParams) -> float:
-    """Small-delta, large-P_J limit of the T gap: 2*alpha*delta^(1-alpha)*P_T/P_J."""
-    return 2.0 * params.alpha * delta ** (1.0 - params.alpha) * params.p_t / params.p_j
+    """Small-delta, large-P_J limit of the T gap: 2*alpha*delta^(1-alpha)*P_T/P_J.
+
+    delta lies in (0, 0.5), as for lr_asymmetry; P_J = 0 is outside the
+    large-P_J regime and raises UnsupportedRegimeError.
+    """
+    if not 0 < delta < 0.5:
+        raise InvalidParameterError(f"delta must be in (0, 0.5), got {delta}")
+    if not params.p_j > 0:
+        raise UnsupportedRegimeError("lr_asymmetry_asymptotic is a large-P_J limit and needs P_J > 0")
+    if math.isinf(params.p_j):
+        return 0.0
+    try:
+        scale = delta ** (1.0 - params.alpha)
+    except OverflowError:  # delta within a few ulps of 0: the gap is past every float
+        return math.inf
+    return 2.0 * params.alpha * scale * params.p_t / params.p_j
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ Every draw comes from one Philox stream keyed by the seed: a caller taking
 k draws per sample gives sample i uniforms [i*k, (i+1)*k), each mapped to
 Exp(1) by -log1p(-u), and a fading or pairwise prob-zero field takes cell i
 (row-major) as a sample of k*n draws.  The draws are rebuilt here from
-that rule alone.  A colluding prob-zero field draws nothing: its cubature
-is gated against the 2-D quadrature oracle, and statistically against the
-per-cell Monte Carlo mean it replaced.
+that rule alone, and a pairwise prob-zero field split over lanes, each
+opening the stream at its first cell's word, gives the bits of one lane.
+A colluding prob-zero field draws nothing: its cubature is gated against
+the 2-D quadrature oracle, and statistically against the per-cell Monte
+Carlo mean it replaced.
 The scalar secrecy and outage forms are calls into the same kernels as the
 fields, so the references are the oracles (raw-SNR secrecy, wedge and
 outage quadrature), the paper's closed forms written out here, and literal
@@ -14,6 +16,8 @@ limits.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -331,7 +335,8 @@ def test_prob_zero_field_is_chunk_invariant(monkeypatch, mode: str, grid: GridSp
     ],
 )
 def test_one_sweep_makes_constant_setup_calls(monkeypatch, kwargs: dict) -> None:
-    # a per-cell loop would call gain_fields or build a generator once per cell
+    # a per-cell loop would call gain_fields or build a generator once per
+    # cell; a pairwise prob-zero field builds one per lane, on every grid
     counts = {"gain_fields": 0, "Philox": 0}
     real_gain_fields, real_philox = fields_mod.gain_fields, np.random.Philox
 
@@ -346,18 +351,92 @@ def test_one_sweep_makes_constant_setup_calls(monkeypatch, kwargs: dict) -> None
     monkeypatch.setattr(fields_mod, "gain_fields", counted_gain_fields)
     monkeypatch.setattr(np.random, "Philox", counted_philox)
     params = SystemParams(p_t=100.0, p_j=30.0, rho=0.05)
-    grid = GridSpec(-1.0, 1.0, -0.95, 1.05, 0.1)  # 21 x 21, no endpoint
     monkeypatch.setattr(montecarlo, "_BLOCK", 64)
     mc = MCConfig(seed=1, n_samples=8)
     kw = {"mode": "colluding", **kwargs}
     mode = kw.pop("mode")
-    build_field(mode, params, grid, mc=mc, **kw)
     # a colluding prob-zero field is a cubature and draws nothing
-    drawn = kw.get("fading") or (kw.get("quantity") and mode == "pairwise")
-    assert counts == {"gain_fields": 1, "Philox": 1 if drawn else 0}
-    counts.update(gain_fields=0, Philox=0)
-    build_optjam_grid(grid, params)
-    assert counts == {"gain_fields": 1, "Philox": 0}
+    lanes = fields_mod._LANES if kw.get("quantity") and mode == "pairwise" else 0
+    drawn = lanes or (1 if kw.get("fading") else 0)
+    for step in (0.1, 0.05):  # 21 x 21 and 41 x 41, no endpoint
+        grid = GridSpec(-1.0, 1.0, -0.95, 1.05, step)
+        counts.update(gain_fields=0, Philox=0)
+        build_field(mode, params, grid, mc=mc, **kw)
+        assert counts == {"gain_fields": 1, "Philox": drawn}
+        counts.update(gain_fields=0, Philox=0)
+        build_optjam_grid(grid, params)
+        assert counts == {"gain_fields": 1, "Philox": 0}
+
+
+@pytest.mark.parametrize("w", [0, 1, 2, 3, 5, 3 * 2**16 + 1])
+def test_stream_opened_at_a_word_is_the_one_stream_from_there(w: int) -> None:
+    got = montecarlo._stream(29, w).random(9)
+    assert np.array_equal(got, montecarlo._stream(29).random(w + 9)[w:])
+
+
+# (grid, n, _BLOCK): SHIFTED and SMALL hold 45 cells, so lane 1 starts at
+# cell 23, at a word 23*n*3 that is not a multiple of 4 for n = 1 and 7;
+# SMALL holds both endpoints; n = 200 against a block of 64 takes sub-blocks
+LANE_CASES = [(SHIFTED, 1, 2**16), (SHIFTED, 7, 2**16), (SHIFTED, 2000, 2**16), (SHIFTED, 200, 64), (SMALL, 7, 2**16)]
+
+
+@pytest.mark.parametrize("p_j", [0.0, 1.0, math.inf])
+@pytest.mark.parametrize("grid, n, block", LANE_CASES, ids=["n1", "n7", "n2000", "sub-blocks", "endpoints"])
+def test_prob_zero_field_is_the_same_bits_on_one_and_two_lanes(
+    monkeypatch, tmp_path, grid: GridSpec, n: int, block: int, p_j: float
+) -> None:
+    params = SystemParams(p_t=100.0, p_j=p_j, rho=0.05)
+    mc = MCConfig(seed=41, n_samples=n)
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    texts, values = [], []
+    for lanes in (1, 2):
+        monkeypatch.setattr(fields_mod, "_LANES", lanes)
+        fg = build_field("pairwise", params, grid, quantity="prob-zero", mc=mc)
+        fields_mod.write_json(fg, str(tmp_path / "f.json"))
+        texts.append((tmp_path / "f.json").read_bytes())
+        values.append(fg.values.tobytes())
+    assert values[0] == values[1]
+    assert texts[0] == texts[1]
+    if n in (1, 7):  # lane 1 opens the stream inside a Philox counter
+        assert grid.nx * grid.ny == 45 and (23 * n * 3) % 4 != 0
+
+
+def test_prob_zero_field_lanes_under_contention(monkeypatch) -> None:
+    # more lanes than cores and a thread switch every microsecond: a lost
+    # update to the shared sums would change some cell
+    params = SystemParams(p_t=100.0, p_j=30.0, rho=0.05)
+    grid, mc = GridSpec(-1.0, 1.0, -0.95, 1.05, 0.1), MCConfig(seed=43, n_samples=7)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 64)
+    monkeypatch.setattr(fields_mod, "_LANES", 1)
+    want = build_field("pairwise", params, grid, quantity="prob-zero", mc=mc).values
+    monkeypatch.setattr(fields_mod, "_LANES", 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = build_field("pairwise", params, grid, quantity="prob-zero", mc=mc).values
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_lane_failure_is_raised_after_every_lane_stopped(monkeypatch) -> None:
+    kernel, k = fields_mod._COND_PROB_ZERO["pairwise"]
+    raised: list[Exception] = []
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():  # lane 1's cells
+            raised.append(RuntimeError("lane 1"))
+            raise raised[-1]
+        return kernel(*args)
+
+    monkeypatch.setattr(fields_mod, "_LANES", 2)
+    monkeypatch.setitem(fields_mod._COND_PROB_ZERO, "pairwise", (failing, k))
+    params, mc = SystemParams(p_t=100.0, p_j=30.0, rho=0.05), MCConfig(seed=3, n_samples=20)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        build_field("pairwise", params, SHIFTED, quantity="prob-zero", mc=mc)
+    assert info.value is raised[0]
+    assert threading.active_count() == before
 
 
 def test_argmin_argmax_skip_nan_cells() -> None:

@@ -13,7 +13,9 @@ and the closed forms of the window and the layer rate.  The policy rows
 when rho = 0 or B~ = 0.  The CDF lower bound and the near-field law keep
 their node, rho = 0 and infinite-level limits, with typed errors the only
 failures.  So do the T factor and the forms built on it (secrecy_from_t,
-the x-axis slope, the left/right asymmetry), lambda, the decreasing-response
+the x-axis slope, the left/right asymmetry), the asymptotic forms (the
+slope's singularity, the asymmetry's large-P_J limit, the near/far-field
+plateaus, the node peaks), lambda, the decreasing-response
 probability, rho_for_eta and the jam-response classes.  The colluding
 unconditional outage, its upper bound and the prob-zero cubature stay in
 [0, 1], each below its bound.  The windowed pairwise kernel gives the bits
@@ -25,6 +27,7 @@ b = rho*a, where it diverges.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,7 +62,7 @@ from fdjam.colluding_fading import (
     uncond_upper_bound,
     v_terms,
 )
-from fdjam.errors import InvalidParameterError, UnboundedOptimumError, UnsupportedRegimeError
+from fdjam.errors import InvalidParameterError, RegimeWarning, UnboundedOptimumError, UnsupportedRegimeError
 from fdjam.fields import GridSpec, build_field
 from fdjam.geometry import (
     DiskSide,
@@ -74,7 +77,18 @@ from fdjam.geometry import (
 )
 from fdjam.montecarlo import MCConfig
 from fdjam.oracles import deriv_x_axis_even_alpha
-from fdjam.pairwise import deriv_x_axis, lr_asymmetry, pair_hypotheses_hold, secrecy_from_t, secrecy_pair, t_factor
+from fdjam.pairwise import (
+    deriv_x_axis,
+    lr_asymmetry,
+    lr_asymmetry_asymptotic,
+    near_far_field,
+    node_peaks,
+    pair_hypotheses_hold,
+    secrecy_from_t,
+    secrecy_pair,
+    singularity_asymptote,
+    t_factor,
+)
 from fdjam.pairwise_fading import (
     _W1_GUARD,
     JamPolicy,
@@ -651,6 +665,94 @@ def test_lr_asymmetry_limits(delta, rho, p_j, p_t) -> None:
     assert left >= 1.0 and right >= 1.0 and gap == right - left
     if math.isinf(p_j):
         assert (left, right, gap) == (1.0, 1.0, 0.0)
+
+
+@SETTINGS
+@given(st.one_of(st.sampled_from([0.5, -0.5]), st.floats(-5.0, 5.0)), st.floats(2.0, 6.0))
+@example(0.5, 2.0)  # Bob's node: the slope diverges
+@example(0.49999999999999994, 2.0)
+def test_singularity_asymptote_limits(x, alpha) -> None:
+    if x == 0.5:
+        with pytest.raises(InvalidParameterError):
+            singularity_asymptote(x, alpha)
+        return
+    slope = singularity_asymptote(x, alpha)
+    assert not math.isnan(slope) and not math.isinf(slope)
+    assert (slope < 0.0) == (x < 0.5)
+
+
+@SETTINGS
+@given(
+    st.one_of(st.sampled_from([0.0, 0.5, 5e-324]), st.floats(1e-3, 0.499)),
+    power,
+    p_t_s,
+    st.floats(2.0, 6.0),
+)
+@example(0.0, 10.0, 100.0, 2.0)  # delta = 0: outside (0, 0.5)
+@example(0.1, 0.0, 100.0, 2.0)  # P_J = 0: outside the large-P_J regime
+@example(5e-324, INF, 100.0, 2.0)  # delta^(1 - alpha) = inf against P_J = inf: the limit 0
+@example(0.05, 1e4, 1e6, 2.0)
+def test_lr_asymmetry_asymptotic_limits(delta, p_j, p_t, alpha) -> None:
+    p = SystemParams(p_t=p_t, p_j=p_j, rho=0.01, alpha=alpha)
+    if not 0 < delta < 0.5:
+        with pytest.raises(InvalidParameterError):
+            lr_asymmetry_asymptotic(delta, p)
+        return
+    if p_j == 0:
+        with pytest.raises(UnsupportedRegimeError):
+            lr_asymmetry_asymptotic(delta, p)
+        return
+    gap = lr_asymmetry_asymptotic(delta, p)
+    assert not math.isnan(gap) and gap >= 0.0
+    if math.isinf(p_j):
+        assert gap == 0.0
+
+
+@SETTINGS
+@given(rho_s, p_t_s, st.booleans(), power, st.floats(1e-3, 2.0), st.floats(2.0, 4.0))
+@example(0.0, 100.0, True, 10.0, 0.1, 2.0)  # rho = 0: no coupled power
+@example(1e-4, 1e6, True, 0.0, 0.5, 2.0)  # inside the regime, margin 50
+@example(0.01, 1e6, True, 0.0, 0.1, 2.0)  # rho above the containment threshold
+@example(0.01, 1e6, False, INF, 0.1, 2.0)
+def test_near_far_field_limits(rho, p_t, coupled, p_j, delta, alpha) -> None:
+    if coupled and rho > 0:
+        p_j = math.sqrt(p_t / rho)
+    p = SystemParams(p_t=p_t, p_j=p_j, rho=rho, alpha=alpha, delta=delta)
+    inside = (
+        rho > 0
+        and math.isclose(p_j, math.sqrt(p_t / rho), rel_tol=1e-9)
+        and (delta > 1 or rho < region4_containment_threshold(delta, alpha))
+    )
+    if not inside:
+        with pytest.raises(UnsupportedRegimeError):
+            near_far_field(p)
+        return
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        field = near_far_field(p)
+    assert not any(math.isnan(v) or math.isinf(v) for v in (field.near, field.far, field.margin))
+    assert field.near == math.log2(1.0 / rho) and field.margin > 0.0
+    assert any(issubclass(w.category, RegimeWarning) for w in seen) == (field.margin < 10.0)
+
+
+@SETTINGS
+@given(rho_s, power, p_t_s, st.floats(2.0, 4.0))
+@example(0.01, 0.0, 100.0, 2.0)  # P_J = 0: no peak
+@example(0.3, 10.0, 100.0, 2.0)  # rho above 2^-alpha
+@example(0.01, INF, 100.0, 2.0)  # the link is jammed out: the peak is 0
+@example(0.0, INF, 100.0, 2.0)  # rho = 0: P_J does not reach the link
+def test_node_peaks_limits(rho, p_j, p_t, alpha) -> None:
+    p = SystemParams(p_t=p_t, p_j=p_j, rho=rho, alpha=alpha)
+    if not (p_j > 0 and rho < 2.0**-alpha):
+        with pytest.raises(UnsupportedRegimeError):
+            node_peaks(p)
+        return
+    peak = node_peaks(p)
+    assert not math.isnan(peak) and 0.0 <= peak <= 0.5 * math.log2(1.0 + p_t)
+    if rho == 0:
+        assert peak == 0.5 * math.log2(1.0 + p_t)
+    elif math.isinf(p_j):
+        assert peak == 0.0
 
 
 @SETTINGS
