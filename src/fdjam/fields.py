@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,17 +45,6 @@ __all__ = [
 
 # mode -> (conditional zero-secrecy kernel, exponential draws per sample)
 _COND_PROB_ZERO = {"colluding": (_cond_prob_zero_array, 2), "pairwise": (_cond_prob_zero_pair_kernel, 3)}
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# lanes of a pairwise prob-zero field (_prob_zero_field)
-_LANES = min(2, _usable_cpus())
 
 
 @dataclass(frozen=True)
@@ -192,56 +179,38 @@ def _prob_zero_field(params: SystemParams, a_f, b_f, p_j: float, mc: MCConfig) -
     """Per-cell mean of the pairwise conditional zero-secrecy probability.
 
     Cell i owns the i-th block of n*k uniforms of the seed's stream (k from
-    _COND_PROB_ZERO).  The cells are split into _LANES contiguous ranges;
-    each lane opens the stream once, at the first word of its first cell,
-    and reads its own range of words through the counter, so the draws are
-    the ones a single lane reads.  Lane 0 runs on the calling thread, the
-    others on threads of their own, so one lane's kernel overlaps another's
-    draws.  In a lane, blocks of whole cells, at most _BLOCK samples, go to
-    the kernel at once with gains as (cells, 1) columns against (cells, n)
-    draws, filled into one buffer per lane; a cell with n > _BLOCK is summed
-    over sub-blocks of _BLOCK samples.  A cell's draws, its kernel call and
-    its sum do not depend on the block it shares, so the field is the same
-    bits on any number of lanes.  The kernel tests the gain-free window
-    first and takes the wedge only on the draws inside it, about pi*rho/4
-    of them at large P_J, so at paper settings most of a field's time is
-    the stream itself.
+    _COND_PROB_ZERO).  The cells are split into contiguous ranges, one per
+    lane of montecarlo._run_lanes, so one lane's kernel overlaps another's
+    draws.  Each lane opens the stream once, at the first word of its first
+    cell, and reads its own range of words through the counter.  In a lane,
+    blocks of whole cells, at most _BLOCK samples, go to the kernel at once
+    with gains as (cells, 1) columns against (cells, n) draws, filled into
+    one buffer per lane; a cell with n > _BLOCK is summed over sub-blocks of
+    _BLOCK samples.  A cell's draws, kernel call and sum do not depend on the
+    block it shares, so the field is the same bits on any number of lanes.
+    The kernel tests the gain-free window first and takes the wedge only on
+    the draws inside it, about pi*rho/4 of them at large P_J, so at paper
+    settings most of a field's time is the stream itself.
     """
     kernel, k = _COND_PROB_ZERO["pairwise"]
     n, block = mc.n_samples, montecarlo._BLOCK
     a, b = a_f.reshape(-1, 1), b_f.reshape(-1, 1)
     per, sub = max(1, block // n), min(n, block)
     total = np.zeros(a.shape[0])
-    failed: list[BaseException] = []
 
-    def lane(first: int, stop: int) -> None:
-        try:
-            rng = montecarlo._stream(mc.seed, first * n * k)
-            buf = np.empty(min(per, stop - first) * sub * k)
-            for lo in range(first, stop, per):
-                if failed:  # another lane failed; its error is the one raised
-                    return
-                cells = slice(lo, min(lo + per, stop))
-                m = cells.stop - lo
-                for done in range(0, n, sub):
-                    s = min(sub, n - done)
-                    e = montecarlo._exp_draws(rng, (m, s, k), out=buf[: m * s * k].reshape(m, s, k))
-                    total[cells] += kernel(a[cells], b[cells], params.rho, p_j, *np.moveaxis(e, -1, 0)).sum(axis=1)
-        except BaseException as exc:  # re-raised on the calling thread once every lane has stopped
-            failed.append(exc)
+    def lane(first: int, stop: int):
+        rng = montecarlo._stream(mc.seed, first * n * k)
+        buf = np.empty(min(per, stop - first) * sub * k)
+        for lo in range(first, stop, per):
+            cells = slice(lo, min(lo + per, stop))
+            m = cells.stop - lo
+            for done in range(0, n, sub):
+                s = min(sub, n - done)
+                e = montecarlo._exp_draws(rng, (m, s, k), out=buf[: m * s * k].reshape(m, s, k))
+                total[cells] += kernel(a[cells], b[cells], params.rho, p_j, *np.moveaxis(e, -1, 0)).sum(axis=1)
+            yield
 
-    step = -(-a.shape[0] // _LANES)
-    ranges = [(lo, min(lo + step, a.shape[0])) for lo in range(0, a.shape[0], step)]
-    workers = [threading.Thread(target=lane, args=r) for r in ranges[1:]]
-    for w in workers:
-        w.start()
-    try:
-        lane(*ranges[0])
-    finally:
-        for w in workers:
-            w.join()
-    if failed:
-        raise failed[0]
+    montecarlo._run_lanes(lane, a.shape[0])
     return (total / n).reshape(a_f.shape)
 
 

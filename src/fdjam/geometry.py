@@ -170,15 +170,15 @@ def gain_fields(x: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray,
 def _sign_array(a, b, rho: float) -> np.ndarray:
     """Sign of b - rho*a over gain arrays that broadcast, with infinite gains as limits.
 
-    rho == 0 makes the sign +1 regardless of a (even a = inf), because the
-    product rho*a is identically zero along the limit path; otherwise
-    b = inf gives +1 and a = inf gives -1.
+    b = inf gives +1 and a = inf gives -1 for every rho.  At Alice's node
+    (a = inf) the secrecy is 0 at every power, rho = 0 included, and
+    rho_disk(0, alpha) is the point disk there; so the node is labelled R4.
+    Elsewhere rho == 0 gives +1, because the product rho*a is identically
+    zero along rho = 0.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if rho == 0:
-        return np.ones(np.broadcast(a, b).shape)
     with np.errstate(invalid="ignore"):
-        s = np.sign(b - rho * a)
+        s = np.ones(np.broadcast(a, b).shape) if rho == 0 else np.sign(b - rho * a)
     return np.where(np.isinf(b), 1.0, np.where(np.isinf(a), -1.0, s))
 
 

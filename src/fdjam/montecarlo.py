@@ -13,6 +13,8 @@ fixed.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -30,6 +32,52 @@ __all__ = [
 ]
 
 _BLOCK = 2**16  # samples per block of exp_chunks, estimate and a prob-zero field
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# lanes of _run_lanes: a pairwise prob-zero field, the policy rows
+_LANES = min(2, _usable_cpus())
+
+
+def _run_lanes(lane: Callable[[int, int], Iterator], size: int, min_share: int = 1) -> None:
+    """Run lane(lo, hi) on contiguous ranges of range(size): the first on the calling
+    thread, each other one on a threading.Thread of its own.
+
+    Each of min(_LANES, ceil(size/min_share)) lanes gets one equal range.
+    lane() is called on the calling thread, which owns what it allocates;
+    the iterator it returns does one block per step.  Once a lane raises,
+    the others stop at their next step; the workers are joined and the
+    first failure is raised on the caller.
+    """
+    lanes = max(1, min(_LANES, -(-size // min_share)))
+    step = max(1, -(-size // lanes))
+    failed: list[BaseException] = []
+
+    def drive(blocks: Iterator) -> None:
+        try:
+            for _ in blocks:
+                if failed:  # another lane failed; its error is the one raised
+                    return
+        except BaseException as exc:  # re-raised on the calling thread once every lane has stopped
+            failed.append(exc)
+
+    blocks = [lane(lo, min(lo + step, size)) for lo in range(0, max(size, 1), step)]  # size 0: one empty lane
+    workers = [threading.Thread(target=drive, args=(b,)) for b in blocks[1:]]
+    for w in workers:
+        w.start()
+    try:
+        drive(blocks[0])
+    finally:
+        for w in workers:
+            w.join()
+    if failed:
+        raise failed[0]
 
 
 @dataclass(frozen=True)

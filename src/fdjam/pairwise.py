@@ -156,15 +156,17 @@ def origin_curvature(params: SystemParams) -> float:
 
     With q = 2^alpha, u = 1+q*P_J, G = u+q*P_T:
     (4*alpha*q/u^2) * ((alpha+1)*G*P_T/u + alpha*q*((G/u)^2*P_J^2 - (P_J-P_T)^2)).
-    Positive curvature of T means a local maximum of secrecy.
+    Positive curvature of T means a local maximum of secrecy.  It is taken
+    in r = 1/u and m = q*P_J/u = 1 - r, as
+    4*alpha*q*P_T*r*((alpha+1)*r*(1 + q*P_T*r) + alpha*(1 + m)*(2*m - q*P_T*r^2)):
+    no inf - inf at large P_J, and the limit 0 at P_J = inf, where T = 1.
     """
-    q = 2.0**params.alpha
-    u = 1.0 + q * params.p_j
-    big_g = u + q * params.p_t
-    bracket = (params.alpha + 1.0) * big_g * params.p_t / u + params.alpha * q * (
-        (big_g / u) ** 2 * params.p_j**2 - (params.p_j - params.p_t) ** 2
-    )
-    return 4.0 * params.alpha * q / u**2 * bracket
+    q, alpha, p_t = 2.0**params.alpha, params.alpha, params.p_t
+    qp = q * params.p_j
+    r = 1.0 / (1.0 + qp)
+    m = qp / (1.0 + qp) if qp < math.inf else 1.0
+    qtr = q * p_t * r
+    return 4.0 * alpha * q * p_t * r * ((alpha + 1.0) * r * (1.0 + qtr) + alpha * (1.0 + m) * (2.0 * m - qtr * r))
 
 
 def origin_extremum(params: SystemParams) -> ExtremumClass:

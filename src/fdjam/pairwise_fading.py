@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import montecarlo
 from .colluding_fading import _E1_SPLIT, _e1_cf_tail, _exp_e1, _gauss_legendre, _v_arrays
 from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams
@@ -293,6 +294,8 @@ def semi_dynamic_cap(rho: float) -> float:
 # Rows per quadrature tile: the five (nodes, rows) temporaries stay in cache (~1.3 MB at
 # 32 nodes, ~2 MB at 48).
 _TILE_ROWS = 1024
+# Rows per block of a lane of _policy_integrand: its per-row temporaries stay near 64 kB.
+_CHUNK_ROWS = 8 * _TILE_ROWS
 # Smallest stretch L = log1p(c*w0); below it the map is linear in t to 1e-8.
 _MIN_STRETCH = 1e-8
 # A~ past which e^-A~ < 5e-18: the quadrature stops there when the window is wider, and
@@ -318,43 +321,61 @@ def _policy_integrand(u: np.ndarray, v: np.ndarray, a: float, b: float, rho: flo
     coefficients, w0 and c come once per row from _wedge_coeffs; a node
     costs one exp (_rows_on_rule).  The second column is the window bound
     (P2, or P1 at P_J = inf) on the same row.
+
+    A row depends on itself alone, so at finite P_J past 2*_TILE_ROWS rows
+    they are split between lanes (montecarlo._run_lanes), in blocks of
+    _CHUNK_ROWS, the same bits on any number of lanes; the calling thread
+    allocates each lane's _rows_on_rule slab, sized for the rules at the
+    call.  Semi-dynamic rows, some 250 numpy calls on short arrays per
+    block, stay on one lane: two lanes passing the GIL ran them 8% slower.
     """
+    out = np.empty((u.shape[0], 2))
+    rules = (_CLOSING_RULE, _WIDE_RULE)
+
+    def lane(lo: int, hi: int):
+        # the 48-node size even where only 32 nodes run: glibc's mmap and trim thresholds follow the
+        # largest block freed, and after a smaller slab the prob-zero fields ran 8-15% slower
+        work = None if math.isinf(p_j) else np.empty((5, max(t.size for t, _ in rules), _TILE_ROWS))
+        chunks = (slice(i, min(i + _CHUNK_ROWS, hi)) for i in range(lo, hi, _CHUNK_ROWS))
+        return (_policy_rows(u[r], v[r], a, b, rho, p_j, rules, work, out[r]) for r in chunks)
+
+    montecarlo._run_lanes(lane, u.shape[0], max(1, u.shape[0]) if math.isinf(p_j) else 2 * _TILE_ROWS)
+    return out
+
+
+def _policy_rows(u, v, a: float, b: float, rho: float, p_j: float, rules: tuple, work, out: np.ndarray) -> None:
+    """One block of _policy_integrand's rows, written into out, shape (rows, 2)."""
     c0, c2, d1, s, z = _wedge_coeffs(a, b, rho, p_j, u, v)
     w0 = np.sqrt(c0 / c2)
-    out = np.empty((u.shape[0], 2))
     out[:, 1] = -np.expm1(-w0)
     if math.isinf(p_j):
         out[:, 0] = _semi_dynamic_row((rho * a / b) * u, (rho * b / a) * v, w0)
-        return out
+        return
     top = np.minimum(w0, _A_TOP)
     with np.errstate(invalid="ignore"):  # c = D1/C0 overflows only at extreme P_J
         ct = d1 / c0 * top
     stretch = np.maximum(np.log1p(np.where(np.isfinite(ct), ct, 0.0)), _MIN_STRETCH)
     scale = top / np.expm1(stretch)  # 1/c
     wide = w0 > _A_TOP
-    for rule, idx in ((_CLOSING_RULE, np.flatnonzero(~wide)), (_WIDE_RULE, np.flatnonzero(wide))):
+    for rule, idx in zip(rules, (np.flatnonzero(~wide), np.flatnonzero(wide))):
         if idx.size:
-            out[idx, 0] = _rows_on_rule(rule, (c0[idx], c2, d1[idx], s[idx], z), stretch[idx], scale[idx])
-    return out
+            out[idx, 0] = _rows_on_rule(rule, (c0[idx], c2, d1[idx], s[idx], z), stretch[idx], scale[idx], work)
 
 
-def _rows_on_rule(rule: tuple, coeffs: tuple, stretch: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _rows_on_rule(rule: tuple, coeffs: tuple, stretch: np.ndarray, scale: np.ndarray, work: np.ndarray) -> np.ndarray:
     """The first column of _policy_integrand at finite P_J for some rows, on the A~ rule (t, w).
 
     coeffs, stretch and scale hold those rows only.  At a node, A~ =
     expm1(t*L)*scale, and one exp of t*L - A~ - E gives e^-A~*e^-E times
     the map's Jacobian over L*scale; a product masks it past the _W1_GUARD
     cut.  Rows go through in tiles of _TILE_ROWS, in five (nodes, rows)
-    buffers that every tile reuses, and _node_sum makes each row's value
-    depend on that row alone.
+    views of work, the caller's (5, >= nodes, _TILE_ROWS) slab, which every
+    tile reuses; _node_sum makes each row's value depend on that row alone.
     """
     t, w = rule
     c0, c2, d1, s, z = coeffs
     row = np.empty(c0.size)
-    # (nodes, rows) views into one slab of at least the 48-node size whatever the rule: glibc
-    # sets its mmap and trim thresholds from the largest block a process has freed, and after
-    # a smaller slab the prob-zero fields that follow a rung in the same process ran 8-15% slower
-    work = np.empty((5, max(t.size, _WIDE_RULE[0].size), _TILE_ROWS))[:, : t.size]
+    work = work[:, : t.size]
     for lo in range(0, c0.size, _TILE_ROWS):
         rows = slice(lo, lo + _TILE_ROWS)
         tl, a_t, w1, w2, w3 = work[:, :, : scale[rows].size]  # (nodes, rows) each

@@ -356,7 +356,7 @@ def test_one_sweep_makes_constant_setup_calls(monkeypatch, kwargs: dict) -> None
     kw = {"mode": "colluding", **kwargs}
     mode = kw.pop("mode")
     # a colluding prob-zero field is a cubature and draws nothing
-    lanes = fields_mod._LANES if kw.get("quantity") and mode == "pairwise" else 0
+    lanes = montecarlo._LANES if kw.get("quantity") and mode == "pairwise" else 0
     drawn = lanes or (1 if kw.get("fading") else 0)
     for step in (0.1, 0.05):  # 21 x 21 and 41 x 41, no endpoint
         grid = GridSpec(-1.0, 1.0, -0.95, 1.05, step)
@@ -390,7 +390,7 @@ def test_prob_zero_field_is_the_same_bits_on_one_and_two_lanes(
     monkeypatch.setattr(montecarlo, "_BLOCK", block)
     texts, values = [], []
     for lanes in (1, 2):
-        monkeypatch.setattr(fields_mod, "_LANES", lanes)
+        monkeypatch.setattr(montecarlo, "_LANES", lanes)
         fg = build_field("pairwise", params, grid, quantity="prob-zero", mc=mc)
         fields_mod.write_json(fg, str(tmp_path / "f.json"))
         texts.append((tmp_path / "f.json").read_bytes())
@@ -407,9 +407,9 @@ def test_prob_zero_field_lanes_under_contention(monkeypatch) -> None:
     params = SystemParams(p_t=100.0, p_j=30.0, rho=0.05)
     grid, mc = GridSpec(-1.0, 1.0, -0.95, 1.05, 0.1), MCConfig(seed=43, n_samples=7)
     monkeypatch.setattr(montecarlo, "_BLOCK", 64)
-    monkeypatch.setattr(fields_mod, "_LANES", 1)
+    monkeypatch.setattr(montecarlo, "_LANES", 1)
     want = build_field("pairwise", params, grid, quantity="prob-zero", mc=mc).values
-    monkeypatch.setattr(fields_mod, "_LANES", 5)
+    monkeypatch.setattr(montecarlo, "_LANES", 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -429,7 +429,7 @@ def test_a_lane_failure_is_raised_after_every_lane_stopped(monkeypatch) -> None:
             raise raised[-1]
         return kernel(*args)
 
-    monkeypatch.setattr(fields_mod, "_LANES", 2)
+    monkeypatch.setattr(montecarlo, "_LANES", 2)
     monkeypatch.setitem(fields_mod._COND_PROB_ZERO, "pairwise", (failing, k))
     params, mc = SystemParams(p_t=100.0, p_j=30.0, rho=0.05), MCConfig(seed=3, n_samples=20)
     before = threading.active_count()

@@ -83,7 +83,9 @@ def test_region_grid_matches_pointwise_classification() -> None:
 
 def test_region_grid_rho_zero() -> None:
     fg = build_region_grid(SMALL, rho=0.0, alpha=2.0)
-    assert set(np.unique(fg.values)) <= {1.0, 2.0}
+    alice = (SMALL.ys() == 0.0)[:, None] & (SMALL.xs() == -0.5)[None, :]
+    assert set(np.unique(fg.values[~alice])) <= {1.0, 2.0}
+    assert fg.values[alice].tolist() == [4.0]  # secrecy is 0 at every power there
 
 
 def test_static_field_matches_scalar_forms() -> None:

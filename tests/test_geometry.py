@@ -76,8 +76,10 @@ def test_swapped_exchanges_roles() -> None:
 
 
 def test_sign_handles_limits() -> None:
-    # rho = 0 keeps the product rho*a at zero along the limit path, even a = inf
-    assert sign_b_minus_rho_a(math.inf, 1.0, 0.0) == 1
+    # rho = 0 keeps the product rho*a at zero along the limit path; Alice's node (a = inf),
+    # where the secrecy is 0 at every power, is on the -1 side for every rho
+    assert sign_b_minus_rho_a(4.0, 1.0, 0.0) == 1
+    assert sign_b_minus_rho_a(math.inf, 1.0, 0.0) == -1
     assert sign_b_minus_rho_a(math.inf, 1.0, 0.1) == -1
     assert sign_b_minus_rho_a(1.0, math.inf, 0.1) == 1
     assert sign_b_minus_rho_a(10.0, 1.0, 0.1) == 0

@@ -23,7 +23,9 @@ of the wedge taken on every draw, in every layout.  The geometry (the sign
 of b - rho*a, the regions, the rho disk), gamma, the zero-region predicate,
 the worst location and the optimal jamming power keep their node, rho = 0
 and boundary limits, with typed errors the only failures: gamma raises on
-b = rho*a, where it diverges.
+b = rho*a, where it diverges.  So do the pair positivity forms, which say
+exactly where the pair secrecy is positive, and the origin-extremum forms,
+whose curvature reaches its limit 0 at P_J = inf.
 """
 
 import math
@@ -78,12 +80,21 @@ from fdjam.geometry import (
 from fdjam.montecarlo import MCConfig
 from fdjam.oracles import deriv_x_axis_even_alpha
 from fdjam.pairwise import (
+    ExtremumClass,
     deriv_x_axis,
     lr_asymmetry,
     lr_asymmetry_asymptotic,
     near_far_field,
     node_peaks,
+    origin_curvature,
+    origin_extremum,
+    origin_extremum_approx,
+    origin_extremum_threshold,
     pair_hypotheses_hold,
+    positivity_exists_pj,
+    positivity_nojam,
+    positivity_pair,
+    positivity_universal,
     secrecy_from_t,
     secrecy_pair,
     singularity_asymptote,
@@ -921,16 +932,18 @@ def _with_boundary_examples(*rest):
 @SETTINGS
 @given(gain_pairs(), rho_s)
 @_with_boundary_examples()
-@example(LinkGains(INF, 1.0), 0.0)  # rho*a is identically 0 along rho = 0, even at a = inf
+@example(LinkGains(INF, 1.0), 0.0)  # Alice's node is -1 at rho = 0 too: rho_disk(0) is the point disk there
 @example(LinkGains(INF, 1.0), 0.1)
 @example(LinkGains(1.0, INF), 0.1)
 def test_sign_region_and_gamma_limits(g, rho) -> None:
     s = sign_b_minus_rho_a(g.a, g.b, rho)
     assert s in (-1, 0, 1)
-    if rho == 0 or math.isinf(g.b):
+    if math.isinf(g.b):
         assert s == 1
     elif math.isinf(g.a):
         assert s == -1
+    elif rho == 0:  # rho*a is identically 0 along rho = 0
+        assert s == 1
     else:
         assert s == int(np.sign(g.b - rho * g.a))
     region = region_classify(g, rho)
@@ -965,8 +978,10 @@ def test_gamma_raises_on_the_boundary(g, rho) -> None:
 @example(0.0, 2.0, 1.0, 0.5)
 @example(1.0, 2.0, 0.3, -1.0)
 @example(0.1, 2.0, -0.5, 0.0)  # the transmitter, inside every rho < 1 disk
+@example(0.0, 2.0, -0.5, 0.0)  # Alice's node: the point disk of rho = 0
+@example(0.0, 2.0, 0.5, 0.0)
 def test_rho_disk_limits(rho, alpha, x, y) -> None:
-    # the disk is the sign of b - rho*a at every location off the endpoints and off its circle
+    # the disk is the sign of b - rho*a at every location off its circle, the endpoints included
     disk = rho_disk(rho, alpha)
     assert not (math.isnan(disk.x0) or math.isnan(disk.r))
     if rho == 1:
@@ -976,9 +991,8 @@ def test_rho_disk_limits(rho, alpha, x, y) -> None:
         assert disk.side is (DiskSide.LEFT_EXCLUSION if rho < 1 else DiskSide.RIGHT_INCLUSION)
         assert (disk.x0 >= 0.5) if rho < 1 else (disk.x0 < 0.0)
     g = gains(x, y, alpha)
-    if math.isinf(g.a) or math.isinf(g.b):
-        return
-    assume(abs(g.b - rho * g.a) > 1e-9 * (g.b + rho * g.a))
+    if (abs(x), y) != (0.5, 0.0):  # off the nodes; a gain that overflows next to one is skipped too
+        assume(abs(g.b - rho * g.a) > 1e-9 * (g.b + rho * g.a))
     assert bool(disk.secrecy_side(x, y)) == (sign_b_minus_rho_a(g.a, g.b, rho) > 0)
     assert np.array_equal(disk.secrecy_side(np.array([x, x]), np.array([y, y])), [disk.secrecy_side(x, y)] * 2)
 
@@ -1046,3 +1060,64 @@ def test_opt_jam_limits(g, rho, p_t) -> None:
     best = secrecy_ab(g, SystemParams(p_t=p_t, p_j=res.p_j_opt, rho=rho))
     for p_j in (0.0, 0.5 * res.p_j_opt, 2.0 * res.p_j_opt, res.p_j_opt + 1.0):
         assert secrecy_ab(g, SystemParams(p_t=p_t, p_j=p_j, rho=rho)) <= best + 1e-9 * max(best, 1.0)
+
+
+@SETTINGS
+@given(gain_pairs(), rho_s, power, p_t_s)
+@_with_boundary_examples(10.0, 100.0)
+@example(LinkGains(INF, 1.0), 0.0, 0.0, 100.0)  # Alice's node, rho = 0, no jamming
+@example(LinkGains(INF, 1.0), 0.0, INF, 100.0)
+@example(LinkGains(INF, 1.0), 0.1, 10.0, 100.0)
+@example(LinkGains(1.0, INF), 0.0, 0.0, 100.0)  # Bob's node
+@example(LinkGains(1.0, INF), 0.1, INF, 100.0)
+@example(LinkGains(4.0, 0.4), 0.1, 0.0, 100.0)  # b = rho*a
+@example(LinkGains(4.0, 0.4), 0.1, INF, 100.0)
+def test_pair_positivity_limits(g, rho, p_j, p_t) -> None:
+    # each form is a plain bool; positivity_pair is the sign of the pair secrecy, at
+    # P_J = inf in the limit of large powers (both rates vanish there, lambda does not)
+    p = SystemParams(p_t=p_t, p_j=p_j, rho=rho)
+    pos = positivity_pair(g, p)
+    assert isinstance(pos, bool)
+    lams = [lambda_factor(h, p) for h in (g, g.swapped())]
+    if all(abs(lam - 1.0) > 1e-9 for lam in lams):  # away from the rounding of lambda = 1
+        assert pos == any(lam > 1.0 for lam in lams)
+        if not math.isinf(p_j):
+            assert pos == (secrecy_pair(g, p).s > 0.0)
+    nojam = positivity_nojam(g)
+    assert isinstance(nojam, bool)
+    assert nojam == positivity_pair(g, SystemParams(p_t=p_t, p_j=0.0, rho=rho))
+    if min(abs(g.a - 1.0), abs(g.b - 1.0)) > 1e-9:  # away from the rounding of a = 1 or b = 1
+        assert nojam == (secrecy_pair(g, SystemParams(p_t=p_t, p_j=0.0, rho=rho)).s > 0.0)
+    exists = positivity_exists_pj(g, rho)
+    assert isinstance(exists, bool)
+    if pos:  # a power that works is one that exists
+        assert exists
+    assert positivity_universal(rho) is (rho < 1.0)
+
+
+@SETTINGS
+@given(rho_s, power, p_t_s, st.floats(2.0, 6.0))
+@example(0.0, 0.0, 100.0, 2.0)  # no jamming: below the floor
+@example(0.0, INF, 100.0, 2.0)  # T = 1 along the whole axis: the curvature is 0
+@example(0.01, INF, 1e6, 4.0)
+@example(0.01, 1e300, 100.0, 2.0)  # q*P_J*... overflows in the textbook form
+@example(0.01, 1e154, 1e6, 2.0)
+@example(1.0, 10.0, 100.0, 2.0)  # rho = 1 is outside the theorem
+def test_origin_extremum_limits(rho, p_j, p_t, alpha) -> None:
+    p = SystemParams(p_t=p_t, p_j=p_j, rho=rho, alpha=alpha)
+    coef = origin_curvature(p)
+    assert not math.isnan(coef) and not math.isinf(coef)
+    if math.isinf(p_j):
+        assert coef == 0.0
+    thr = origin_extremum_threshold(p_t, alpha)
+    assert not math.isnan(thr) and thr > 0.0
+    floor = (1.0 - 2.0**-alpha) / (1.0 - rho) if rho < 1.0 else INF
+    if not (rho < 1.0 and p_j > floor):
+        for form in (origin_extremum, origin_extremum_approx):
+            with pytest.raises(UnsupportedRegimeError):
+                form(p)
+        return
+    want = ExtremumClass.LOCAL_MAX if coef > 0 else ExtremumClass.LOCAL_MIN if coef < 0 else ExtremumClass.BOUNDARY
+    assert origin_extremum(p) is want
+    approx = ExtremumClass.LOCAL_MAX if p_j > thr else ExtremumClass.LOCAL_MIN if p_j < thr else ExtremumClass.BOUNDARY
+    assert origin_extremum_approx(p) is approx

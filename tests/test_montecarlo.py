@@ -1,11 +1,16 @@
 """Seeded Monte Carlo engine: determinism, moments, ecdf shape."""
 
+import functools
+import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from fdjam import montecarlo
+import fdjam
+from fdjam import montecarlo, pairwise_fading
 from fdjam.errors import InvalidParameterError
 from fdjam.montecarlo import Estimate, MCConfig, ecdf, estimate, exp_chunks, sample_matrix
 
@@ -132,3 +137,71 @@ def test_estimate_rejects_a_wrong_shape(monkeypatch) -> None:
     monkeypatch.setattr(montecarlo, "_BLOCK", 4)
     with pytest.raises(InvalidParameterError):  # the column count must not change between blocks
         estimate(lambda u: np.ones((u.shape[0], 1 if u.shape[0] == 4 else 2)), MCConfig(seed=1, n_samples=10))
+
+
+@pytest.mark.parametrize("lanes, size, min_share", [(1, 10, 1), (2, 10, 1), (2, 9, 1), (5, 3, 1), (2, 2048, 1024), (2, 2049, 1024), (3, 5000, 2048), (2, 0, 1)])
+def test_lanes_split_a_range_into_contiguous_shares(monkeypatch, lanes: int, size: int, min_share: int) -> None:
+    monkeypatch.setattr(montecarlo, "_LANES", lanes)
+    seen, made = [], []
+
+    def lane(lo, hi):
+        made.append(threading.current_thread())  # every lane is made on the calling thread
+        return (seen.append((i, lo, hi, threading.current_thread() is threading.main_thread())) for i in range(lo, hi))
+
+    montecarlo._run_lanes(lane, size, min_share)
+    want = max(1, min(lanes, -(-size // min_share)))
+    assert made == [threading.main_thread()] * want
+    ranges = sorted({(lo, hi, main) for _, lo, hi, main in seen})
+    assert sorted(i for i, *_ in seen) == list(range(size))
+    assert len(ranges) == (want if size else 0)
+    assert [main for *_, main in ranges] == [True, False, False, False, False][: len(ranges)]
+    share = max(1, -(-size // want))  # equal shares, the last one cut at size
+    assert [(lo, hi) for lo, hi, _ in ranges] == [(lo, min(lo + share, size)) for lo in range(0, size, share)]
+
+
+def _public_functions() -> dict:
+    """Every function named in fdjam.__all__, and every public function of montecarlo and pairwise_fading."""
+    found = [getattr(fdjam, name) for name in fdjam.__all__]
+    for mod in (montecarlo, pairwise_fading):
+        found += [f for name, f in vars(mod).items() if not name.startswith("_") and getattr(f, "__module__", "") == mod.__name__]
+    return {id(f): f for f in found if inspect.isfunction(f)}
+
+
+def test_lanes_call_no_public_function_off_the_main_thread(monkeypatch) -> None:
+    # perfbench/spans.py traces by rebinding public fdjam functions, with one span stack
+    # that is not thread-safe; the lanes must call private names only
+    called, off_main = set(), []
+
+    def wrap(f):
+        @functools.wraps(f)
+        def traced(*args, **kwargs):
+            called.add(f.__name__)
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(f.__name__)
+            return f(*args, **kwargs)
+
+        return traced
+
+    public = _public_functions()
+    for mod in [m for name, m in list(sys.modules.items()) if name == "fdjam" or name.startswith("fdjam.")]:
+        for name, value in list(vars(mod).items()):
+            if id(value) in public and value is public[id(value)]:
+                monkeypatch.setattr(mod, name, wrap(value))
+    threads = []
+    real_thread = threading.Thread
+
+    def counted(*args, **kwargs):
+        threads.append(real_thread(*args, **kwargs))
+        return threads[-1]
+
+    monkeypatch.setattr(threading, "Thread", counted)
+    monkeypatch.setattr(montecarlo, "_LANES", 2)
+    params = fdjam.SystemParams(p_t=1e6, p_j=1e4, rho=0.01)
+    mc = MCConfig(seed=3, n_samples=5000)
+    for kind in (fdjam.JamPolicyKind.CONSTANT, fdjam.JamPolicyKind.SEMI_DYNAMIC):
+        fdjam.policy_prob_zero(fdjam.JamPolicy(kind), fdjam.gains(0.0, 0.0, 2.0), params, mc)
+    grid = fdjam.GridSpec(-1.0, 1.0, -0.95, 1.05, 0.25)
+    fdjam.build_field("pairwise", params, grid, quantity="prob-zero", mc=MCConfig(seed=3, n_samples=200))
+    assert len(threads) == 2  # a second lane for the constant rung and one for the field
+    assert {"policy_prob_zero", "estimate", "build_field", "gains"} <= called
+    assert off_main == []

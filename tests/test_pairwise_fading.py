@@ -2,6 +2,8 @@
 policy bounds and the homogeneous near-field law."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -443,3 +445,87 @@ def test_array_form_node_limit_at_an_endpoint(p_j: float, rho: float) -> None:
     else:
         assert (est.mean, est.stderr) == (0.0, 0.0)
         assert cond_prob_zero_pair(g, params, 2.0, 1.0, 1.0) == 0.0
+
+
+# rows per estimate block: 2048 and fewer run on one lane; 2049 splits after
+# two tiles, 8193 after one chunk, and n = 1e5 takes a 65 536- and a 34 464-row block
+LANE_ROWS = [1, 1023, 1024, 2049, 8193, 100_000]
+LANE_AT = [(0.0, 0.0), (1.3, 0.7), (0.5, 0.0)]  # the last is Bob's node
+
+
+@pytest.mark.parametrize("kind", [JamPolicyKind.CONSTANT, JamPolicyKind.SEMI_DYNAMIC])
+@pytest.mark.parametrize("n", LANE_ROWS)
+def test_policy_rows_are_the_same_bits_on_one_and_two_lanes(monkeypatch, n: int, kind: JamPolicyKind) -> None:
+    # the reports on the rung's stream, and the rows of one call over all n draws (below
+    # the 2^16-row block of estimate); a semi rung runs at P_J = inf whatever params.p_j
+    semi = kind is JamPolicyKind.SEMI_DYNAMIC
+    u, v = np.random.default_rng(n).exponential(size=(2, n)) * np.array([[1.0], [12.0]])
+    for at in LANE_AT:
+        g = gains(*at, 2.0)
+        for rho in (0.0, 0.01, 1.0):
+            for p_j in (math.inf,) if semi else (1e-3, 1.0, 1e4, math.inf):
+                params = SystemParams(p_t=1e6, p_j=p_j, rho=rho)
+                mc = MCConfig(seed=n % 97, n_samples=n)
+                reps, rows = [], []
+                for lanes in (1, 2):
+                    monkeypatch.setattr(montecarlo, "_LANES", lanes)
+                    reps.append(policy_prob_zero(JamPolicy(kind), g, params, mc))
+                    if not math.isinf(g.b) and n <= montecarlo._BLOCK:
+                        rows.append(_policy_integrand(u, v, g.a, g.b, rho, p_j).tobytes())
+                assert repr(reps[0]) == repr(reps[1])
+                assert rows[:1] == rows[1:]
+
+
+def test_policy_rows_lanes_under_contention(monkeypatch) -> None:
+    # more lanes than cores and a thread switch every microsecond: a row written by the
+    # wrong lane, or twice, would change the rows
+    u, v = np.random.default_rng(47).exponential(size=(2, 30_000))
+    monkeypatch.setattr(montecarlo, "_LANES", 1)
+    want = _policy_integrand(u, v, ORIGIN.a, ORIGIN.b, 0.01, 1e4)
+    monkeypatch.setattr(montecarlo, "_LANES", 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _policy_integrand(u, v, ORIGIN.a, ORIGIN.b, 0.01, 1e4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tobytes() == want.tobytes()
+
+
+class _CountedThread(threading.Thread):
+    made = 0
+
+    def __init__(self, *args, **kwargs) -> None:
+        type(self).made += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kind", [JamPolicyKind.CONSTANT, JamPolicyKind.SEMI_DYNAMIC])
+def test_policy_rows_start_a_thread_only_for_a_second_lane(monkeypatch, kind: JamPolicyKind) -> None:
+    # one thread per estimate block that splits; semi-dynamic rows stay on one lane
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    params = SystemParams(p_t=1e6, p_j=1e4, rho=0.01)
+    for lanes, n, threads in ((1, 100_000, 0), (2, 2048, 0), (2, 2049, 1), (2, 100_000, 2)):
+        monkeypatch.setattr(montecarlo, "_LANES", lanes)
+        _CountedThread.made = 0
+        policy_prob_zero(JamPolicy(kind), ORIGIN, params, MCConfig(seed=4, n_samples=n))
+        assert _CountedThread.made == (0 if kind is JamPolicyKind.SEMI_DYNAMIC else threads)
+
+
+def test_a_policy_lane_failure_is_raised_after_every_lane_stopped(monkeypatch) -> None:
+    real, raised = pairwise_fading._rows_on_rule, []
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():  # lane 1's rows
+            raised.append(RuntimeError("lane 1"))
+            raise raised[-1]
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "_LANES", 2)
+    monkeypatch.setattr(pairwise_fading, "_rows_on_rule", failing)
+    params = SystemParams(p_t=1e6, p_j=1e4, rho=0.01)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        policy_prob_zero(JamPolicy(JamPolicyKind.CONSTANT), ORIGIN, params, MCConfig(seed=5, n_samples=30_000))
+    assert info.value is raised[0]
+    assert threading.active_count() == before
