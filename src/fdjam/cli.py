@@ -28,7 +28,7 @@ from .fields import (
     write_csv,
     write_json,
 )
-from .geometry import LinkGains, SystemParams, gains, rho_disk, sign_b_minus_rho_a
+from .geometry import LinkGains, SystemParams, gains, region_classify, rho_disk, sign_b_minus_rho_a
 from .montecarlo import MCConfig, ecdf, estimate
 from .pairwise_fading import JamPolicy, JamPolicyKind, policy_prob_zero, semi_dynamic_cap
 from .verify import available_suites, run_suite
@@ -154,9 +154,17 @@ def cmd_optjam(args: argparse.Namespace) -> int:
         g = gains(x, y, params.alpha)
     try:
         res = opt_jam(g, params.rho, params.p_t)
-    except UnboundedOptimumError:
-        print("region = R1/R2 at rho = 0")
-        print("p_j_opt = inf (secrecy keeps increasing with jamming power)")
+    except UnboundedOptimumError:  # rho = 0: jamming costs Bob nothing
+        print(f"region = {region_classify(g, params.rho).name}")
+        if math.isinf(g.a):
+            print("secrecy = 0 at every jamming power")
+        elif math.isinf(g.b):  # any power silences Eve, and Bob hears P_T
+            p_j = float(_at_optimum(g.b, 0.0))
+            tuned = SystemParams(p_t=params.p_t, p_j=p_j, rho=params.rho, alpha=params.alpha, delta=params.delta)
+            print("p_j_opt = any P_J > 0 (secrecy is the same at every positive power)")
+            print(f"secrecy at p_j_opt = {secrecy_ab(g, tuned):.10g} bits")
+        else:
+            print("p_j_opt = inf (secrecy keeps increasing with jamming power)")
         return 0
     print(f"region = {res.region.name}")
     if sign_b_minus_rho_a(g.a, g.b, params.rho) == 0:

@@ -20,7 +20,7 @@ import numpy as np
 from .colluding import _secrecy_array
 from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams
-from .montecarlo import Estimate, MCConfig, estimate, sample_matrix
+from .montecarlo import Estimate, MCConfig, estimate, exp_chunks
 
 __all__ = [
     "ZeroSecrecyTermsColluding",
@@ -245,9 +245,17 @@ def _exp_e1(x) -> np.ndarray:
 
 
 def sample_cond_prob_zero(g: LinkGains, params: SystemParams, mc: MCConfig) -> np.ndarray:
-    """Conditional zero-secrecy probabilities over sampled (a_tilde, b_tilde)."""
-    u = sample_matrix(mc, 2)
-    return _cond_prob_zero_array(g.a, g.b, params.rho, params.p_j, u[:, 0], u[:, 1])
+    """Conditional zero-secrecy probabilities over sampled (a_tilde, b_tilde), in stream order.
+
+    The stream is read in exp_chunks' blocks and the kernel works element
+    by element, so the values do not depend on _BLOCK and only the output
+    grows with n.
+    """
+    out, done = np.empty(mc.n_samples), 0
+    for u in exp_chunks(mc, 2):
+        out[done : done + u.shape[0]] = _cond_prob_zero_array(g.a, g.b, params.rho, params.p_j, u[:, 0], u[:, 1])
+        done += u.shape[0]
+    return out
 
 
 def uncond_prob_zero(g: LinkGains, params: SystemParams, mc: MCConfig) -> Estimate:

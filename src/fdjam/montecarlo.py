@@ -31,7 +31,7 @@ __all__ = [
     "ecdf",
 ]
 
-_BLOCK = 2**16  # samples per block of exp_chunks, estimate and a prob-zero field
+_BLOCK = 2**16  # samples per block of exp_chunks, estimate, ecdf and a prob-zero field
 
 
 def _usable_cpus() -> int:
@@ -200,12 +200,19 @@ def _finish(n_tot: int, mean_tot: float, m2_tot: float) -> Estimate:
 
 
 def ecdf(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Empirical CDF of values evaluated at each grid point.
+    """Empirical CDF of values evaluated at each grid point, shaped like the grid.
 
-    Right-continuous: F(t) = fraction of values <= t.
+    Right-continuous: F(t) = fraction of values <= t.  values of any shape
+    count as one flat sample; a 0-d array is one value.  Each _BLOCK slice
+    is sorted on its own and its counts at the grid are added up: the counts
+    are exact integers, and NaN sorts last in every slice as in a full sort,
+    so F has the bits of one full sort without an n-long sorted copy.
     """
-    values = np.sort(np.asarray(values, dtype=float))
+    values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         raise InvalidParameterError("ecdf needs at least one value")
     grid = np.asarray(grid, dtype=float)
-    return np.searchsorted(values, grid, side="right") / values.size
+    counts = np.zeros(grid.shape, dtype=np.intp)
+    for lo in range(0, values.size, _BLOCK):
+        counts += np.searchsorted(np.sort(values[lo : lo + _BLOCK]), grid, side="right")
+    return counts / values.size

@@ -20,7 +20,7 @@ from . import montecarlo
 from .colluding_fading import _E1_SPLIT, _e1_cf_tail, _exp_e1, _gauss_legendre, _v_arrays
 from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams
-from .montecarlo import Estimate, MCConfig, estimate, sample_matrix
+from .montecarlo import Estimate, MCConfig, estimate, exp_chunks
 from .pairwise import _secrecy_pair_array
 
 __all__ = [
@@ -490,25 +490,28 @@ def policy_prob_zero(
                 lambda uv: _policy_integrand(uv[:, 0], uv[:, 1], a, b, rho, p_j), mc, draws_per_sample=2
             )
         return PolicyReport(policy=policy, estimate=est, **{"p1" if semi else "p2": bound})
-    # general-dynamic
-    p = float(policy.p_accept)
-    draws = sample_matrix(mc, 3)
-    cond = cond_prob_zero_pair_array(g, params, draws[:, 0], draws[:, 1], draws[:, 2])
-    accepted = cond <= p
-    n = cond.size
-    acc_mean = float(accepted.mean())
+    # general-dynamic: the accepted conditionals of each block, in stream order, fill a prefix of kept
+    p, n = float(policy.p_accept), mc.n_samples
+    kept, n_acc = np.empty(n), 0
+    for u in exp_chunks(mc, 3):
+        cond = cond_prob_zero_pair_array(g, params, u[:, 0], u[:, 1], u[:, 2])
+        acc = cond[cond <= p]
+        kept[n_acc : n_acc + acc.size] = acc
+        n_acc += acc.size
+        del cond, acc  # not alive beside the next block's kernel temporaries
+    acc_mean = n_acc / n
     acc_stderr = math.sqrt(max(acc_mean * (1.0 - acc_mean), 0.0) / n)
-    n_acc = int(accepted.sum())
-    if n_acc > 1:
-        sub = cond[accepted]
-        res = Estimate(float(sub.mean()), float(sub.std(ddof=1) / math.sqrt(n_acc)), n_acc)
-    else:
-        res = Estimate(float(cond[accepted].mean()) if n_acc else 0.0, 0.0, n_acc)
+    sub = kept[:n_acc]
+    mean, stderr = (float(sub.mean()) if n_acc else 0.0), 0.0
+    if n_acc > 1:  # numpy's two-pass std(ddof=1), its squared deviations written over sub, not a copy
+        sub -= mean
+        sub *= sub
+        stderr = math.sqrt(float(sub.sum()) / (n_acc - 1)) / math.sqrt(n_acc)
     return PolicyReport(
         policy=policy,
         estimate=Estimate(0.0, 0.0, n),
         acceptance=Estimate(acc_mean, acc_stderr, n),
-        residual=res,
+        residual=Estimate(mean, stderr, n_acc),
     )
 
 

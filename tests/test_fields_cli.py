@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fdjam import cli
-from fdjam.colluding import opt_jam
+from fdjam.colluding import opt_jam, secrecy_ab
 from fdjam.colluding_fading import uncond_prob_zero
 from fdjam.errors import InvalidParameterError
 from fdjam.fields import (
@@ -221,6 +221,26 @@ def test_cli_optjam_unbounded(capsys) -> None:
     out = capsys.readouterr().out
     assert rc == 0
     assert "p_j_opt = inf" in out
+
+
+@pytest.mark.parametrize("at", [(-0.5, 0.0), (0.0, 0.0), (1.0, 1.0), (0.5, 0.0)])
+def test_cli_optjam_at_rho_zero_says_what_secrecy_does(capsys, at) -> None:
+    # the region is region_classify's, and the text matches secrecy_ab over P_J
+    assert cli.main(["optjam", "--at", *map(str, at), "--rho", "0", "--pt", "100"]) == 0
+    out = capsys.readouterr().out
+    g = gains(*at, 2.0)
+    assert out.startswith(f"region = {region_classify(g, 0.0).name}\n")
+    powers = [0.0, 1e-6, 1.0, 1e3, 1e6]
+    s = [secrecy_ab(g, SystemParams(p_t=100.0, p_j=p_j, rho=0.0)) for p_j in powers]
+    increasing = "keeps increasing" in out
+    assert increasing == (s[-1] > s[-2] > s[-3] and all(x <= y for x, y in zip(s, s[1:])))
+    if at == (-0.5, 0.0):  # Alice's node
+        assert out == "region = R4\nsecrecy = 0 at every jamming power\n" and s == [0.0] * 5
+    elif at == (0.5, 0.0):  # Bob's node: every positive power gives log2(1 + P_T)
+        assert "p_j_opt = any P_J > 0" in out and len(set(s[1:])) == 1 and s[0] < s[1]
+        assert f"secrecy at p_j_opt = {s[1]:.10g} bits" in out and s[1] == pytest.approx(math.log2(101.0))
+    else:
+        assert increasing and "p_j_opt = inf" in out
 
 
 def test_cli_usage_errors(capsys) -> None:
