@@ -9,6 +9,7 @@ environment variable sets the default seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -160,7 +161,7 @@ def cmd_optjam(args: argparse.Namespace) -> int:
             print("secrecy = 0 at every jamming power")
         elif math.isinf(g.b):  # any power silences Eve, and Bob hears P_T
             p_j = float(_at_optimum(g.b, 0.0))
-            tuned = SystemParams(p_t=params.p_t, p_j=p_j, rho=params.rho, alpha=params.alpha, delta=params.delta)
+            tuned = dataclasses.replace(params, p_j=p_j)
             print("p_j_opt = any P_J > 0 (secrecy is the same at every positive power)")
             print(f"secrecy at p_j_opt = {secrecy_ab(g, tuned):.10g} bits")
         else:
@@ -174,7 +175,7 @@ def cmd_optjam(args: argparse.Namespace) -> int:
         print(f"beta = {res.beta:.10g}")
     print(f"p_j_opt = {res.p_j_opt:.10g}")
     p_j = float(_at_optimum(g.b, res.p_j_opt))
-    tuned = SystemParams(p_t=params.p_t, p_j=p_j, rho=params.rho, alpha=params.alpha, delta=params.delta)
+    tuned = dataclasses.replace(params, p_j=p_j)
     print(f"secrecy at p_j_opt = {secrecy_ab(g, tuned):.10g} bits")
     return 0
 
@@ -235,7 +236,7 @@ def cmd_policy(args: argparse.Namespace) -> int:
     # the semi-dynamic policy jams without bound whatever the rung's P_J: one report serves every row
     semi = policy_prob_zero(JamPolicy(JamPolicyKind.SEMI_DYNAMIC), g, params, mc)
     for db in args.ladder_db:
-        rung = SystemParams(p_t=params.p_t, p_j=decibel(db), rho=params.rho, alpha=params.alpha, delta=params.delta)
+        rung = dataclasses.replace(params, p_j=decibel(db))
         const = policy_prob_zero(JamPolicy(JamPolicyKind.CONSTANT), g, rung, mc)
         print(
             f"{db:6.0f}  {const.estimate.mean:12.6e}  {_mean(const.p2):12.6e}  "
@@ -367,7 +368,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=modes, default="colluding", help="eavesdropper model (default %(default)s)")
     quantities = ("secrecy", "prob-zero")
     p.add_argument("--quantity", choices=quantities, default="secrecy", help="swept quantity (default %(default)s)")
-    p.add_argument("--fading", action="store_true", help="draw eve-side fading per cell")
+    p.add_argument("--fading", action="store_true", help="draw eve-side fading per cell (secrecy only)")
     p.add_argument("--pj-opt", action="store_true", help="re-optimize P_J in every cell (colluding)")
     p.set_defaults(func=cmd_field)
 

@@ -71,9 +71,9 @@ _EULER_GAMMA = 0.5772156649015329
 # The B~ rules of _prob_zero_cubature: Gauss-Legendre nodes on [0, 1]; a cell reports the
 # 48-node value, and its gap to the 32-node one as the error
 _B_RULE, _B_CHECK_RULE = ((0.5 * (1.0 + x), 0.5 * w) for x, w in map(_gauss_legendre, (48, 32)))
-# B~ past which e^-B~ < 5e-18: the B~ integral stops there
-_B_TOP = 40.0
-# Smallest stretch L = log1p(c*_B_TOP); below it the map is linear in t to 1e-8
+# Exp(1) variate past which e^-x < 5e-18: the B~ integral here and _policy_integrand's A~ one stop there
+_TAIL_CUT = 40.0
+# Smallest stretch L = log1p(c*top) of their log maps; below it a map is linear in t to 1e-8
 _MIN_STRETCH = 1e-8
 # Cells per block of _prob_zero_cubature: its (cells, nodes) temporaries stay near 0.8 MB
 _CUBATURE_CELLS = 2048
@@ -129,8 +129,8 @@ def _prob_zero_cubature(a, b, rho: float, p_j, upper: bool = False) -> tuple[np.
 
     With s = a*(1 + rho*B~*P_J) the A~ integral is s/(s+1)*h(x),
     x = (s+1)/(b*P_J), h(x) = x*e^x*E1(x) (_x_exp_e1).  B~ goes over
-    [0, _B_TOP] on the log map B~ = expm1(t*L)/c, c = rho*P_J,
-    L = log1p(c*_B_TOP), which spreads the scale 1/c on which s moves over
+    [0, _TAIL_CUT] on the log map B~ = expm1(t*L)/c, c = rho*P_J,
+    L = log1p(c*_TAIL_CUT), which spreads the scale 1/c on which s moves over
     the nodes of _B_RULE; the error is the gap to _B_CHECK_RULE.  The
     limits of _v_arrays are taken exactly, with error 0: 1 at a = inf,
     a/(a+1) at P_J = 0, 0 at b = inf for P_J > 0, the B~ mean of a
@@ -165,8 +165,8 @@ def _prob_zero_cubature(a, b, rho: float, p_j, upper: bool = False) -> tuple[np.
 def _on_b_rule(rule: tuple, a: np.ndarray, b_pj: np.ndarray, c: np.ndarray, upper: bool) -> np.ndarray:
     """The B~ integral of _a_mean per cell on the rule (t, w), through the log map of _prob_zero_cubature."""
     t, w = rule
-    stretch = np.maximum(np.log1p(c * _B_TOP), _MIN_STRETCH)[:, None]
-    scale = _B_TOP / np.expm1(stretch)  # 1/c
+    stretch = np.maximum(np.log1p(c * _TAIL_CUT), _MIN_STRETCH)[:, None]
+    scale = _TAIL_CUT / np.expm1(stretch)  # 1/c
     tl = t * stretch  # (cells, nodes)
     b_t = np.expm1(tl) * scale
     s = a[:, None] * (1.0 + c[:, None] * b_t)

@@ -3,13 +3,10 @@
 Grids are row-major with y as the slow axis, and every field kind is
 computed with array operations over the whole grid.  A fading or pairwise
 prob-zero field draws from montecarlo's stream of its seed, with the
-row-major cells as samples: cell i owns the i-th consecutive block of k*n
-uniforms (fading secrecy k = 2, n = 1; pairwise prob-zero k = 3).  A cell's
-draws thus depend only on (seed, cell index, n, k), not on evaluation
-order or on the lanes that share a pairwise prob-zero field.  A colluding
-prob-zero field draws nothing: each cell is a cubature with a per-cell
-error estimate.  Exports carry every parameter needed to regenerate a
-field.
+row-major cells as samples (sample_matrix, montecarlo._cell_means).  A
+colluding prob-zero field draws nothing: each cell is a cubature with a
+per-cell error estimate.  Exports carry every parameter needed to
+regenerate a field.
 """
 
 from __future__ import annotations
@@ -121,7 +118,8 @@ def build_field(
     cubature (colluding_fading._prob_zero_cubature), whose per-cell error
     the field carries in .error and whose rule the meta names; pairwise
     prob-zero cells are per-cell Monte Carlo means and need mc.  mc also
-    seeds the draws of fading=True and is ignored otherwise.
+    seeds the draws of fading=True, which a prob-zero field rejects, and is
+    ignored otherwise.
     pj_per_cell: "fixed" uses params.p_j everywhere; "opt" re-optimizes the
     colluding jamming power in every cell.
     """
@@ -133,6 +131,8 @@ def build_field(
         raise InvalidParameterError(f"unknown pj_per_cell {pj_per_cell!r}")
     if pj_per_cell == "opt" and mode != "colluding":
         raise InvalidParameterError("per-cell optimal jamming applies to colluding mode only")
+    if fading and quantity == "prob-zero":
+        raise InvalidParameterError("a prob-zero field already averages over the fading; fading applies to secrecy")
     drawn = fading or (quantity == "prob-zero" and mode == "pairwise")
     if drawn and mc is None:
         raise InvalidParameterError("fading or pairwise prob-zero sweeps need an MCConfig")
@@ -146,13 +146,17 @@ def build_field(
     if quantity == "prob-zero" and mode == "colluding":
         values, error = _prob_zero_cubature(a_f, b_f, params.rho, p_j)
     elif quantity == "prob-zero":
-        values = _prob_zero_field(params, a_f, b_f, p_j, mc)
+        kernel, k = _COND_PROB_ZERO["pairwise"]
+        a, b = a_f.reshape(-1, 1), b_f.reshape(-1, 1)  # (cells, 1) gains against (cells, n) draws
+        values = montecarlo._cell_means(
+            lambda span, e: kernel(a[span], b[span], params.rho, p_j, *np.moveaxis(e, -1, 0)), a.size, mc, k
+        ).reshape(a_f.shape)
     else:
         c = d = 1.0
         if fading:
             # one draw of the unknown Eve-side coefficients per cell; the
             # link-side coefficients stay at their means
-            e = montecarlo._exp_draws(montecarlo._stream(mc.seed), (a_f.size, 2))
+            e = montecarlo.sample_matrix(MCConfig(mc.seed, a_f.size), 2)
             c, d = e[:, 0].reshape(a_f.shape), e[:, 1].reshape(a_f.shape)
         if mode == "pairwise":
             values, _, _ = _secrecy_pair_array(a_f, b_f, params.p_t, params.rho, p_j, c, d)
@@ -173,45 +177,6 @@ def build_field(
         meta["seed"] = mc.seed
         meta["n_samples"] = mc.n_samples
     return FieldGrid(spec=grid, values=values, meta=meta, error=error)
-
-
-def _prob_zero_field(params: SystemParams, a_f, b_f, p_j: float, mc: MCConfig) -> np.ndarray:
-    """Per-cell mean of the pairwise conditional zero-secrecy probability.
-
-    Cell i owns the i-th block of n*k uniforms of the seed's stream (k from
-    _COND_PROB_ZERO).  The cells are split into contiguous ranges, one per
-    lane of montecarlo._run_lanes, so one lane's kernel overlaps another's
-    draws.  Each lane opens the stream once, at the first word of its first
-    cell, and reads its own range of words through the counter.  In a lane,
-    blocks of whole cells, at most _BLOCK samples, go to the kernel at once
-    with gains as (cells, 1) columns against (cells, n) draws, filled into
-    one buffer per lane; a cell with n > _BLOCK is summed over sub-blocks of
-    _BLOCK samples.  A cell's draws, kernel call and sum do not depend on the
-    block it shares, so the field is the same bits on any number of lanes.
-    The kernel tests the gain-free window first and takes the wedge only on
-    the draws inside it, about pi*rho/4 of them at large P_J, so at paper
-    settings most of a field's time is the stream itself.
-    """
-    kernel, k = _COND_PROB_ZERO["pairwise"]
-    n, block = mc.n_samples, montecarlo._BLOCK
-    a, b = a_f.reshape(-1, 1), b_f.reshape(-1, 1)
-    per, sub = max(1, block // n), min(n, block)
-    total = np.zeros(a.shape[0])
-
-    def lane(first: int, stop: int):
-        rng = montecarlo._stream(mc.seed, first * n * k)
-        buf = np.empty(min(per, stop - first) * sub * k)
-        for lo in range(first, stop, per):
-            cells = slice(lo, min(lo + per, stop))
-            m = cells.stop - lo
-            for done in range(0, n, sub):
-                s = min(sub, n - done)
-                e = montecarlo._exp_draws(rng, (m, s, k), out=buf[: m * s * k].reshape(m, s, k))
-                total[cells] += kernel(a[cells], b[cells], params.rho, p_j, *np.moveaxis(e, -1, 0)).sum(axis=1)
-            yield
-
-    montecarlo._run_lanes(lane, a.shape[0])
-    return (total / n).reshape(a_f.shape)
 
 
 def build_region_grid(grid: GridSpec, rho: float, alpha: float = 2.0) -> FieldGrid:

@@ -31,7 +31,7 @@ __all__ = [
     "ecdf",
 ]
 
-_BLOCK = 2**16  # samples per block of exp_chunks, estimate, ecdf and a prob-zero field
+_BLOCK = 2**16  # samples per block of exp_chunks, estimate, ecdf and _cell_means
 
 
 def _usable_cpus() -> int:
@@ -41,7 +41,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# lanes of _run_lanes: a pairwise prob-zero field, the policy rows
+# lanes of _run_lanes: _cell_means, the policy rows
 _LANES = min(2, _usable_cpus())
 
 
@@ -142,6 +142,40 @@ def sample_matrix(config: MCConfig, draws_per_sample: int) -> np.ndarray:
     if draws_per_sample < 1:
         raise InvalidParameterError("draws_per_sample must be >= 1")
     return _exp_draws(_stream(config.seed), (config.n_samples, draws_per_sample))
+
+
+def _cell_means(f: Callable, cells: int, config: MCConfig, draws_per_sample: int) -> np.ndarray:
+    """Per-cell means of f, shape (cells,): cell i owns the i-th block of n*k uniforms of the stream.
+
+    f(span, e) maps a slice of cells and their (m, s, k) draws to (m, s)
+    values.  The cells split into contiguous ranges, one per lane of
+    _run_lanes; each lane opens the stream at its first cell's word and
+    allocates its one buffer on the calling thread.  f takes blocks of
+    whole cells, at most _BLOCK samples, and a cell with n > _BLOCK in
+    sub-blocks of _BLOCK, so the means are the same bits on any number of lanes.
+    """
+    n, k = config.n_samples, draws_per_sample
+    per, sub = max(1, _BLOCK // n), min(n, _BLOCK)
+    total = np.zeros(cells)
+
+    def lane(first: int, stop: int) -> Iterator:
+        rng = _stream(config.seed, first * n * k)
+        buf = np.empty(min(per, stop - first) * sub * k)
+
+        def blocks() -> Iterator:
+            for lo in range(first, stop, per):
+                span = slice(lo, min(lo + per, stop))
+                m = span.stop - lo
+                for done in range(0, n, sub):
+                    s = min(sub, n - done)
+                    e = _exp_draws(rng, (m, s, k), out=buf[: m * s * k].reshape(m, s, k))
+                    total[span] += f(span, e).sum(axis=1)
+                yield
+
+        return blocks()
+
+    _run_lanes(lane, cells)
+    return total / n
 
 
 def _block_stats(values: np.ndarray) -> tuple[int, float, float]:

@@ -42,22 +42,21 @@ def _golden_section_lanes(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
-    tol: float = 1e-12,
-    iters: int = 200,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section maximization of a function unimodal on each lane's [lo, hi].
 
     f(x, idx) evaluates lanes idx at points x.  Every lane takes the scalar
-    update and stops once its own bracket is within tol.
+    update and stops once its own bracket is within 1e-12 relative, or
+    after 200 steps.
     """
     lo, hi, every = lo.copy(), hi.copy(), np.arange(lo.size)
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1, every), f(x2, every)
     live = every
-    for _ in range(iters):
+    for _ in range(200):
         l, h = lo[live], hi[live]
-        live = live[~(h - l <= tol * np.maximum(1.0, np.abs(l) + np.abs(h)))]
+        live = live[~(h - l <= 1e-12 * np.maximum(1.0, np.abs(l) + np.abs(h)))]
         if live.size == 0:
             break
         rise = f1[live] < f2[live]
@@ -84,9 +83,9 @@ def _secrecy_over_pj(g: LinkGains, rho, p_t, p_j: np.ndarray) -> np.ndarray:
 
 
 def golden_max_secrecy(
-    g: LinkGains | Sequence[LinkGains], rho, p_t, hi: float = 1e9, grid_points: int = 2000
+    g: LinkGains | Sequence[LinkGains], rho, p_t
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """(argmax, max) of secrecy over P_J in [0, hi]: log grid then refinement.
+    """(argmax, max) of secrecy over P_J in [0, 1e9]: log grid then refinement.
 
     The grid pins down the basin (the objective need not be unimodal on the
     whole axis once the positive part clips), the golden section polishes it.
@@ -99,7 +98,7 @@ def golden_max_secrecy(
     n = len(lanes)
     a, b = np.array([x.a for x in lanes]), np.array([x.b for x in lanes])
     rho, p_t = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (rho, p_t))
-    grid = np.concatenate(([0.0], np.geomspace(1e-6, hi, grid_points)))
+    grid = np.concatenate(([0.0], np.geomspace(1e-6, 1e9, 2000)))
     best_x, best_f = np.empty(n), np.empty(n)
     for start in range(0, n, _LANES):
         blk = slice(start, start + _LANES)

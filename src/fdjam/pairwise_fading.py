@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import montecarlo
-from .colluding_fading import _E1_SPLIT, _e1_cf_tail, _exp_e1, _gauss_legendre, _v_arrays
+from .colluding_fading import _E1_SPLIT, _MIN_STRETCH, _e1_cf_tail, _exp_e1, _gauss_legendre, _v_arrays
+from .colluding_fading import _TAIL_CUT as _A_TOP  # the A~ quadrature stops there; a wider window takes _WIDE_RULE
 from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams
 from .montecarlo import Estimate, MCConfig, estimate, exp_chunks
@@ -296,11 +297,6 @@ def semi_dynamic_cap(rho: float) -> float:
 _TILE_ROWS = 1024
 # Rows per block of a lane of _policy_integrand: its per-row temporaries stay near 64 kB.
 _CHUNK_ROWS = 8 * _TILE_ROWS
-# Smallest stretch L = log1p(c*w0); below it the map is linear in t to 1e-8.
-_MIN_STRETCH = 1e-8
-# A~ past which e^-A~ < 5e-18: the quadrature stops there when the window is wider, and
-# such a row takes _WIDE_RULE.
-_A_TOP = 40.0
 # Floor of the quadrature's exp argument: e^-700 < 1e-304 adds nothing to a row, and
 # numpy's exp runs 20-100x slower where its result is subnormal or underflows.
 _EXP_FLOOR = -700.0
@@ -330,20 +326,20 @@ def _policy_integrand(u: np.ndarray, v: np.ndarray, a: float, b: float, rho: flo
     block, stay on one lane: two lanes passing the GIL ran them 8% slower.
     """
     out = np.empty((u.shape[0], 2))
-    rules = (_CLOSING_RULE, _WIDE_RULE)
 
     def lane(lo: int, hi: int):
         # the 48-node size even where only 32 nodes run: glibc's mmap and trim thresholds follow the
         # largest block freed, and after a smaller slab the prob-zero fields ran 8-15% slower
-        work = None if math.isinf(p_j) else np.empty((5, max(t.size for t, _ in rules), _TILE_ROWS))
+        nodes = max(_CLOSING_RULE[0].size, _WIDE_RULE[0].size)
+        work = None if math.isinf(p_j) else np.empty((5, nodes, _TILE_ROWS))
         chunks = (slice(i, min(i + _CHUNK_ROWS, hi)) for i in range(lo, hi, _CHUNK_ROWS))
-        return (_policy_rows(u[r], v[r], a, b, rho, p_j, rules, work, out[r]) for r in chunks)
+        return (_policy_rows(u[r], v[r], a, b, rho, p_j, work, out[r]) for r in chunks)
 
     montecarlo._run_lanes(lane, u.shape[0], max(1, u.shape[0]) if math.isinf(p_j) else 2 * _TILE_ROWS)
     return out
 
 
-def _policy_rows(u, v, a: float, b: float, rho: float, p_j: float, rules: tuple, work, out: np.ndarray) -> None:
+def _policy_rows(u, v, a: float, b: float, rho: float, p_j: float, work, out: np.ndarray) -> None:
     """One block of _policy_integrand's rows, written into out, shape (rows, 2)."""
     c0, c2, d1, s, z = _wedge_coeffs(a, b, rho, p_j, u, v)
     w0 = np.sqrt(c0 / c2)
@@ -357,7 +353,7 @@ def _policy_rows(u, v, a: float, b: float, rho: float, p_j: float, rules: tuple,
     stretch = np.maximum(np.log1p(np.where(np.isfinite(ct), ct, 0.0)), _MIN_STRETCH)
     scale = top / np.expm1(stretch)  # 1/c
     wide = w0 > _A_TOP
-    for rule, idx in zip(rules, (np.flatnonzero(~wide), np.flatnonzero(wide))):
+    for rule, idx in ((_CLOSING_RULE, np.flatnonzero(~wide)), (_WIDE_RULE, np.flatnonzero(wide))):
         if idx.size:
             out[idx, 0] = _rows_on_rule(rule, (c0[idx], c2, d1[idx], s[idx], z), stretch[idx], scale[idx], work)
 

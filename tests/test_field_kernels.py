@@ -439,6 +439,41 @@ def test_a_lane_failure_is_raised_after_every_lane_stopped(monkeypatch) -> None:
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("lanes", [1, 2, 5])
+def test_every_lane_opens_its_stream_and_buffer_on_the_calling_thread(monkeypatch, lanes: int) -> None:
+    # _run_lanes calls lane() on the calling thread, which owns what it
+    # allocates: a lane that opened its stream or allocated its buffer in
+    # its block iterator would do both on a worker thread
+    opened, made, filled = [], {}, []
+    real_stream, real_empty, real_draws = montecarlo._stream, np.empty, montecarlo._exp_draws
+
+    def stream(*args):
+        opened.append(threading.current_thread())
+        return real_stream(*args)
+
+    def empty(*args, **kw):
+        out = real_empty(*args, **kw)
+        made[id(out)] = (out, threading.current_thread())  # the array stays alive, so its id stays its own
+        return out
+
+    def draws(rng, shape, out=None):
+        filled.append(out.base)
+        return real_draws(rng, shape, out=out)
+
+    monkeypatch.setattr(montecarlo, "_LANES", lanes)
+    monkeypatch.setattr(montecarlo, "_stream", stream)
+    monkeypatch.setattr(montecarlo, "_exp_draws", draws)
+    monkeypatch.setattr(np, "empty", empty)
+    params, mc = SystemParams(p_t=100.0, p_j=30.0, rho=0.05), MCConfig(seed=3, n_samples=7)
+    fg = build_field("pairwise", params, SHIFTED, quantity="prob-zero", mc=mc)
+    monkeypatch.undo()
+    main = threading.main_thread()
+    assert len(opened) == lanes and all(t is main for t in opened)
+    buffers = {id(b) for b in filled}
+    assert len(buffers) == lanes and all(made[i][1] is main for i in buffers)
+    assert fg.values.tobytes() == build_field("pairwise", params, SHIFTED, quantity="prob-zero", mc=mc).values.tobytes()
+
+
 def test_argmin_argmax_skip_nan_cells() -> None:
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 0.5)
     values = np.array([[np.nan, 2.0, 3.0], [4.0, np.nan, 0.5], [7.0, 8.0, np.nan]])

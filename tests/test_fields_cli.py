@@ -119,6 +119,20 @@ def test_field_validation() -> None:
         build_field("pairwise", params, SMALL, pj_per_cell="opt")
     with pytest.raises(InvalidParameterError):
         build_field("colluding", params, SMALL, pj_per_cell="greedy")
+    # a prob-zero field averages over the fading already, so fading=True there is an error
+    for mode in ("colluding", "pairwise"):
+        with pytest.raises(InvalidParameterError, match="fading"):
+            build_field(mode, params, SMALL, quantity="prob-zero", fading=True, mc=MCConfig(seed=3, n_samples=20))
+
+
+@pytest.mark.parametrize("mode", ["colluding", "pairwise"])
+def test_cli_fading_prob_zero_field_is_a_parameter_error(tmp_path, capsys, mode: str) -> None:
+    out = tmp_path / "f.json"
+    argv = ["field", "--mode", mode, "--quantity", "prob-zero", "--fading", "--step", "0.5", "--samples", "20"]
+    assert cli.main([*argv, "--out", str(out), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("fdjam: error: ") and "fading" in captured.err
+    assert not out.exists()
 
 
 def test_fading_field_is_seed_deterministic() -> None:
