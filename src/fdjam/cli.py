@@ -361,8 +361,9 @@ def _build_parser() -> _Parser:
         "field",
         parents=[common, power, mc, gridp, io],
         help="sweep a field over the grid",
-        description="Sweep one quantity over the grid. --samples and --seed set the draws of a --fading field "
-        "and of a pairwise prob-zero field; they do not reach a colluding prob-zero field, which is a "
+        description="Sweep one quantity over the grid. --seed sets the one draw per cell of a --fading field, "
+        "which --samples does not reach. --samples and --seed set the draws of a pairwise prob-zero field; "
+        "they do not reach a colluding prob-zero field, which is a "
         "deterministic cubature with a per-cell error (written to --json output under \"error\").",
     )
     p.add_argument("--mode", choices=modes, default="colluding", help="eavesdropper model (default %(default)s)")

@@ -117,9 +117,10 @@ def build_field(
     the fading the link conditions on.  Colluding prob-zero cells are a
     cubature (colluding_fading._prob_zero_cubature), whose per-cell error
     the field carries in .error and whose rule the meta names; pairwise
-    prob-zero cells are per-cell Monte Carlo means and need mc.  mc also
-    seeds the draws of fading=True, which a prob-zero field rejects, and is
-    ignored otherwise.
+    prob-zero cells are per-cell Monte Carlo means of mc.n_samples draws
+    and need mc.  With fading=True, which a prob-zero field rejects, mc.seed
+    seeds the one draw per cell and mc.n_samples is ignored; mc is ignored
+    otherwise.
     pj_per_cell: "fixed" uses params.p_j everywhere; "opt" re-optimizes the
     colluding jamming power in every cell.
     """
@@ -175,7 +176,8 @@ def build_field(
         meta.update(method="cubature", rule=rule, nodes=_B_RULE[0].size, error_nodes=_B_CHECK_RULE[0].size)
     elif mc is not None:
         meta["seed"] = mc.seed
-        meta["n_samples"] = mc.n_samples
+        if not fading:  # a fading field draws once per cell, whatever n_samples is
+            meta["n_samples"] = mc.n_samples
     return FieldGrid(spec=grid, values=values, meta=meta, error=error)
 
 

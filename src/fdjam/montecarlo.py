@@ -178,15 +178,21 @@ def _cell_means(f: Callable, cells: int, config: MCConfig, draws_per_sample: int
     return total / n
 
 
-def _block_stats(values: np.ndarray) -> tuple[int, float, float]:
+def _combine(total: tuple[int, float, float] | None, values: np.ndarray) -> tuple[int, float, float] | None:
+    """The running (n, mean, m2) total, None for an empty stream, with the 1-D block values added:
+    the block's two-pass moments merged by the parallel Welford update.  An empty block adds nothing."""
     n = values.size
+    if n == 0:
+        return total
     lo = float(values.min())
-    hi = float(values.max())
-    if lo == hi:  # constant block: zero spread exactly, no rounding residue
-        return n, lo, 0.0
-    mean = float(values.mean())
+    mean = lo if lo == values.max() else float(values.mean())  # a constant block: zero spread exactly
     m2 = float(np.sum((values - mean) ** 2))
-    return n, mean, m2
+    if total is None:
+        return n, mean, m2
+    n_tot, mean_tot, m2_tot = total
+    delta = mean - mean_tot
+    n_new = n_tot + n
+    return n_new, mean_tot + delta * (n / n_new), m2_tot + m2 + delta * delta * (n_tot * n / n_new)
 
 
 def estimate(
@@ -202,7 +208,7 @@ def estimate(
     stream order, per column; an (m, q) f gives a tuple of q Estimates,
     each equal bit for bit to a call whose f returns that column.
     """
-    totals: list[tuple[int, float, float]] | None = None
+    totals: list | None = None
     for u in exp_chunks(config, draws_per_sample):
         values = np.asarray(f(u), dtype=float)
         if values.ndim not in (1, 2) or values.shape[0] != u.shape[0]:
@@ -213,21 +219,14 @@ def estimate(
         cols = [values] if values.ndim == 1 else list(np.ascontiguousarray(values.T))
         if totals is not None and len(cols) != len(totals):
             raise InvalidParameterError(f"f changed its column count to {len(cols)}")
-        stats = [_block_stats(col) for col in cols]
-        totals = stats if totals is None else [_welford(t, s) for t, s in zip(totals, stats)]
-    out = tuple(_finish(*t) for t in totals)
+        totals = [_combine(t, col) for t, col in zip(totals or [None] * len(cols), cols)]
+    out = tuple(_finish(t) for t in totals)
     return out[0] if values.ndim == 1 else out
 
 
-def _welford(total: tuple[int, float, float], block: tuple[int, float, float]) -> tuple[int, float, float]:
-    n_tot, mean_tot, m2_tot = total
-    n, mean, m2 = block
-    delta = mean - mean_tot
-    n_new = n_tot + n
-    return n_new, mean_tot + delta * (n / n_new), m2_tot + m2 + delta * delta * (n_tot * n / n_new)
-
-
-def _finish(n_tot: int, mean_tot: float, m2_tot: float) -> Estimate:
+def _finish(total: tuple[int, float, float] | None) -> Estimate:
+    """The Estimate of a _combine state; the empty stream is mean 0, stderr 0, n 0."""
+    n_tot, mean_tot, m2_tot = total or (0, 0.0, 0.0)
     if n_tot < 2:
         return Estimate(mean=mean_tot, stderr=0.0, n=n_tot)
     return Estimate(mean=mean_tot, stderr=math.sqrt(m2_tot / (n_tot - 1) / n_tot), n=n_tot)

@@ -275,8 +275,10 @@ class PolicyReport:
 
     p1/p2 are the analytic upper bounds evaluated on the same fading stream
     as the estimate, so estimate < p1 (semi-dynamic) and estimate < p2
-    (constant) hold samplewise, not just in expectation.  residual is the
-    mean conditional probability over accepted states for general-dynamic.
+    (constant) hold samplewise, not just in expectation.  For general-dynamic,
+    acceptance is the exact share of accepted draws with its binomial stderr,
+    and residual is the mean conditional probability over accepted states,
+    reduced block by block like every estimate, so no n-long array is held.
     """
 
     policy: JamPolicy
@@ -486,28 +488,19 @@ def policy_prob_zero(
                 lambda uv: _policy_integrand(uv[:, 0], uv[:, 1], a, b, rho, p_j), mc, draws_per_sample=2
             )
         return PolicyReport(policy=policy, estimate=est, **{"p1" if semi else "p2": bound})
-    # general-dynamic: the accepted conditionals of each block, in stream order, fill a prefix of kept
-    p, n = float(policy.p_accept), mc.n_samples
-    kept, n_acc = np.empty(n), 0
+    # general-dynamic: each block's accepted conditionals join the residual in stream order
+    p, n, total = float(policy.p_accept), mc.n_samples, None
     for u in exp_chunks(mc, 3):
         cond = cond_prob_zero_pair_array(g, params, u[:, 0], u[:, 1], u[:, 2])
-        acc = cond[cond <= p]
-        kept[n_acc : n_acc + acc.size] = acc
-        n_acc += acc.size
-        del cond, acc  # not alive beside the next block's kernel temporaries
-    acc_mean = n_acc / n
+        total = montecarlo._combine(total, cond[cond <= p])
+    residual = montecarlo._finish(total)
+    acc_mean = residual.n / n  # the exact count, not a mean of 0/1 values
     acc_stderr = math.sqrt(max(acc_mean * (1.0 - acc_mean), 0.0) / n)
-    sub = kept[:n_acc]
-    mean, stderr = (float(sub.mean()) if n_acc else 0.0), 0.0
-    if n_acc > 1:  # numpy's two-pass std(ddof=1), its squared deviations written over sub, not a copy
-        sub -= mean
-        sub *= sub
-        stderr = math.sqrt(float(sub.sum()) / (n_acc - 1)) / math.sqrt(n_acc)
     return PolicyReport(
         policy=policy,
         estimate=Estimate(0.0, 0.0, n),
         acceptance=Estimate(acc_mean, acc_stderr, n),
-        residual=Estimate(mean, stderr, n_acc),
+        residual=residual,
     )
 
 

@@ -149,6 +149,17 @@ def test_fading_field_is_seed_deterministic() -> None:
     assert one.meta["fading"] is True
 
 
+@pytest.mark.parametrize("mode", ["colluding", "pairwise"])
+def test_fading_field_draws_once_per_cell_whatever_n_samples(mode: str, capsys) -> None:
+    params = SystemParams(p_t=100.0, p_j=10.0, rho=0.05)
+    one, seven = (build_field(mode, params, SMALL, fading=True, mc=MCConfig(seed=3, n_samples=n)) for n in (1, 7))
+    assert one.values.tobytes() == seven.values.tobytes()
+    assert one.meta == seven.meta and one.meta["seed"] == 3 and "n_samples" not in one.meta
+    with pytest.raises(SystemExit):
+        cli.main(["field", "--help"])
+    assert "which --samples does not reach" in " ".join(capsys.readouterr().out.split())
+
+
 def test_prob_zero_field_cell_agrees_with_direct_estimate() -> None:
     params = SystemParams(p_t=100.0, p_j=100.0, rho=0.01)
     tiny = GridSpec(-0.61, -0.59, -0.01, 0.01, 0.01)

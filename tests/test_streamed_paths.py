@@ -43,6 +43,21 @@ def _whole_ecdf(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(values, np.asarray(grid, dtype=float), side="right") / values.size
 
 
+def _blockwise_residual(blocks) -> Estimate:
+    """Mean and stderr of the blocks' values, each block's moments two-pass and merged
+    in order by the parallel Welford update; a constant block has zero spread exactly."""
+    n_tot, mean_tot, m2_tot = 0, 0.0, 0.0
+    for v in blocks:
+        if v.size == 0:
+            continue
+        mean = float(v[0]) if v.min() == v.max() else float(v.mean())
+        m2 = float(np.sum((v - mean) ** 2))
+        delta, n_new = mean - mean_tot, n_tot + v.size
+        mean_tot, m2_tot = mean_tot + delta * (v.size / n_new), m2_tot + m2 + delta * delta * (n_tot * v.size / n_new)
+        n_tot = n_new
+    return Estimate(mean_tot, math.sqrt(m2_tot / (n_tot - 1) / n_tot) if n_tot > 1 else 0.0, n_tot)
+
+
 def _whole_general(p: float, g, params: SystemParams, mc: MCConfig) -> PolicyReport:
     draws = sample_matrix(mc, 3)
     cond = cond_prob_zero_pair_array(g, params, draws[:, 0], draws[:, 1], draws[:, 2])
@@ -50,12 +65,12 @@ def _whole_general(p: float, g, params: SystemParams, mc: MCConfig) -> PolicyRep
     n = cond.size
     acc_mean = float(accepted.mean())
     acc_stderr = math.sqrt(max(acc_mean * (1.0 - acc_mean), 0.0) / n)
-    n_acc = int(accepted.sum())
-    if n_acc > 1:
+    step = montecarlo._BLOCK
+    res = _blockwise_residual(cond[lo : lo + step][accepted[lo : lo + step]] for lo in range(0, n, step))
+    if res.n > 1:  # the blockwise moments are numpy's whole-array ones up to rounding
         sub = cond[accepted]
-        res = Estimate(float(sub.mean()), float(sub.std(ddof=1) / math.sqrt(n_acc)), n_acc)
-    else:
-        res = Estimate(float(cond[accepted].mean()) if n_acc else 0.0, 0.0, n_acc)
+        assert math.isclose(res.mean, float(sub.mean()), rel_tol=1e-13, abs_tol=0.0)
+        assert math.isclose(res.stderr, float(sub.std(ddof=1) / math.sqrt(res.n)), rel_tol=1e-13, abs_tol=0.0)
     return PolicyReport(
         policy=_general(p), estimate=Estimate(0.0, 0.0, n), acceptance=Estimate(acc_mean, acc_stderr, n), residual=res
     )
@@ -168,3 +183,14 @@ def test_general_dynamic_memory_does_not_grow_past_its_output() -> None:
         for n in (2 * montecarlo._BLOCK, 10**6)
     ]
     assert extra[1] <= extra[0] + 64 * 1024
+
+
+def test_general_dynamic_memory_does_not_grow_with_n() -> None:
+    # p = 0.5 accepts about 99% of the draws at rho = 1; the residual is reduced block by block
+    params = SystemParams(p_t=1e6, p_j=1e4, rho=1.0)
+    policy_prob_zero(_general(0.5), POINT, params, MCConfig(seed=3, n_samples=1))
+    peaks = [
+        _traced_peak(lambda: policy_prob_zero(_general(0.5), POINT, params, MCConfig(seed=3, n_samples=n)))
+        for n in (2**17, 2**20)
+    ]
+    assert abs(peaks[1] - peaks[0]) <= MIB

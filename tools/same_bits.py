@@ -1,0 +1,158 @@
+"""Same bits: one sha256 per CLI case, stored and checked against the code of this checkout.
+
+Run from anywhere:
+
+    python3 tools/same_bits.py --write   # store the digests in tools/same_bits.json
+    python3 tools/same_bits.py --check   # print each case whose digest moved; exit 1 if any did
+
+A case is one or more `fdjam` command lines, run in this process through
+`fdjam.cli.main` on the src/ next to this file, each in a fresh temporary
+directory that is its working directory.  Its digest covers every run's
+command line, exit code, stdout and stderr, and the name and bytes of every
+file the run wrote.  An exception that escapes `main` counts as exit code 1
+with its type and message on stderr.  FDJAM_SEED is unset, so every seed
+comes from the command line or the declared default.
+
+The cases: the README's CLI commands; `policy --samples 20000 --seed 5`;
+`policy --ladder-db -30 -10 0 30 --p-accept 1e-3`; `verify --suite all` at
+seeds 0-3 and 7; and the field matrix, both modes x five quantities x
+P_J in {0, 1, 1e4, inf} x rho in {0, 0.01, 1} x n in {1, 7, 2000, 70000} on a
+9x5 grid holding both endpoints, each written once as CSV and once as JSON.
+The stored file also names the numpy and Python versions it was written
+with; floating-point results may move with either.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import shlex
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STORE = os.path.join(ROOT, "tools", "same_bits.json")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+from fdjam import cli  # noqa: E402
+
+GRID = ["--x-min", "-1", "--x-max", "1", "--y-min", "-0.5", "--y-max", "0.5", "--step", "0.25"]
+QUANTITIES = {
+    "secrecy": ["--quantity", "secrecy"],
+    "fading-secrecy": ["--quantity", "secrecy", "--fading"],
+    "prob-zero": ["--quantity", "prob-zero"],
+    "opt-secrecy": ["--quantity", "secrecy", "--pj-opt"],
+    "opt-prob-zero": ["--quantity", "prob-zero", "--pj-opt"],
+}
+
+
+def readme_commands() -> list[list[str]]:
+    """The `fdjam` lines of the README's CLI block, without the program name."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("fdjam ")]
+
+
+def cases() -> dict[str, list[list[str]]]:
+    """Case name -> the argv of each of its runs."""
+    single = readme_commands() + [
+        ["policy", "--samples", "20000", "--seed", "5"],
+        ["policy", "--ladder-db", "-30", "-10", "0", "30", "--p-accept", "1e-3"],
+    ]
+    single += [["verify", "--suite", "all", "--seed", str(seed)] for seed in (0, 1, 2, 3, 7)]
+    out = {"fdjam " + shlex.join(argv): [argv] for argv in single}
+    for mode in ("colluding", "pairwise"):
+        for quantity, flags in QUANTITIES.items():
+            for p_j in ("0", "1", "1e4", "inf"):
+                for rho in ("0", "0.01", "1"):
+                    for n in ("1", "7", "2000", "70000"):
+                        argv = ["field", "--mode", mode, *flags, "--pj", p_j, "--rho", rho, "--pt-db", "60"]
+                        argv += ["--samples", n, "--seed", "1", *GRID]
+                        name = f"field {mode} {quantity} pj={p_j} rho={rho} n={n}"
+                        out[name] = [argv + ["--out", "f.csv"], argv + ["--out", "f.json", "--json"]]
+    return out
+
+
+def _run(argv: list[str], into) -> None:
+    """Run one command line in a fresh working directory and feed what it did into the hash."""
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(list(argv))
+                except SystemExit as stop:  # argparse: usage errors and --help
+                    code = stop.code
+                except Exception as exc:  # a traceback in a real process: exit 1, the error on stderr
+                    code = 1
+                    err.write(f"{type(exc).__name__}: {exc}\n")
+        finally:
+            os.chdir(here)
+        files = sorted(os.listdir(tmp))
+        parts = [shlex.join(argv), repr(code), out.getvalue(), err.getvalue()]
+        for part in parts:
+            into.update(len(part.encode()).to_bytes(8, "little") + part.encode())
+        for name in files:
+            with open(os.path.join(tmp, name), "rb") as fh:
+                data = fh.read()
+            into.update(name.encode() + b"\0" + len(data).to_bytes(8, "little") + data)
+
+
+def digest(runs: list[list[str]]) -> str:
+    """sha256 over every run of a case, in order."""
+    h = hashlib.sha256()
+    for argv in runs:
+        _run(argv, h)
+    return h.hexdigest()
+
+
+def moved(stored: dict[str, str], names: list[str]) -> list[str]:
+    """The named cases whose digest differs from the stored one, or that have none stored."""
+    table = cases()
+    return [name for name in names if stored.get(name) != digest(table[name])]
+
+
+def versions() -> dict[str, str]:
+    return {"numpy": np.__version__, "python": platform.python_version()}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--write", action="store_true", help=f"store every case's digest in {STORE}")
+    what.add_argument("--check", action="store_true", help="print each case whose digest moved; exit 1 if any did")
+    args = parser.parse_args(argv)
+    os.environ.pop("FDJAM_SEED", None)
+    table = cases()
+    if args.write:
+        record = {**versions(), "cases": {name: digest(runs) for name, runs in table.items()}}
+        with open(STORE, "w") as fh:
+            json.dump(record, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {len(table)} digests to {os.path.relpath(STORE)}")
+        return 0
+    with open(STORE) as fh:
+        record = json.load(fh)
+    if {k: record.get(k) for k in versions()} != versions():
+        print(f"note: digests written with numpy {record.get('numpy')}, python {record.get('python')}")
+    stored = record["cases"]
+    bad = moved(stored, list(table)) + sorted(set(stored) - set(table))
+    for name in bad:
+        print(f"moved: {name}")
+    print(f"{len(table)} cases, {len(bad)} moved")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
