@@ -14,6 +14,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -219,7 +220,9 @@ def _e1_cf_tail(x: np.ndarray) -> np.ndarray:
 
     1 - x*e^x*E1(x) = (1 - R)/(x + 1 - R) then has no cancellation.
     """
-    tail = np.zeros_like(x)
+    if not x.size:
+        return np.zeros(x.shape)
+    tail = 0.0
     for k in range(_E1_CF_TERMS, 0, -1):
         tail = k * k / (x + (2 * k + 1) - tail)
     return tail
@@ -229,18 +232,35 @@ def _exp_e1(x) -> np.ndarray:
     """e^x*E1(x) for x > 0, E1 the exponential integral int_x^inf e^-t/t dt.
 
     Below _E1_SPLIT: e^x*(-gamma - log(x) - sum_k (-x)^k/(k*k!)); above it
-    the continued fraction of _e1_cf_tail.
+    the continued fraction of _e1_cf_tail.  The result has the shape of x
+    and is an ndarray also for 0-d x.
     """
     x = np.asarray(x, dtype=float)
-    out, small = np.empty_like(x), x < _E1_SPLIT
-    xs = x[small]
-    poly = np.zeros_like(xs)
-    for coeff in _E1_SERIES:
+    return np.asarray(_piecewise(x < _E1_SPLIT, _e1_series, lambda xl: 1.0 / (xl + 1.0 - _e1_cf_tail(xl)), x))
+
+
+def _e1_series(x: np.ndarray) -> np.ndarray:
+    """e^x*E1(x) below _E1_SPLIT by the power series, its Horner sum started at the highest term."""
+    poly = _E1_SERIES[0] * x
+    for coeff in _E1_SERIES[1:]:
         poly += coeff
-        poly *= xs
-    out[small] = np.exp(xs) * (poly - _EULER_GAMMA - np.log(xs))
-    xl = x[~small]
-    out[~small] = 1.0 / (xl + 1.0 - _e1_cf_tail(xl))
+        poly *= x
+    return np.exp(x) * (poly - _EULER_GAMMA - np.log(x))
+
+
+def _piecewise(mask: np.ndarray, on: Callable, off: Callable, *args: np.ndarray) -> np.ndarray:
+    """on(*args) where mask holds and off(*args) elsewhere, each called on its own elements of args.
+
+    Where mask holds everywhere (an empty mask too) or nowhere, the arrays
+    go to on or off as they are, with no gather and no scatter.
+    """
+    if mask.all():
+        return on(*args)
+    if not mask.any():
+        return off(*args)
+    out = np.empty(mask.shape)
+    out[mask] = on(*(x[mask] for x in args))
+    out[~mask] = off(*(x[~mask] for x in args))
     return out
 
 

@@ -174,7 +174,7 @@ def build_field(
     if error is not None:
         rule = "gauss-legendre in B~ on a log map, A~ in closed form"
         meta.update(method="cubature", rule=rule, nodes=_B_RULE[0].size, error_nodes=_B_CHECK_RULE[0].size)
-    elif mc is not None:
+    elif drawn:  # an exact field draws nothing, whatever mc says
         meta["seed"] = mc.seed
         if not fading:  # a fading field draws once per cell, whatever n_samples is
             meta["n_samples"] = mc.n_samples

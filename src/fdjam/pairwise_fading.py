@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import montecarlo
-from .colluding_fading import _E1_SPLIT, _MIN_STRETCH, _e1_cf_tail, _exp_e1, _gauss_legendre, _v_arrays
+from .colluding_fading import _E1_SPLIT, _MIN_STRETCH, _e1_cf_tail, _exp_e1, _gauss_legendre, _piecewise, _v_arrays
 from .colluding_fading import _TAIL_CUT as _A_TOP  # the A~ quadrature stops there; a wider window takes _WIDE_RULE
 from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams
@@ -113,8 +113,9 @@ def pair_terms(
     )
 
 
-# Below this fraction of w2, w1 is treated as 0: K has already vanished and
-# E = w3/w1 would overflow before the product does.
+# In the per-draw kernel (_cond_prob_zero_pair_kernel) and pair_terms, w1 below this
+# fraction of w2 is treated as 0: K has already vanished and E = w3/w1 would overflow
+# before the product does.  The policy rows (_rows_on_rule) mask only w1 <= 0.
 _W1_GUARD = 1e-30
 
 
@@ -324,8 +325,10 @@ def _policy_integrand(u: np.ndarray, v: np.ndarray, a: float, b: float, rho: flo
     they are split between lanes (montecarlo._run_lanes), in blocks of
     _CHUNK_ROWS, the same bits on any number of lanes; the calling thread
     allocates each lane's _rows_on_rule slab, sized for the rules at the
-    call.  Semi-dynamic rows, some 250 numpy calls on short arrays per
-    block, stay on one lane: two lanes passing the GIL ran them 8% slower.
+    call.  Semi-dynamic rows, about 190 numpy calls (ufuncs, array
+    functions, gathers and scatters) on short arrays per block at rho =
+    0.01, stay on one lane: two lanes passing the GIL ran them 8% slower,
+    where constant rows ran 24% faster on two.
     """
     out = np.empty((u.shape[0], 2))
 
@@ -355,6 +358,9 @@ def _policy_rows(u, v, a: float, b: float, rho: float, p_j: float, work, out: np
     stretch = np.maximum(np.log1p(np.where(np.isfinite(ct), ct, 0.0)), _MIN_STRETCH)
     scale = top / np.expm1(stretch)  # 1/c
     wide = w0 > _A_TOP
+    if not wide.any():  # the common block: every row on the closing rule, no gather and no scatter
+        out[:, 0] = _rows_on_rule(_CLOSING_RULE, (c0, c2, d1, s, z), stretch, scale, work)
+        return
     for rule, idx in ((_CLOSING_RULE, np.flatnonzero(~wide)), (_WIDE_RULE, np.flatnonzero(wide))):
         if idx.size:
             out[idx, 0] = _rows_on_rule(rule, (c0[idx], c2, d1[idx], s[idx], z), stretch[idx], scale[idx], work)
@@ -365,30 +371,34 @@ def _rows_on_rule(rule: tuple, coeffs: tuple, stretch: np.ndarray, scale: np.nda
 
     coeffs, stretch and scale hold those rows only.  At a node, A~ =
     expm1(t*L)*scale, and one exp of t*L - A~ - E gives e^-A~*e^-E times
-    the map's Jacobian over L*scale; a product masks it past the _W1_GUARD
-    cut.  Rows go through in tiles of _TILE_ROWS, in five (nodes, rows)
-    views of work, the caller's (5, >= nodes, _TILE_ROWS) slab, which every
-    tile reuses; _node_sum makes each row's value depend on that row alone.
+    the map's Jacobian over L*scale.  One mask, w1 raised to +0 before K =
+    w1/w2 and E = w3/w1 are taken, makes a node outside the wedge (w1 <= 0)
+    add exactly +0: K = +0 and E = +inf.  A node inside adds K*e^-E however
+    small K is; where the boundary layer has made K tiny over the whole
+    window (c*A~ past 1e30, only at extreme P_J, gains or B~), those nodes
+    carry the row.  Rows go through in tiles of _TILE_ROWS, in five (nodes,
+    rows) views of work, the caller's (5, >= nodes, _TILE_ROWS) slab, which
+    every tile reuses; _node_sum makes each row's value depend on that row
+    alone.
     """
     t, w = rule
     c0, c2, d1, s, z = coeffs
     row = np.empty(c0.size)
     work = work[:, : t.size]
-    for lo in range(0, c0.size, _TILE_ROWS):
-        rows = slice(lo, lo + _TILE_ROWS)
-        tl, a_t, w1, w2, w3 = work[:, :, : scale[rows].size]  # (nodes, rows) each
-        np.multiply(t[:, None], stretch[rows], out=tl)
-        np.multiply(np.expm1(tl, out=a_t), scale[rows], out=a_t)
-        _wedge((c0[rows], c2, d1[rows], s[rows], z), a_t, out=(w1, w2, w3))
-        tl -= a_t  # t*L - A~
-        cut = np.multiply(w2, _W1_GUARD, out=a_t)  # past it, max() keeps E finite on the node the product masks
-        live = w1 > cut
-        tl -= np.divide(w3, np.maximum(w1, cut, out=cut), out=w3)
-        vals = np.divide(w1, w2, out=w1)  # K
-        vals *= np.exp(np.maximum(tl, _EXP_FLOOR, out=tl), out=tl)
-        vals *= live
-        vals *= w[:, None]
-        row[rows] = _node_sum(vals) * (stretch[rows] * scale[rows])
+    with np.errstate(divide="ignore"):  # E = w3/+0 on a dead node; numpy's error state is per thread
+        for lo in range(0, c0.size, _TILE_ROWS):
+            rows = slice(lo, lo + _TILE_ROWS)
+            tl, a_t, w1, w2, w3 = work[:, :, : scale[rows].size]  # (nodes, rows) each
+            np.multiply(t[:, None], stretch[rows], out=tl)
+            np.multiply(np.expm1(tl, out=a_t), scale[rows], out=a_t)
+            _wedge((c0[rows], c2, d1[rows], s[rows], z), a_t, out=(w1, w2, w3))
+            tl -= a_t  # t*L - A~
+            np.maximum(w1, 0.0, out=w1)
+            tl -= np.divide(w3, w1, out=w3)
+            vals = np.divide(w1, w2, out=w1)  # K
+            vals *= np.exp(np.maximum(tl, _EXP_FLOOR, out=tl), out=tl)
+            vals *= w[:, None]
+            row[rows] = _node_sum(vals) * (stretch[rows] * scale[rows])
     return row
 
 
@@ -423,26 +433,35 @@ def _semi_dynamic_row(r1: np.ndarray, r2: np.ndarray, w0: np.ndarray) -> np.ndar
       taken from the continued fraction's tail, free of cancellation.
     An empty window (rho = 0 or B~ = 0) gives 0.
     """
-    row, live = np.zeros_like(w0), w0 > 0
-    r_s, r_b, w0 = np.minimum(r1, r2)[live], np.maximum(r1, r2)[live], w0[live]
+    return _piecewise(
+        w0 > 0, _semi_dynamic_live, lambda r_s, r_b, w0: np.zeros_like(w0), np.minimum(r1, r2), np.maximum(r1, r2), w0
+    )
+
+
+def _semi_dynamic_live(r_s: np.ndarray, r_b: np.ndarray, w0: np.ndarray) -> np.ndarray:
+    """_semi_dynamic_row on rows with w0 > 0, from r_s = min(r1, r2) and r_b = max(r1, r2)."""
     e_w0 = np.exp(-w0)
     f = _exp_e1(np.concatenate((r_s, r_s + w0)))
     near = r_s * (f[: r_s.size] - e_w0 * f[r_s.size :])
-    far, wide = np.empty_like(w0), w0 >= _E1_SPLIT
-    ww, rb = w0[~wide], r_b[~wide]
-    acc = np.zeros_like(ww)
+    return near - _piecewise(w0 >= _E1_SPLIT, _far_tail, _far_nodes, r_b, w0)
+
+
+def _far_nodes(r_b: np.ndarray, w0: np.ndarray) -> np.ndarray:
+    """int_0^w0 e^-A~*A~/(A~ + r_b) on the 12 Gauss-Legendre nodes, for w0 < _E1_SPLIT."""
+    acc = np.zeros_like(w0)
     for t, w in zip(_GL12_T, _GL12_W):
-        x = t * ww
-        acc += w * np.exp(-x) * x / (x + rb)
-    far[~wide] = acc * ww
-    ww, rb = w0[wide], r_b[wide]
-    x = np.concatenate((rb, rb + ww))
+        x = t * w0
+        acc += w * np.exp(-x) * x / (x + r_b)
+    return acc * w0
+
+
+def _far_tail(r_b: np.ndarray, w0: np.ndarray) -> np.ndarray:
+    """The same integral for w0 >= _E1_SPLIT: g(r_b) - e^-w0*(g(r_b + w0) + w0*f(r_b + w0))."""
+    x = np.concatenate((r_b, r_b + w0))
     tail = _e1_cf_tail(x)
     fx = 1.0 / (x + 1.0 - tail)
     gx = (1.0 - tail) * fx
-    far[wide] = gx[: rb.size] - e_w0[wide] * (gx[rb.size :] + ww * fx[rb.size :])
-    row[live] = near - far
-    return row
+    return gx[: r_b.size] - np.exp(-w0) * (gx[r_b.size :] + w0 * fx[r_b.size :])
 
 
 def policy_prob_zero(

@@ -160,6 +160,17 @@ def test_fading_field_draws_once_per_cell_whatever_n_samples(mode: str, capsys) 
     assert "which --samples does not reach" in " ".join(capsys.readouterr().out.split())
 
 
+@pytest.mark.parametrize("mode", ["colluding", "pairwise"])
+def test_exact_secrecy_field_meta_ignores_mc(mode: str) -> None:
+    # an exact field draws nothing, so a passed MCConfig leaves no seed or n_samples in its meta
+    params = SystemParams(p_t=100.0, p_j=10.0, rho=0.05)
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 0.5)
+    bare = build_field(mode, params, grid)
+    with_mc = build_field(mode, params, grid, mc=MCConfig(seed=3, n_samples=500))
+    assert with_mc.meta == bare.meta and "seed" not in with_mc.meta and "n_samples" not in with_mc.meta
+    assert with_mc.values.tobytes() == bare.values.tobytes()
+
+
 def test_prob_zero_field_cell_agrees_with_direct_estimate() -> None:
     params = SystemParams(p_t=100.0, p_j=100.0, rho=0.01)
     tiny = GridSpec(-0.61, -0.59, -0.01, 0.01, 0.01)

@@ -4,12 +4,13 @@ policy bounds and the homogeneous near-field law."""
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from fdjam.errors import InvalidParameterError
-from fdjam.colluding_fading import _exp_e1, _x_exp_e1
+from fdjam.colluding_fading import _e1_cf_tail, _exp_e1, _x_exp_e1
 from fdjam.geometry import LinkGains, SystemParams, gains
 from fdjam import montecarlo, pairwise_fading
 from fdjam.montecarlo import MCConfig, estimate
@@ -249,6 +250,50 @@ def test_policy_rule_is_chosen_per_row() -> None:
     np.testing.assert_allclose(rows[:12, 0], ref, rtol=0.0, atol=1e-9)
 
 
+
+def test_semi_dynamic_rows_do_not_depend_on_their_block() -> None:
+    # rho = 1 at P_J = inf: B~ = 0 gives an empty window (a dead row), B~ ~ 1 a narrow one
+    # and B~ = 30 a window of 30, past the split at 3; in one block each row must be what
+    # it is alone, where every mask of the closed form holds everywhere or nowhere
+    g, rho = gains(0.3, 0.2, 2.0), 1.0
+    edge = np.array([[0.0, 1.0], [30.0, 30.0], [0.5, 0.8], [1.0, 0.0], [30.0, 0.5], [0.0, 0.0]])
+    u, v = np.concatenate((edge, np.random.default_rng(53).exponential(size=(300, 2)) * np.array([1.0, 12.0]))).T
+    w0 = rho * np.sqrt(u * v)
+    assert np.count_nonzero(w0 == 0) == 3 and 20 < np.count_nonzero(w0 >= 3.0) < 280
+    rows = _policy_integrand(u, v, g.a, g.b, rho, math.inf)
+    alone = np.concatenate([_policy_integrand(u[i : i + 1], v[i : i + 1], g.a, g.b, rho, math.inf) for i in range(u.size)])
+    assert alone.tobytes() == rows.tobytes()
+    assert np.all(rows[w0 == 0] == 0.0) and np.all(rows[w0 > 0, 0] > 0.0)
+
+
+@pytest.mark.parametrize("p_j", [1e-6, 1e15, math.inf])
+@pytest.mark.parametrize("rho", [1e-4, 10.0])
+def test_policy_rows_raise_no_floating_point_warning(monkeypatch, rho: float, p_j: float) -> None:
+    # B~ at 1e-300 and 700 among ordinary draws, on two lanes: numpy's error state is per
+    # thread, so a mask that relied on the caller's would warn in the worker's rows
+    monkeypatch.setattr(montecarlo, "_LANES", 2)
+    u, v = np.random.default_rng(59).exponential(size=(2, 3000))
+    edge = np.array([1e-300, 700.0])
+    u[::7], v[::7] = np.resize(np.repeat(edge, 2), u[::7].size), np.resize(np.tile(edge, 2), v[::7].size)
+    for at in ((-0.6, 0.0), (0.49, 0.0), (1.3, 0.7)):
+        g = gains(*at, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _policy_integrand(u, v, g.a, g.b, rho, p_j)
+        assert np.all(np.isfinite(rows)) and np.all(rows >= 0.0) and np.all(rows[:, 0] <= rows[:, 1])
+
+
+def test_policy_row_keeps_the_nodes_of_a_tiny_k() -> None:
+    # P_J = 1e100 with one B~ = 0: the boundary layer at A~ = 0 drives K = w1/w2 below
+    # 1e-30 over most of the window, and those nodes carry the row; a cut at
+    # w1 <= 1e-30*w2 dropped them and read up to half the row low
+    g, rho, p_j = ORIGIN, 0.01, 1e100
+    u, v = np.array([1e-9, 30.0, 700.0]), np.zeros(3)
+    rows = _policy_integrand(u, v, g.a, g.b, rho, p_j)
+    params = SystemParams(p_t=1.0, p_j=p_j, rho=rho)
+    ref = np.array([quad_policy_row(g, params, float(b1), float(b2)) for b1, b2 in zip(u, v)])
+    np.testing.assert_allclose(rows[:, 0], ref, rtol=1e-8, atol=0.0)
+
 @pytest.mark.parametrize("nodes", [1, 3, 5, 32, 48])
 def test_node_sum_is_a_sum_of_each_column_alone(nodes: int) -> None:
     # the quadrature's node sum: within the dtype's rounding of an exact sum, and each
@@ -331,6 +376,31 @@ def test_x_exp_e1_against_the_table_and_its_limits() -> None:
     np.testing.assert_allclose(_x_exp_e1(x), x * want, rtol=1e-13, atol=0.0)
     assert _x_exp_e1(np.array([0.0, math.inf])).tolist() == [0.0, 1.0]
 
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.array([1e-300, 1e-12, 0.5, 2.9999999999999996]),  # all below the split at 3
+        np.array([[3.0, 30.0], [1e4, 1e10]]),  # all above it
+        np.array([1e-3, 3.0, 0.5, 100.0, 2.0]),  # both sides
+        np.empty(0),
+        np.array(0.5),
+        np.array(5.0),
+    ],
+    ids=["small", "large", "mixed", "empty", "0-d small", "0-d large"],
+)
+def test_exp_e1_is_the_bits_of_each_element_alone(x) -> None:
+    got = _exp_e1(x)
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == x.shape
+    alone = [_exp_e1(t) for t in x.ravel().tolist()]
+    assert all(type(a) is np.ndarray and a.shape == () for a in alone)
+    assert np.array(alone).tobytes() == got.ravel().tobytes()
+
+
+def test_e1_cf_tail_of_no_elements_is_an_empty_float_array() -> None:
+    tail = _e1_cf_tail(np.empty(0))
+    assert type(tail) is np.ndarray and tail.dtype == np.float64 and tail.shape == (0,)
 
 @pytest.mark.parametrize("at", [(0.0, 0.0), (-0.6, 0.0), (0.49, 0.0), (0.499, 0.0), (1.3, 0.7)])
 @pytest.mark.parametrize("rho", [1e-4, 0.01, 0.1, 1.0])

@@ -1,31 +1,41 @@
-"""Same bits: one sha256 per CLI case, stored and checked against the code of this checkout.
+"""Same bits: one sha256 per case, stored and checked against the code of this checkout.
 
 Run from anywhere:
 
     python3 tools/same_bits.py --write   # store the digests in tools/same_bits.json
     python3 tools/same_bits.py --check   # print each case whose digest moved; exit 1 if any did
 
-A case is one or more `fdjam` command lines, run in this process through
-`fdjam.cli.main` on the src/ next to this file, each in a fresh temporary
-directory that is its working directory.  Its digest covers every run's
-command line, exit code, stdout and stderr, and the name and bytes of every
-file the run wrote.  An exception that escapes `main` counts as exit code 1
-with its type and message on stderr.  FDJAM_SEED is unset, so every seed
-comes from the command line or the declared default.
+Everything runs in this process on the src/ next to this file.  A CLI
+case is one or more `fdjam` command lines, run through `fdjam.cli.main`,
+each in a fresh temporary directory that is its working directory.  Its
+digest covers every run's command line, exit code, stdout and stderr, and
+the name and bytes of every file the run wrote.  An exception that escapes
+`main` counts as exit code 1 with its type and message on stderr.
+FDJAM_SEED is unset, so every seed comes from the command line or the
+declared default.  A policy case calls `policy_prob_zero` once, at seed 1,
+and its digest covers the `repr` of the report: every float of the
+estimate and its bound to the last bit, which the 7 digits that
+`fdjam policy` prints cannot show.
 
-The cases: the README's CLI commands; `policy --samples 20000 --seed 5`;
+The CLI cases: the README's CLI commands; `policy --samples 20000 --seed 5`;
 `policy --ladder-db -30 -10 0 30 --p-accept 1e-3`; `verify --suite all` at
 seeds 0-3 and 7; and the field matrix, both modes x five quantities x
 P_J in {0, 1, 1e4, inf} x rho in {0, 0.01, 1} x n in {1, 7, 2000, 70000} on a
-9x5 grid holding both endpoints, each written once as CSV and once as JSON.
-The stored file also names the numpy and Python versions it was written
-with; floating-point results may move with either.
+9x5 grid holding both endpoints, each written once as CSV and once as JSON
+(480 cases, 493 in all).  The policy cases: the constant policy at the points
+(0, 0), (-0.6, 0), (0.49, 0), (1.3, 0.7) and Bob's node (0.5, 0) x
+rho in {0, 0.01, 1} x P_J in {1e-3, 1, 1e4, 1e9} x n in {1, 8193, 70000},
+and the semi-dynamic policy, which jams without bound whatever P_J is, at
+the same points, rho and n (225 cases, 718 in all).  The stored file also
+names the numpy and Python versions it was written with; floating-point
+results may move with either.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -42,6 +52,9 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 from fdjam import cli  # noqa: E402
+from fdjam.geometry import SystemParams, gains  # noqa: E402
+from fdjam.montecarlo import MCConfig  # noqa: E402
+from fdjam.pairwise_fading import JamPolicy, JamPolicyKind, policy_prob_zero  # noqa: E402
 
 GRID = ["--x-min", "-1", "--x-max", "1", "--y-min", "-0.5", "--y-max", "0.5", "--step", "0.25"]
 QUANTITIES = {
@@ -51,6 +64,10 @@ QUANTITIES = {
     "opt-secrecy": ["--quantity", "secrecy", "--pj-opt"],
     "opt-prob-zero": ["--quantity", "prob-zero", "--pj-opt"],
 }
+POLICY_POINTS = ((0.0, 0.0), (-0.6, 0.0), (0.49, 0.0), (1.3, 0.7), (0.5, 0.0))
+POLICY_RHOS = (0.0, 0.01, 1.0)
+POLICY_PJS = (1e-3, 1.0, 1e4, 1e9)
+POLICY_NS = (1, 8193, 70_000)
 
 
 def readme_commands() -> list[list[str]]:
@@ -62,8 +79,8 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in lines if line.startswith("fdjam ")]
 
 
-def cases() -> dict[str, list[list[str]]]:
-    """Case name -> the argv of each of its runs."""
+def cases() -> dict[str, list]:
+    """Case name -> its runs: the argv of each command line, or one policy_report call."""
     single = readme_commands() + [
         ["policy", "--samples", "20000", "--seed", "5"],
         ["policy", "--ladder-db", "-30", "-10", "0", "30", "--p-accept", "1e-3"],
@@ -79,11 +96,30 @@ def cases() -> dict[str, list[list[str]]]:
                         argv += ["--samples", n, "--seed", "1", *GRID]
                         name = f"field {mode} {quantity} pj={p_j} rho={rho} n={n}"
                         out[name] = [argv + ["--out", "f.csv"], argv + ["--out", "f.json", "--json"]]
+    for x, y in POLICY_POINTS:
+        for rho in POLICY_RHOS:
+            for n in POLICY_NS:
+                for p_j in POLICY_PJS:
+                    run = functools.partial(policy_report, JamPolicyKind.CONSTANT, x, y, rho, p_j, n)
+                    out[f"policy constant at=({x:g}, {y:g}) rho={rho:g} pj={p_j:g} n={n}"] = [run]
+                run = functools.partial(policy_report, JamPolicyKind.SEMI_DYNAMIC, x, y, rho, 1.0, n)
+                out[f"policy semi-dynamic at=({x:g}, {y:g}) rho={rho:g} n={n}"] = [run]
     return out
 
 
-def _run(argv: list[str], into) -> None:
-    """Run one command line in a fresh working directory and feed what it did into the hash."""
+def policy_report(kind: JamPolicyKind, x: float, y: float, rho: float, p_j: float, n: int) -> str:
+    """repr of policy_prob_zero at (x, y), seed 1, P_T = 1 and alpha = 2."""
+    params = SystemParams(p_t=1.0, p_j=p_j, rho=rho)
+    return repr(policy_prob_zero(JamPolicy(kind), gains(x, y, params.alpha), params, MCConfig(1, n)))
+
+
+def _run(run, into) -> None:
+    """Run one command line in a fresh working directory, or one policy call, and feed what it did into the hash."""
+    if callable(run):
+        part = run().encode()
+        into.update(len(part).to_bytes(8, "little") + part)
+        return
+    argv = run
     out, err = io.StringIO(), io.StringIO()
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -109,11 +145,11 @@ def _run(argv: list[str], into) -> None:
             into.update(name.encode() + b"\0" + len(data).to_bytes(8, "little") + data)
 
 
-def digest(runs: list[list[str]]) -> str:
+def digest(runs: list) -> str:
     """sha256 over every run of a case, in order."""
     h = hashlib.sha256()
-    for argv in runs:
-        _run(argv, h)
+    for run in runs:
+        _run(run, h)
     return h.hexdigest()
 
 
