@@ -17,24 +17,18 @@ import sys
 import numpy as np
 
 from .colluding import _at_optimum, opt_jam, secrecy_ab
-from .colluding_fading import cdf_lower_bound, sample_cond_prob_zero
+from .colluding_fading import _cond_prob_zero_array, cdf_lower_bound, sample_cond_prob_zero
 from .errors import FdjamError, UnboundedOptimumError
-from .fields import (
-    _COND_PROB_ZERO,
-    GridSpec,
-    build_field,
-    build_region_grid,
-    grid_argmax,
-    grid_argmin,
-    write_csv,
-    write_json,
-)
+from .fields import GridSpec, build_field, build_region_grid, grid_argmax, grid_argmin, write_csv, write_json
 from .geometry import LinkGains, SystemParams, gains, region_classify, rho_disk, sign_b_minus_rho_a
 from .montecarlo import MCConfig, ecdf, estimate
-from .pairwise_fading import JamPolicy, JamPolicyKind, policy_prob_zero, semi_dynamic_cap
+from .pairwise_fading import JamPolicy, JamPolicyKind, _cond_prob_zero_pair_kernel, policy_prob_zero, semi_dynamic_cap
 from .verify import available_suites, run_suite
 
 __all__ = ["main"]
+
+# mode -> (conditional zero-secrecy kernel, exponential draws per sample), for cmd_prob_zero
+_COND_PROB_ZERO = {"colluding": (_cond_prob_zero_array, 2), "pairwise": (_cond_prob_zero_pair_kernel, 3)}
 
 
 class _UsageError(Exception):
@@ -207,6 +201,8 @@ def cmd_cdf(args: argparse.Namespace) -> int:
     x, y = _resolve_at(args)
     g = gains(x, y, params.alpha)
     step = args.p_step
+    if not 0.0 < step < 2.0 / 3.0:  # any other step gives no level below 1
+        raise _UsageError(f"--p-step must be in (0, 2/3), got {step:g}")
     levels = np.arange(step, 1.0 - step / 2.0, step)
     cond = sample_cond_prob_zero(g, params, mc)
     empirical = ecdf(cond, levels)
@@ -307,10 +303,11 @@ def _build_parser() -> _Parser:
     power.add_argument("--alpha", type=float, default=2.0, help="path-loss exponent (default %(default)s)")
     power.add_argument("--delta", type=float, default=0.1, help="exclusion radius (default %(default)s)")
 
-    mc = argparse.ArgumentParser(add_help=False)
-    mc.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count (default %(default)s)")
+    seeded = argparse.ArgumentParser(add_help=False)
     seed = os.environ.get("FDJAM_SEED", "0")  # a string, so argparse converts and checks it like a flag value
-    mc.add_argument("--seed", type=int, default=seed, help="RNG seed (default %(default)s, from $FDJAM_SEED or 0)")
+    seeded.add_argument("--seed", type=int, default=seed, help="RNG seed (default %(default)s, from $FDJAM_SEED or 0)")
+    mc = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    mc.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count (default %(default)s)")
 
     gridp = argparse.ArgumentParser(add_help=False)
     gridp.add_argument("--x-min", type=float, default=-2.0, help="grid edge (default %(default)s)")
@@ -343,7 +340,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cdf", parents=[common, power, mc], help="CDF of the conditional zero-secrecy probability")
     p.add_argument("--at", **xy, help="eavesdropper location")
-    p.add_argument("--p-step", type=float, default=0.05, help="level spacing (default %(default)s)")
+    p.add_argument("--p-step", type=float, default=0.05, help="level spacing, in (0, 2/3) (default %(default)s)")
     p.set_defaults(func=cmd_cdf)
 
     p = sub.add_parser("policy", parents=[common, power, mc], help="jamming policy comparison table")
@@ -353,7 +350,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p-accept", type=float, help="also report the general-dynamic policy at this threshold")
     p.set_defaults(func=cmd_policy)
 
-    p = sub.add_parser("verify", parents=[common, mc], help="run the self-check suites")
+    p = sub.add_parser("verify", parents=[common, seeded], help="run the self-check suites")
     p.add_argument("--suite", choices=available_suites(), default="all", help="suite name (default %(default)s)")
     p.set_defaults(func=cmd_verify)
 

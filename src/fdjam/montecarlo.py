@@ -7,7 +7,9 @@ caller that takes k draws per sample gives sample i the uniforms
 [i*k, (i+1)*k), each mapped to Exp(1) by -log1p(-u).  Philox yields the
 same uniforms however the calls split them, so the draws depend on
 (seed, n) alone; _BLOCK only bounds memory, and the reduction order is
-fixed.
+fixed.  Every reader holds a few _BLOCK-sized temporaries whatever n is;
+only sample_matrix returns every draw at once (verify, the fading-secrecy
+field, the tests).
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ def _run_lanes(lane: Callable[[int, int], Iterator], size: int, min_share: int =
     lane() is called on the calling thread, which owns what it allocates;
     the iterator it returns does one block per step.  Once a lane raises,
     the others stop at their next step; the workers are joined and the
-    first failure is raised on the caller.
+    first failure is raised on the caller.  numpy releases the GIL inside
+    its loops, so one lane computes while another holds the interpreter;
+    with no free second CPU, two lanes run no faster than one.
     """
     lanes = max(1, min(_LANES, -(-size // min_share)))
     step = max(1, -(-size // lanes))

@@ -11,6 +11,7 @@ probability collapses to K*exp(-E) when w1 > 0 and to 0 otherwise.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,19 +105,12 @@ def pair_terms(
     u1, u2 = (float(u) for u in _v_arrays(b, a, rho, p_j, a_tilde, b2_tilde))
     c_min = (v2 + v1 * u2) / (1.0 - v1 * u1) if v1 * u1 < 1.0 else math.inf
     w1, w2, w3 = (float(w) for w in _wedge(_wedge_coeffs(a, b, rho, p_j, b1_tilde, b2_tilde), a_tilde))
-    live = w1 > _W1_GUARD * w2
-    k, e_exp = (w1 / w2, w3 / w1) if live else (0.0, math.inf)
+    k, e_exp = (w1 / w2, w3 / w1) if w1 > 0.0 else (0.0, math.inf)
     if math.isinf(p_j):
         w1 = w2 = w3 = math.inf
     return ZeroSecrecyTermsPair(
         v1=v1, v2=v2, u1=u1, u2=u2, c_min=c_min, k=k, e_exp=e_exp, w1=w1, w2=w2, w3=w3
     )
-
-
-# In the per-draw kernel (_cond_prob_zero_pair_kernel) and pair_terms, w1 below this
-# fraction of w2 is treated as 0: K has already vanished and E = w3/w1 would overflow
-# before the product does.  The policy rows (_rows_on_rule) mask only w1 <= 0.
-_W1_GUARD = 1e-30
 
 
 def _wedge_coeffs(a, b, rho: float, p_j: float, b1_t, b2_t) -> tuple:
@@ -179,7 +173,7 @@ def cond_prob_zero_pair_array(
 def _cond_prob_zero_pair_kernel(a, b, rho: float, p_j: float, a_t, b1_t, b2_t) -> np.ndarray:
     """cond_prob_zero_pair over fading arrays; the gains a, b may be arrays that broadcast.
 
-    K*exp(-E) where w1 > _W1_GUARD*w2, else 0.  The gain-free window test
+    K*exp(-E) where w1 > 0, else 0.  The gain-free window test
     C0 > C2*A~^2 comes first, on about 1024 evenly spaced draws: if under a
     quarter of them are inside, the wedge is taken on the in-window draws
     alone, gathered with their gains, and scattered into zeros.  At an
@@ -203,7 +197,7 @@ def _cond_prob_zero_pair_kernel(a, b, rho: float, p_j: float, a_t, b1_t, b2_t) -
         pick = np.flatnonzero(np.broadcast_to(inside(a_t, b1_t, b2_t), shape))
         a, b, a_t, b1_t, b2_t = (np.broadcast_to(x, shape).flat[pick] for x in (a, b, a_t, b1_t, b2_t))
     w1, w2, w3 = _wedge(_wedge_coeffs(a, b, rho, p_j, b1_t, b2_t), a_t)
-    live = w1 > _W1_GUARD * w2
+    live = w1 > 0.0
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         # E = 0 where masked: numpy's exp is ~20x slower where its result underflows
         val = np.where(live, w1 / w2 * np.exp(-w3 / np.where(live, w1, np.inf)), 0.0)
@@ -312,11 +306,15 @@ def _policy_integrand(u: np.ndarray, v: np.ndarray, a: float, b: float, rho: flo
     finite P_J it integrates e^-A~ * cond_prob_zero_pair over [0, top],
     top = min(w0, _A_TOP), in t in [0, 1] with A~ = top*expm1(t*L)/expm1(L),
     L = log1p(c*top), that is A~ = expm1(t*L)/c: the map spreads the boundary
-    layer of rate c at A~ = 0 over the nodes.  Each row picks its rule from
-    its own window: where the wedge closes inside it (w0 <= _A_TOP), e^-E
-    closes it within a sliver below w0, and the 32 nodes of _CLOSING_RULE,
-    crowded towards t = 1, resolve it; a window cut at _A_TOP never closes,
-    and such a row takes the 48 nodes of _WIDE_RULE.  The wedge
+    layer of rate c at A~ = 0 over the nodes (c*w0 reaches about 1e4 near
+    an endpoint).  Each row picks its rule from its own window: where the
+    wedge closes inside it (w0 <= _A_TOP), e^-E closes it within a sliver
+    below w0, and the 32 nodes of _CLOSING_RULE, crowded towards t = 1,
+    resolve it; a window cut at _A_TOP (at P_J below about 0.025) never
+    closes, and such a row takes the 48 nodes of _WIDE_RULE.  Against
+    oracles.quad_policy_row a closing row was within 2e-12 from (-0.6, 0)
+    to (0.499, 0), and a wide row at (1.3, 0.7), -30 dB, within 2.2e-9 on
+    48 nodes, where 32 miss by 1.3e-4 and 24 by 5.8e-3.  The wedge
     coefficients, w0 and c come once per row from _wedge_coeffs; a node
     costs one exp (_rows_on_rule).  The second column is the window bound
     (P2, or P1 at P_J = inf) on the same row.
@@ -357,19 +355,15 @@ def _policy_rows(u, v, a: float, b: float, rho: float, p_j: float, work, out: np
         ct = d1 / c0 * top
     stretch = np.maximum(np.log1p(np.where(np.isfinite(ct), ct, 0.0)), _MIN_STRETCH)
     scale = top / np.expm1(stretch)  # 1/c
-    wide = w0 > _A_TOP
-    if not wide.any():  # the common block: every row on the closing rule, no gather and no scatter
-        out[:, 0] = _rows_on_rule(_CLOSING_RULE, (c0, c2, d1, s, z), stretch, scale, work)
-        return
-    for rule, idx in ((_CLOSING_RULE, np.flatnonzero(~wide)), (_WIDE_RULE, np.flatnonzero(wide))):
-        if idx.size:
-            out[idx, 0] = _rows_on_rule(rule, (c0[idx], c2, d1[idx], s[idx], z), stretch[idx], scale[idx], work)
+    wide, closing = (functools.partial(_rows_on_rule, rule, c2, z, work) for rule in (_WIDE_RULE, _CLOSING_RULE))
+    out[:, 0] = _piecewise(w0 > _A_TOP, wide, closing, c0, d1, s, stretch, scale)
 
 
-def _rows_on_rule(rule: tuple, coeffs: tuple, stretch: np.ndarray, scale: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _rows_on_rule(rule: tuple, c2: float, z: float, work: np.ndarray, c0, d1, s, stretch, scale) -> np.ndarray:
     """The first column of _policy_integrand at finite P_J for some rows, on the A~ rule (t, w).
 
-    coeffs, stretch and scale hold those rows only.  At a node, A~ =
+    c0, d1, s, stretch and scale hold those rows only; C2 and Z are the
+    same for every row.  At a node, A~ =
     expm1(t*L)*scale, and one exp of t*L - A~ - E gives e^-A~*e^-E times
     the map's Jacobian over L*scale.  One mask, w1 raised to +0 before K =
     w1/w2 and E = w3/w1 are taken, makes a node outside the wedge (w1 <= 0)
@@ -382,7 +376,6 @@ def _rows_on_rule(rule: tuple, coeffs: tuple, stretch: np.ndarray, scale: np.nda
     alone.
     """
     t, w = rule
-    c0, c2, d1, s, z = coeffs
     row = np.empty(c0.size)
     work = work[:, : t.size]
     with np.errstate(divide="ignore"):  # E = w3/+0 on a dead node; numpy's error state is per thread
@@ -431,6 +424,9 @@ def _semi_dynamic_row(r1: np.ndarray, r2: np.ndarray, w0: np.ndarray) -> np.ndar
       window: 12 Gauss-Legendre nodes for w0 < _E1_SPLIT, and above it
       g(r_b) - e^-w0*(g(r_b + w0) + w0*f(r_b + w0)) with g(x) = 1 - x*f(x)
       taken from the continued fraction's tail, free of cancellation.
+    A plain sum of the four E1 terms cancels near Bob's node, where r1 and
+    r2 lie 12 decades apart: at (0.499, 0), rho = 1e-4, it missed a row by
+    110 times its value.  A row agrees with a 40-digit evaluation to 2e-15.
     An empty window (rho = 0 or B~ = 0) gives 0.
     """
     return _piecewise(

@@ -2,6 +2,8 @@
 
 Each suite runs in seconds and returns one CheckResult per named check, so
 the CLI can print a pass/fail table and scripts can gate on the outcome.
+Test inputs come from numpy's default_rng(seed), apart from montecarlo's
+stream.
 """
 
 from __future__ import annotations

@@ -420,7 +420,7 @@ def test_prob_zero_field_lanes_under_contention(monkeypatch) -> None:
 
 
 def test_a_lane_failure_is_raised_after_every_lane_stopped(monkeypatch) -> None:
-    kernel, k = fields_mod._COND_PROB_ZERO["pairwise"]
+    kernel = fields_mod._cond_prob_zero_pair_kernel
     raised: list[Exception] = []
 
     def failing(*args):
@@ -430,7 +430,7 @@ def test_a_lane_failure_is_raised_after_every_lane_stopped(monkeypatch) -> None:
         return kernel(*args)
 
     monkeypatch.setattr(montecarlo, "_LANES", 2)
-    monkeypatch.setitem(fields_mod._COND_PROB_ZERO, "pairwise", (failing, k))
+    monkeypatch.setattr(fields_mod, "_cond_prob_zero_pair_kernel", failing)
     params, mc = SystemParams(p_t=100.0, p_j=30.0, rho=0.05), MCConfig(seed=3, n_samples=20)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as info:

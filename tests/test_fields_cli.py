@@ -279,6 +279,13 @@ def test_cli_optjam_at_rho_zero_says_what_secrecy_does(capsys, at) -> None:
         assert increasing and "p_j_opt = inf" in out
 
 
+def test_cli_optjam_on_the_boundary_says_gamma_and_beta_are_undefined(capsys) -> None:
+    # b = rho*a exactly (0.1*4 == 0.4): gamma and beta diverge there, and the text says so
+    assert cli.main(["optjam", "--a", "4", "--b", "0.4", "--rho", "0.1"]) == 0
+    out = capsys.readouterr().out
+    assert "gamma, beta undefined on b = rho*a" in out and "gamma =" not in out and "beta =" not in out
+
+
 def test_cli_usage_errors(capsys) -> None:
     # contradictory power flags
     assert cli.main(["optjam", "--a", "4", "--b", "1", "--pj", "2", "--pj-auto"]) == 1
@@ -617,6 +624,28 @@ def test_cli_seed_env_default(monkeypatch, capsys) -> None:
     cli.main(argv + ["--seed", "8"])
     other = capsys.readouterr().out
     assert via_env != other
+
+
+@pytest.mark.parametrize("step", ["0", "-0.1", "0.7", "2", "nan", "inf"])
+def test_cdf_rejects_a_step_that_gives_no_level(capsys, step: str) -> None:
+    argv = ["cdf", "--at", "-0.6", "0", "--samples", "100", "--p-step", step]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("fdjam: error: --p-step must be in (0, 2/3)")
+    with pytest.raises(SystemExit):
+        cli.main(["cdf", "--help"])
+    assert "level spacing, in (0, 2/3)" in " ".join(capsys.readouterr().out.split())
+
+
+def test_verify_takes_a_seed_and_no_samples(monkeypatch, capsys) -> None:
+    assert cli.main(["verify", "--suite", "geometry", "--samples", "5"]) == 1
+    assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
+    monkeypatch.setenv("FDJAM_SEED", "7")
+    assert cli._build_parser().parse_args(["verify"]).seed == 7
+    monkeypatch.setenv("FDJAM_SEED", "abc")
+    assert cli.main(["verify", "--suite", "geometry"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("fdjam: error: ")
 
 
 def test_cli_pj_auto(capsys) -> None:

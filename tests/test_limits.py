@@ -5,7 +5,7 @@ Every scalar form is a call into one array kernel, so the properties are
 stated once per quantity: no NaN, secrecy >= 0, probabilities in [0, 1], the
 kernel on arrays equals the scalar form element by element, and the closed
 limits (infinite gain at an endpoint, P_J in {0, inf}, rho = 0, zero
-fading, b = rho*a, w1 at the _W1_GUARD cutoff) hold as literal values.
+fading, b = rho*a, w1 = 0 at the jamming gate) hold as literal values.
 The pairwise wedge coefficients reproduce the w-form K = w1/w2, E = w3/w1
 and the closed forms of the window and the layer rate.  The policy rows
 (the quadrature at finite P_J, the closed form at P_J = inf) keep
@@ -101,7 +101,6 @@ from fdjam.pairwise import (
     t_factor,
 )
 from fdjam.pairwise_fading import (
-    _W1_GUARD,
     JamPolicy,
     JamPolicyKind,
     _cond_prob_zero_pair_kernel,
@@ -267,7 +266,7 @@ def test_pairwise_outage_limits(g, rho, p_j, a_t, b1_t, b2_t) -> None:
 @given(finite_gain, finite_gain, st.floats(1e-3, 0.9), st.floats(0.1, 5.0), fading, fading, st.floats(-1e-13, 1e-13))
 def test_pairwise_outage_at_the_w1_cutoff(a, b, rho, a_t, b1_t, b2_t, eps) -> None:
     # around the gate P_J* the wedge closes: w1 crosses 0 and K*exp(-E)
-    # must go to 0 without NaN, and is exactly 0 wherever w1 <= _W1_GUARD*w2
+    # must go to 0 without NaN, and is exactly 0 wherever w1 <= 0
     star = pj_star(a_t, b1_t, b2_t, rho)
     assume(star is not None)
     g = LinkGains(a, b)
@@ -275,7 +274,7 @@ def test_pairwise_outage_at_the_w1_cutoff(a, b, rho, a_t, b1_t, b2_t, eps) -> No
     prob = cond_prob_zero_pair(g, p, a_t, b1_t, b2_t)
     t = pair_terms(g, p, a_t, b1_t, b2_t)
     assert not math.isnan(prob) and 0.0 <= prob <= 1e-10
-    if not t.w1 > _W1_GUARD * t.w2:
+    if not t.w1 > 0.0:
         assert prob == 0.0 and t.k == 0.0 and t.e_exp == INF
     assert cond_prob_zero_pair(g, SystemParams(p_t=1.0, p_j=star * 1.001, rho=rho), a_t, b1_t, b2_t) == 0.0
 
@@ -294,7 +293,7 @@ def _w_form(a: float, b: float, rho: float, p_j: float, a_t: float, b1_t: float,
         w1 = a * b * (q1 * q2 - a_t**2 * p_j**2)
         w2 = (a * a_t * p_j + b * q2) * (b * a_t * p_j + a * q1)
         w3 = a_t * (a * q1 + b * q2 + (a + b) * a_t * p_j)
-    if not w1 > _W1_GUARD * w2:
+    if not w1 > 0.0:
         return 0.0
     return min(w1 / w2, 1.0) * math.exp(-w3 / w1)
 
@@ -347,7 +346,7 @@ def test_window_and_layer_rate_from_the_coefficients(a, b, rho, p_j, u, v) -> No
 def _wedge_on_every_draw(a, b, rho: float, p_j: float, a_t, b1_t, b2_t) -> tuple:
     """(K*exp(-E) or 0, live, E) with the wedge terms taken on every draw, no window test first."""
     w1, w2, w3 = _wedge(_wedge_coeffs(a, b, rho, p_j, b1_t, b2_t), a_t)
-    live = w1 > _W1_GUARD * w2
+    live = w1 > 0.0
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         e_exp = w3 / np.where(live, w1, np.inf)
         return np.where(live, w1 / w2 * np.exp(-e_exp), 0.0), live, e_exp
@@ -392,7 +391,7 @@ _NODE_MIX = [(0.7, 1.3), (4.0, 0.4), (INF, 0.3), (0.3, INF), (1e-3, 1e3), (2.0, 
 def test_windowed_kernel_on_the_window_edge(monkeypatch, rho: float, p_j: float) -> None:
     # A~ on w0 and a few ulps off it, with node gains mixed in: every element is the scalar
     # form and the wedge taken on every draw, bit for bit, and off the nodes it is 0 exactly
-    # where w1 <= _W1_GUARD*w2 or where exp(-E) underflows.  Padded with draws far outside
+    # where w1 <= 0 or where exp(-E) underflows.  Padded with draws far outside
     # the window, the kernel gathers (the wedge sees fewer draws than the batch) and must
     # give the same bits; at P_J = 0 the window is the whole half-line and nothing is outside.
     a_t, u, v = _draws_on_the_window_edge(rho, p_j, seed=int(1e3 * rho) + 7)

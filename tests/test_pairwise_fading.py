@@ -23,6 +23,8 @@ from fdjam.pairwise_fading import (
     _crowded_rule,
     _node_sum,
     _policy_integrand,
+    _wedge,
+    _wedge_coeffs,
     cond_prob_zero_pair,
     cond_prob_zero_pair_array,
     eve_at_node_prob,
@@ -285,14 +287,47 @@ def test_policy_rows_raise_no_floating_point_warning(monkeypatch, rho: float, p_
 
 def test_policy_row_keeps_the_nodes_of_a_tiny_k() -> None:
     # P_J = 1e100 with one B~ = 0: the boundary layer at A~ = 0 drives K = w1/w2 below
-    # 1e-30 over most of the window, and those nodes carry the row; a cut at
-    # w1 <= 1e-30*w2 dropped them and read up to half the row low
+    # 1e-30 over most of the window, and those nodes carry the row; a cut at a fixed
+    # fraction of w2 dropped them and read up to half the row low
     g, rho, p_j = ORIGIN, 0.01, 1e100
     u, v = np.array([1e-9, 30.0, 700.0]), np.zeros(3)
     rows = _policy_integrand(u, v, g.a, g.b, rho, p_j)
     params = SystemParams(p_t=1.0, p_j=p_j, rho=rho)
     ref = np.array([quad_policy_row(g, params, float(b1), float(b2)) for b1, b2 in zip(u, v)])
     np.testing.assert_allclose(rows[:, 0], ref, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("p_j, b_t, want", [(1e100, (30.0, 0.0), 2.7386e-50), (math.inf, (1e-300, 1.0), 1.5e-150)])
+def test_per_draw_wedge_keeps_a_tiny_k(p_j: float, b_t: tuple, want: float) -> None:
+    # halfway into the window the boundary layer has made K tiny, yet w1 > 0: every form of
+    # the per-draw probability is K*exp(-E) from the wedge terms, in the gathering kernel too
+    rho = 0.01
+    params = SystemParams(p_t=1.0, p_j=p_j, rho=rho)
+    coeffs = _wedge_coeffs(ORIGIN.a, ORIGIN.b, rho, p_j, *b_t)
+    a_t = 0.5 * math.sqrt(coeffs[0] / coeffs[1])
+    w1, w2, w3 = (float(w) for w in _wedge(coeffs, a_t))
+    wedge = w1 / w2 * math.exp(-w3 / w1)
+    assert wedge == pytest.approx(want, rel=1e-4, abs=0.0)
+    t = pair_terms(ORIGIN, params, a_t, *b_t)
+    far = cond_prob_zero_pair_array(ORIGIN, params, np.concatenate(([a_t], np.full(20, 1e4))), *b_t)
+    assert np.all(far[1:] == 0.0)
+    for got in (cond_prob_zero_pair(ORIGIN, params, a_t, *b_t), t.k * math.exp(-t.e_exp), far[0]):
+        assert got == pytest.approx(wedge, rel=1e-12, abs=0.0)
+
+
+def test_per_draw_wedge_integrates_to_the_policy_row_at_a_tiny_k() -> None:
+    # 200 Gauss-Legendre nodes over [0, w0] in t, A~ = expm1(t*L)/c with L = log1p(c*w0), which
+    # spreads the boundary layer of rate c = D1/C0; the row lives where K is tiny
+    rho, p_j, b_t = 0.01, 1e100, (30.0, 0.0)
+    params = SystemParams(p_t=1.0, p_j=p_j, rho=rho)
+    c0, c2, d1, _, _ = _wedge_coeffs(ORIGIN.a, ORIGIN.b, rho, p_j, *b_t)
+    w0, c = math.sqrt(c0 / c2), d1 / c0
+    x, wx = np.polynomial.legendre.leggauss(200)
+    t, big_l = 0.5 * (1.0 + x), math.log1p(c * w0)
+    a_t = np.expm1(t * big_l) / c
+    jacobian = 0.5 * wx * big_l / c * np.exp(t * big_l)
+    got = float(np.sum(jacobian * np.exp(-a_t) * cond_prob_zero_pair_array(ORIGIN, params, a_t, *b_t)))
+    assert got == pytest.approx(quad_policy_row(ORIGIN, params, *b_t), rel=1e-6, abs=0.0)
 
 @pytest.mark.parametrize("nodes", [1, 3, 5, 32, 48])
 def test_node_sum_is_a_sum_of_each_column_alone(nodes: int) -> None:

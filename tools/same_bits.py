@@ -15,7 +15,9 @@ FDJAM_SEED is unset, so every seed comes from the command line or the
 declared default.  A policy case calls `policy_prob_zero` once, at seed 1,
 and its digest covers the `repr` of the report: every float of the
 estimate and its bound to the last bit, which the 7 digits that
-`fdjam policy` prints cannot show.
+`fdjam policy` prints cannot show.  A per-draw case hashes the bytes of
+`cond_prob_zero_pair_array` on DRAW_N Exp(1) triples at seed 1, then on
+the edge rows DRAW_EDGES, each at A~ = w0/2.
 
 The CLI cases: the README's CLI commands; `policy --samples 20000 --seed 5`;
 `policy --ladder-db -30 -10 0 30 --p-accept 1e-3`; `verify --suite all` at
@@ -26,9 +28,10 @@ P_J in {0, 1, 1e4, inf} x rho in {0, 0.01, 1} x n in {1, 7, 2000, 70000} on a
 (0, 0), (-0.6, 0), (0.49, 0), (1.3, 0.7) and Bob's node (0.5, 0) x
 rho in {0, 0.01, 1} x P_J in {1e-3, 1, 1e4, 1e9} x n in {1, 8193, 70000},
 and the semi-dynamic policy, which jams without bound whatever P_J is, at
-the same points, rho and n (225 cases, 718 in all).  The stored file also
-names the numpy and Python versions it was written with; floating-point
-results may move with either.
+the same points, rho and n (225 cases).  The per-draw cases: the same
+points x rho in {0, 0.01, 1} x P_J in {1e-3, 1, 1e4, 1e15, 1e100, inf}
+(90 cases, 808 in all).  The stored file also names the numpy and Python
+versions it was written with; floating-point results may move with either.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import shlex
@@ -53,8 +57,14 @@ import numpy as np  # noqa: E402
 
 from fdjam import cli  # noqa: E402
 from fdjam.geometry import SystemParams, gains  # noqa: E402
-from fdjam.montecarlo import MCConfig  # noqa: E402
-from fdjam.pairwise_fading import JamPolicy, JamPolicyKind, policy_prob_zero  # noqa: E402
+from fdjam.montecarlo import MCConfig, sample_matrix  # noqa: E402
+from fdjam.pairwise_fading import (  # noqa: E402
+    JamPolicy,
+    JamPolicyKind,
+    _wedge_window,
+    cond_prob_zero_pair_array,
+    policy_prob_zero,
+)
 
 GRID = ["--x-min", "-1", "--x-max", "1", "--y-min", "-0.5", "--y-max", "0.5", "--step", "0.25"]
 QUANTITIES = {
@@ -68,6 +78,10 @@ POLICY_POINTS = ((0.0, 0.0), (-0.6, 0.0), (0.49, 0.0), (1.3, 0.7), (0.5, 0.0))
 POLICY_RHOS = (0.0, 0.01, 1.0)
 POLICY_PJS = (1e-3, 1.0, 1e4, 1e9)
 POLICY_NS = (1, 8193, 70_000)
+DRAW_PJS = (1e-3, 1.0, 1e4, 1e15, 1e100, math.inf)
+DRAW_N = 8193
+# (B1~, B2~) of the edge rows, each taken at A~ = w0/2, half its window
+DRAW_EDGES = ((30.0, 0.0), (0.0, 30.0), (1e-300, 1.0), (1.0, 1e-300))
 
 
 def readme_commands() -> list[list[str]]:
@@ -80,7 +94,7 @@ def readme_commands() -> list[list[str]]:
 
 
 def cases() -> dict[str, list]:
-    """Case name -> its runs: the argv of each command line, or one policy_report call."""
+    """Case name -> its runs: the argv of each command line, or one in-process call (policy_report, per_draw_bytes)."""
     single = readme_commands() + [
         ["policy", "--samples", "20000", "--seed", "5"],
         ["policy", "--ladder-db", "-30", "-10", "0", "30", "--p-accept", "1e-3"],
@@ -104,6 +118,10 @@ def cases() -> dict[str, list]:
                     out[f"policy constant at=({x:g}, {y:g}) rho={rho:g} pj={p_j:g} n={n}"] = [run]
                 run = functools.partial(policy_report, JamPolicyKind.SEMI_DYNAMIC, x, y, rho, 1.0, n)
                 out[f"policy semi-dynamic at=({x:g}, {y:g}) rho={rho:g} n={n}"] = [run]
+        for rho in POLICY_RHOS:
+            for p_j in DRAW_PJS:
+                run = functools.partial(per_draw_bytes, x, y, rho, p_j)
+                out[f"per-draw at=({x:g}, {y:g}) rho={rho:g} pj={p_j:g}"] = [run]
     return out
 
 
@@ -113,10 +131,22 @@ def policy_report(kind: JamPolicyKind, x: float, y: float, rho: float, p_j: floa
     return repr(policy_prob_zero(JamPolicy(kind), gains(x, y, params.alpha), params, MCConfig(1, n)))
 
 
+def per_draw_bytes(x: float, y: float, rho: float, p_j: float) -> bytes:
+    """The bytes of cond_prob_zero_pair_array at (x, y) on DRAW_N Exp(1) triples at seed 1, then the edge rows."""
+    params = SystemParams(p_t=1.0, p_j=p_j, rho=rho)
+    u = sample_matrix(MCConfig(1, DRAW_N), 3)
+    b1, b2 = np.array(DRAW_EDGES).T
+    c0, c2, _, _ = _wedge_window(rho, p_j, b1, b2)
+    a_t = np.concatenate((u[:, 0], 0.5 * np.sqrt(c0 / c2)))
+    b1, b2 = np.concatenate((u[:, 1], b1)), np.concatenate((u[:, 2], b2))
+    return cond_prob_zero_pair_array(gains(x, y, params.alpha), params, a_t, b1, b2).tobytes()
+
+
 def _run(run, into) -> None:
     """Run one command line in a fresh working directory, or one policy call, and feed what it did into the hash."""
     if callable(run):
-        part = run().encode()
+        part = run()
+        part = part if isinstance(part, bytes) else part.encode()
         into.update(len(part).to_bytes(8, "little") + part)
         return
     argv = run
