@@ -98,7 +98,7 @@ def _resolve_params(args: argparse.Namespace) -> SystemParams:
         if not args.rho > 0:
             raise _UsageError("--pj-auto needs rho > 0")
         p_j = math.sqrt(args.pt / args.rho)
-    return SystemParams(p_t=args.pt, p_j=p_j, rho=args.rho, alpha=args.alpha, delta=args.delta)
+    return SystemParams(p_t=args.pt, p_j=p_j, rho=args.rho, alpha=args.alpha)
 
 
 def _resolve_at(args: argparse.Namespace) -> tuple[float, float]:
@@ -201,8 +201,8 @@ def cmd_cdf(args: argparse.Namespace) -> int:
     x, y = _resolve_at(args)
     g = gains(x, y, params.alpha)
     step = args.p_step
-    if not 0.0 < step < 2.0 / 3.0:  # any other step gives no level below 1
-        raise _UsageError(f"--p-step must be in (0, 2/3), got {step:g}")
+    if not 1e-6 <= step < 2.0 / 3.0:  # a larger step gives no level below 1, a smaller one over 10^6 levels
+        raise _UsageError(f"--p-step must be in (0, 2/3) and at least 1e-6, got {step:g}")
     levels = np.arange(step, 1.0 - step / 2.0, step)
     cond = sample_cond_prob_zero(g, params, mc)
     empirical = ecdf(cond, levels)
@@ -225,18 +225,14 @@ def cmd_policy(args: argparse.Namespace) -> int:
     )
     print(f"{'pj_db':>6}  {'constant':>12}  {'p2_bound':>12}  {'semi_dyn':>12}  {'p1_bound':>12}  {'pi_rho_4':>12}")
     cap = semi_dynamic_cap(params.rho)
-
-    def _mean(e) -> float:
-        return e.mean if e is not None else float("nan")
-
     # the semi-dynamic policy jams without bound whatever the rung's P_J: one report serves every row
     semi = policy_prob_zero(JamPolicy(JamPolicyKind.SEMI_DYNAMIC), g, params, mc)
     for db in args.ladder_db:
         rung = dataclasses.replace(params, p_j=decibel(db))
         const = policy_prob_zero(JamPolicy(JamPolicyKind.CONSTANT), g, rung, mc)
         print(
-            f"{db:6.0f}  {const.estimate.mean:12.6e}  {_mean(const.p2):12.6e}  "
-            f"{semi.estimate.mean:12.6e}  {_mean(semi.p1):12.6e}  {cap:12.6e}"
+            f"{db:6.0f}  {const.estimate.mean:12.6e}  {const.p2.mean:12.6e}  "
+            f"{semi.estimate.mean:12.6e}  {semi.p1.mean:12.6e}  {cap:12.6e}"
         )
     print("full-dynamic estimate = 0 (exact)")
     if args.p_accept is not None:
@@ -301,7 +297,6 @@ def _build_parser() -> _Parser:
     rho.add_argument("--rho", type=float, default=0.1, help="self-interference gain (default %(default)s)")
     rho.add_argument("--rho-db", type=decibel, dest="rho", metavar="DB", help="self-interference gain in dB")
     power.add_argument("--alpha", type=float, default=2.0, help="path-loss exponent (default %(default)s)")
-    power.add_argument("--delta", type=float, default=0.1, help="exclusion radius (default %(default)s)")
 
     seeded = argparse.ArgumentParser(add_help=False)
     seed = os.environ.get("FDJAM_SEED", "0")  # a string, so argparse converts and checks it like a flag value
@@ -340,7 +335,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cdf", parents=[common, power, mc], help="CDF of the conditional zero-secrecy probability")
     p.add_argument("--at", **xy, help="eavesdropper location")
-    p.add_argument("--p-step", type=float, default=0.05, help="level spacing, in (0, 2/3) (default %(default)s)")
+    p.add_argument(
+        "--p-step", type=float, default=0.05, help="level spacing, in (0, 2/3) and at least 1e-6 (default %(default)s)"
+    )
     p.set_defaults(func=cmd_cdf)
 
     p = sub.add_parser("policy", parents=[common, power, mc], help="jamming policy comparison table")

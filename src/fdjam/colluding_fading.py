@@ -24,10 +24,8 @@ from .geometry import LinkGains, SystemParams
 from .montecarlo import Estimate, MCConfig, estimate, exp_chunks
 
 __all__ = [
-    "ZeroSecrecyTermsColluding",
     "JamResponseKind",
     "JamResponse",
-    "v_terms",
     "cond_prob_zero",
     "uncond_prob_zero",
     "uncond_upper_bound",
@@ -80,25 +78,15 @@ _MIN_STRETCH = 1e-8
 _CUBATURE_CELLS = 2048
 
 
-@dataclass(frozen=True)
-class ZeroSecrecyTermsColluding:
-    v1: float
-    v2: float
-
-
-def v_terms(g: LinkGains, params: SystemParams, a_tilde: float, b_tilde: float) -> ZeroSecrecyTermsColluding:
-    """v1 = b*A~*P_J/(a*(1+rho*B~*P_J)), v2 = A~/(a*(1+rho*B~*P_J))."""
-    v1, v2 = _v_arrays(g.a, g.b, params.rho, params.p_j, a_tilde, b_tilde)
-    return ZeroSecrecyTermsColluding(float(v1), float(v2))
-
-
 def cond_prob_zero(g: LinkGains, params: SystemParams, a_tilde: float, b_tilde: float) -> float:
     """P{zero secrecy | a_tilde, b_tilde} = exp(-v2)/(1+v1)."""
     return float(_cond_prob_zero_array(g.a, g.b, params.rho, params.p_j, a_tilde, b_tilde))
 
 
 def _v_arrays(a, b, rho: float, p_j, a_t, b_t) -> tuple[np.ndarray, np.ndarray]:
-    """(v1, v2) over fading arrays; gains and P_J may be arrays that broadcast.
+    """v1 = b*A~*P_J/(a*(1+rho*B~*P_J)) and v2 = A~/(a*(1+rho*B~*P_J)) over fading arrays.
+
+    The gains and P_J may be arrays that broadcast.
 
     Limits: a = inf gives (0, 0); P_J = 0 or A~ = 0 drops v1 (also at
     b = inf); P_J = inf drops v2 where rho*B~ > 0 and leaves v1 =

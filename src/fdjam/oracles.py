@@ -4,7 +4,8 @@ Nothing here shares algebra with the formulas under test: the maximizer is
 a log-grid plus golden-section search over actual secrecy evaluations, the
 wedge probability is a direct 2-D quadrature, the colluding outage is a
 2-D quadrature over both link fadings, and the Monte Carlo oracles count
-raw indicator events.
+raw indicator events.  Every zero-secrecy event is read off the SINRs here
+(_eve_line), and nothing is imported from the modules of the closed forms.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .colluding_fading import v_terms
 from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams
 from .montecarlo import Estimate, MCConfig, estimate
-from .pairwise_fading import pair_terms
 
 __all__ = [
     "golden_max_secrecy",
@@ -118,26 +117,63 @@ def golden_max_secrecy(
     return (float(best_x[0]), float(best_f[0])) if one else (best_x, best_f)
 
 
+def _eve_line(sig: float, jam: float, rho: float, p_j: float, a_t, b_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(v1, v2): one phase has zero secrecy iff Eve's fadings satisfy c >= v1*d + v2.
+
+    Per unit of P_T, which scales both SINRs, the link's is
+    A~/(1 + rho*B~*P_J) and Eve's c*sig/(1 + d*jam*P_J), c fading her path
+    from the sender (gain sig) and d hers from the jammer (gain jam).  Hers
+    reaches the link's iff c >= v2*(1 + d*jam*P_J), v2 = link/sig.  At
+    P_J = inf a jammed link's SINR falls as 1/P_J like Eve's, and P_J times
+    each compares A~/(rho*B~) with c*sig/(d*jam): v2 = 0.  A product with a
+    zero factor is 0, also against an infinite one (no signal, no jamming,
+    Eve on the sender); v1 = inf leaves only d = 0.  a_t may be an array.
+    """
+    a_t = np.asarray(a_t, dtype=float)
+    with np.errstate(invalid="ignore"):  # 0*inf, replaced by 0
+        if math.isinf(p_j) and rho * b_t > 0:
+            return np.where(a_t > 0, a_t / (rho * b_t * sig) * jam, 0.0), np.zeros_like(a_t)
+        v2 = (a_t / (1.0 + rho * b_t * p_j) if rho * b_t > 0 else a_t) / sig
+        return np.where(v2 > 0, v2 * (jam * p_j if p_j > 0 else 0.0), 0.0), v2
+
+
+def _wedge_edges(a: float, b: float, rho: float, p_j: float, a_t, b1_t: float, b2_t: float) -> tuple:
+    """(v1, v2, u1, u2, c_min): the wedge where both phases have zero secrecy, for finite gains.
+
+    The A->B phase fails on c >= v1*d + v2 (B1~) and the B->A phase, the
+    gains and Eve's fadings swapped, on d >= u1*c + u2 (B2~), both by
+    _eve_line.  Where v1*u1 < 1 the edges meet at the apex
+    (c_min, u1*c_min + u2); elsewhere the wedge is empty and c_min = inf.
+    """
+    if math.isinf(a) or math.isinf(b):
+        raise InvalidParameterError("the wedge oracles need finite gains")
+    v1, v2 = _eve_line(a, b, rho, p_j, a_t, b1_t)
+    u1, u2 = _eve_line(b, a, rho, p_j, a_t, b2_t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # an infinite slope: the wedge is empty
+        closing = 1.0 - v1 * u1
+        return v1, v2, u1, u2, np.where(closing > 0.0, (v2 + v1 * u2) / closing, np.inf)
+
+
 def quad_prob_zero_pair(
     g: LinkGains, params: SystemParams, a_tilde: float, b1_tilde: float, b2_tilde: float
 ) -> float:
     """Trapezoid quadrature of the wedge probability, 1e-4 absolute or better.
 
     Integrates e^-c * (e^-y0(c) - e^-y1(c)) for c from c_min to 40 with
-    y0 = u1*c + u2 (lower edge) and y1 = (c - v2)/v1 (upper edge).  A
-    geometric cluster of points hugging c_min resolves the boundary layer
-    that appears when v1 is tiny.
+    y0 = u1*c + u2 (lower edge) and y1 = (c - v2)/v1 (upper edge), the
+    edges of _wedge_edges.  A geometric cluster of points hugging c_min
+    resolves the boundary layer that appears when v1 is tiny.
     """
-    t = pair_terms(g, params, a_tilde, b1_tilde, b2_tilde)
+    v1, v2, u1, u2, c_min = map(float, _wedge_edges(g.a, g.b, params.rho, params.p_j, a_tilde, b1_tilde, b2_tilde))
     cut = 40.0
-    if not math.isfinite(t.c_min) or t.c_min >= cut:
+    if not math.isfinite(c_min) or c_min >= cut:
         return 0.0
-    base = np.linspace(t.c_min, cut, 20001)
-    cluster = t.c_min + np.geomspace(1e-12, min(1.0, cut - t.c_min), 2000)
+    base = np.linspace(c_min, cut, 20001)
+    cluster = c_min + np.geomspace(1e-12, min(1.0, cut - c_min), 2000)
     x = np.unique(np.concatenate([base, cluster]))
-    lower = np.exp(-(t.u1 * x + t.u2))
-    if t.v1 > 0:
-        upper = np.exp(-np.maximum(0.0, (x - t.v2) / t.v1))
+    lower = np.exp(-(u1 * x + u2))
+    if v1 > 0:
+        upper = np.exp(-np.maximum(0.0, (x - v2) / v1))
     else:
         upper = np.zeros_like(x)
     integrand = np.exp(-x) * np.maximum(0.0, lower - upper)
@@ -149,8 +185,8 @@ def quad_policy_row(g: LinkGains, params: SystemParams, b1_tilde: float, b2_tild
 
     The wedge probability at each A~ is the c-integral of
     e^-c*(e^-(u1*c + u2) - e^-((c - v2)/v1)) from the wedge's apex (c*, d*),
-    e^-(c* + d*)*(1 - v1*u1)/((1 + u1)*(1 + v1)), with the v's and u's read
-    off the two phases' SINRs; it vanishes once v1*u1 >= 1, at A~ = w0.  The
+    e^-(c* + d*)*(1 - v1*u1)/((1 + u1)*(1 + v1)), with the edges of
+    _wedge_edges; it vanishes once v1*u1 >= 1, at A~ = w0.  The
     A~ integral is composite Simpson on two geometric grids of 20001 points,
     one in log(A~) over [lo, w0/2] for the boundary layer at A~ = 0 and one
     in log(w0 - A~) over the upper half, where e^-(c* + d*) closes the wedge
@@ -175,15 +211,10 @@ def quad_policy_row(g: LinkGains, params: SystemParams, b1_tilde: float, b2_tild
     lo = 1e-15 * min(w0, *layers)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        if math.isinf(p_j):
-            v1, v2, u1, u2 = b * x / (a * r1), 0.0, a * x / (b * r2), 0.0
-        else:
-            v1, v2, u1, u2 = b * x * p_j / (a * q1), x / (a * q1), a * x * p_j / (b * q2), x / (b * q2)
+        v1, _, u1, u2, c_min = _wedge_edges(a, b, rho, p_j, x, b1_tilde, b2_tilde)
         closing = 1.0 - v1 * u1
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            apex = (v2 + v1 * u2 + u2 + u1 * v2) / closing
-            prob = np.where(closing > 0.0, np.exp(-apex) * closing / ((1.0 + u1) * (1.0 + v1)), 0.0)
-        return np.exp(-x) * prob
+        prob = np.exp(-(c_min * (1.0 + u1) + u2)) * closing / ((1.0 + u1) * (1.0 + v1))
+        return np.exp(-x) * np.where(closing > 0.0, prob, 0.0)
 
     def simpson(f: np.ndarray, h: float) -> float:
         return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
@@ -252,28 +283,30 @@ def _panel_rule(layer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def mc_cond_prob_zero_colluding(
     g: LinkGains, params: SystemParams, a_tilde: float, b_tilde: float, mc: MCConfig
 ) -> Estimate:
-    """Frequency of the one-phase zero-secrecy event over raw (c, d) draws."""
-    t = v_terms(g, params, a_tilde, b_tilde)
-    if math.isinf(t.v1):
+    """Frequency over raw (c, d) draws of Eve's SINR reaching the link's (_eve_line).
+
+    v1 = inf leaves only d = 0, of probability 0, and draws nothing.
+    """
+    v1, v2 = map(float, _eve_line(g.a, g.b, params.rho, params.p_j, a_tilde, b_tilde))
+    if math.isinf(v1):
         return Estimate(0.0, 0.0, mc.n_samples)
-
-    def f(u: np.ndarray) -> np.ndarray:
-        return (u[:, 0] >= t.v1 * u[:, 1] + t.v2).astype(float)
-
-    return estimate(f, mc, draws_per_sample=2)
+    return estimate(lambda u: (u[:, 0] >= v1 * u[:, 1] + v2).astype(float), mc, draws_per_sample=2)
 
 
 def mc_cond_prob_zero_pair(
     g: LinkGains, params: SystemParams, a_tilde: float, b1_tilde: float, b2_tilde: float, mc: MCConfig
 ) -> Estimate:
-    """Frequency of the two-phase wedge event over raw (c, d) draws."""
-    t = pair_terms(g, params, a_tilde, b1_tilde, b2_tilde)
+    """Frequency over raw (c, d) draws of both phases' events (_wedge_edges), for finite gains.
+
+    An infinite slope leaves only c = 0 or d = 0, of probability 0, and draws nothing.
+    """
+    v1, v2, u1, u2, _ = map(float, _wedge_edges(g.a, g.b, params.rho, params.p_j, a_tilde, b1_tilde, b2_tilde))
+    if math.isinf(v1) or math.isinf(u1):
+        return Estimate(0.0, 0.0, mc.n_samples)
 
     def f(u: np.ndarray) -> np.ndarray:
         c, d = u[:, 0], u[:, 1]
-        first = c >= t.v1 * d + t.v2 if math.isfinite(t.v1) else d <= 0.0
-        second = d >= t.u1 * c + t.u2 if math.isfinite(t.u1) else c <= 0.0
-        return (first & second).astype(float)
+        return ((c >= v1 * d + v2) & (d >= u1 * c + u2)).astype(float)
 
     return estimate(f, mc, draws_per_sample=2)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import montecarlo
-from .colluding_fading import _E1_SPLIT, _MIN_STRETCH, _e1_cf_tail, _exp_e1, _gauss_legendre, _piecewise, _v_arrays
+from .colluding_fading import _E1_SPLIT, _MIN_STRETCH, _e1_cf_tail, _exp_e1, _gauss_legendre, _piecewise
 from .colluding_fading import _TAIL_CUT as _A_TOP  # the A~ quadrature stops there; a wider window takes _WIDE_RULE
 from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams
@@ -35,7 +35,6 @@ __all__ = [
     "cond_prob_zero_pair_array",
     "prob_zero_nojam",
     "prob_zero_nojam_origin",
-    "eve_at_node_prob",
     "pj_star",
     "policy_prob_zero",
     "p1_bound",
@@ -68,49 +67,21 @@ _GL12_T, _GL12_W = 0.5 * (1.0 + _GL12_X), 0.5 * _GL12_WX
 
 @dataclass(frozen=True)
 class ZeroSecrecyTermsPair:
-    """All intermediates of the two-phase wedge probability.
+    """The two factors of the wedge probability K*exp(-E): k = K = w1/w2 and e_exp = E = w3/w1."""
 
-    c_min is the smallest c for which the wedge has positive d-width; the
-    wedge is empty (probability zero without integrating) when v1*u1 >= 1.
-    The w's are divided by a*b (k = w1/w2 and e_exp = w3/w1 are ratios).
-    At infinite P_J the w's diverge while k and e_exp keep their limits, so
-    the w fields are reported as inf there.
-    """
-
-    v1: float
-    v2: float
-    u1: float
-    u2: float
-    c_min: float
     k: float
     e_exp: float
-    w1: float
-    w2: float
-    w3: float
 
 
 def pair_terms(
     g: LinkGains, params: SystemParams, a_tilde: float, b1_tilde: float, b2_tilde: float
 ) -> ZeroSecrecyTermsPair:
-    """The wedge thresholds and terms at one fading draw, for finite gains.
-
-    (v1, v2) are the colluding thresholds of the A->B phase (with B1~) and
-    (u1, u2) those of the B->A phase, the gains swapped (with B2~), both
-    from colluding_fading._v_arrays and its limits.
-    """
-    a, b, rho, p_j = g.a, g.b, params.rho, params.p_j
-    if math.isinf(a) or math.isinf(b):
+    """K and E at one fading draw, for finite gains; an empty wedge (w1 <= 0) gives K = 0, E = inf."""
+    if math.isinf(g.a) or math.isinf(g.b):
         raise InvalidParameterError("pair_terms needs finite gains; use the node limit results")
-    v1, v2 = (float(v) for v in _v_arrays(a, b, rho, p_j, a_tilde, b1_tilde))
-    u1, u2 = (float(u) for u in _v_arrays(b, a, rho, p_j, a_tilde, b2_tilde))
-    c_min = (v2 + v1 * u2) / (1.0 - v1 * u1) if v1 * u1 < 1.0 else math.inf
-    w1, w2, w3 = (float(w) for w in _wedge(_wedge_coeffs(a, b, rho, p_j, b1_tilde, b2_tilde), a_tilde))
-    k, e_exp = (w1 / w2, w3 / w1) if w1 > 0.0 else (0.0, math.inf)
-    if math.isinf(p_j):
-        w1 = w2 = w3 = math.inf
-    return ZeroSecrecyTermsPair(
-        v1=v1, v2=v2, u1=u1, u2=u2, c_min=c_min, k=k, e_exp=e_exp, w1=w1, w2=w2, w3=w3
-    )
+    coeffs = _wedge_coeffs(g.a, g.b, params.rho, params.p_j, b1_tilde, b2_tilde)
+    w1, w2, w3 = (float(w) for w in _wedge(coeffs, a_tilde))
+    return ZeroSecrecyTermsPair(w1 / w2, w3 / w1) if w1 > 0.0 else ZeroSecrecyTermsPair(0.0, math.inf)
 
 
 def _wedge_coeffs(a, b, rho: float, p_j: float, b1_t, b2_t) -> tuple:
@@ -217,15 +188,6 @@ def prob_zero_nojam(g: LinkGains) -> float:
 def prob_zero_nojam_origin(alpha: float) -> float:
     """The maximum of prob_zero_nojam over locations: 1/(1+0.5^(alpha-1)) at the origin."""
     return 1.0 / (1.0 + 0.5 ** (alpha - 1.0))
-
-
-def eve_at_node_prob(params: SystemParams) -> float:
-    """P{S = 0} with the eavesdropper exactly at an endpoint.
-
-    Any positive jamming power drives it to zero; without jamming it is the
-    no-jam node value 0.5.
-    """
-    return 0.0 if params.p_j > 0 else 0.5
 
 
 def pj_star(a_tilde: float, b1_tilde: float, b2_tilde: float, rho: float) -> float | None:
@@ -492,11 +454,10 @@ def policy_prob_zero(
     if kind in (JamPolicyKind.CONSTANT, JamPolicyKind.SEMI_DYNAMIC):
         semi = kind is JamPolicyKind.SEMI_DYNAMIC
         p_j, n = (math.inf if semi else params.p_j), mc.n_samples
-        node = math.isinf(a) or math.isinf(b)
-        if p_j == 0:
-            val = eve_at_node_prob(params) if node else prob_zero_nojam(g)
+        if p_j == 0:  # the mean of the per-draw exp(-A~*(1/a + 1/b)), at a node too
+            val = prob_zero_nojam(g)
             return PolicyReport(policy=policy, estimate=Estimate(val, 0.0, n), p2=Estimate(1.0, 0.0, n))
-        if node:  # jamming zeroes the probability there, and the window mass has no gain in it
+        if math.isinf(a) or math.isinf(b):  # jamming zeroes the probability, and the window has no gain in it
             est, bound = Estimate(0.0, 0.0, n), p2_bound(rho, p_j, mc)
         else:
             est, bound = estimate(

@@ -1,4 +1,4 @@
-"""Self-check suites: closed forms against independent slow references.
+"""Self-check suites: closed forms against slow references, literal values and identities.
 
 Each suite runs in seconds and returns one CheckResult per named check, so
 the CLI can print a pass/fail table and scripts can gate on the outcome.

@@ -16,6 +16,7 @@ from fdjam.colluding_fading import (
     _cond_prob_zero_array,
     _gauss_legendre,
     _prob_zero_cubature,
+    _v_arrays,
     cdf_lower_bound,
     classify_jam_response,
     cond_prob_zero,
@@ -26,7 +27,6 @@ from fdjam.colluding_fading import (
     secrecy_sample,
     uncond_prob_zero,
     uncond_upper_bound,
-    v_terms,
 )
 from fdjam.errors import InvalidParameterError
 from fdjam.geometry import LinkGains, SystemParams, gains
@@ -37,11 +37,11 @@ from fdjam.oracles import mc_cond_prob_zero_colluding, quad_prob_zero_colluding
 def test_v_terms_unit_fading() -> None:
     g = LinkGains(4.0, 1.0)
     params = SystemParams(p_t=100.0, p_j=50.0, rho=0.01)
-    t = v_terms(g, params, 1.0, 1.0)
+    v1, v2 = (float(v) for v in _v_arrays(g.a, g.b, params.rho, params.p_j, 1.0, 1.0))
     den = 4.0 * (1.0 + 0.01 * 50.0)
-    assert t.v1 == pytest.approx(50.0 / den)
-    assert t.v2 == pytest.approx(1.0 / den)
-    assert cond_prob_zero(g, params, 1.0, 1.0) == pytest.approx(math.exp(-t.v2) / (1.0 + t.v1))
+    assert v1 == pytest.approx(50.0 / den)
+    assert v2 == pytest.approx(1.0 / den)
+    assert cond_prob_zero(g, params, 1.0, 1.0) == pytest.approx(math.exp(-v2) / (1.0 + v1))
 
 
 def test_no_jamming_conditional() -> None:
@@ -57,8 +57,8 @@ def test_no_jamming_at_the_receiver_node() -> None:
     g = gains(0.5, 0.0, 2.0)
     assert math.isinf(g.b) and g.a == 1.0
     params = SystemParams(p_t=100.0, p_j=0.0, rho=0.1)
-    t = v_terms(g, params, 2.0, 7.0)
-    assert (t.v1, t.v2) == (0.0, 2.0)
+    v1, v2 = (float(v) for v in _v_arrays(g.a, g.b, params.rho, params.p_j, 2.0, 7.0))
+    assert (v1, v2) == (0.0, 2.0)
     assert cond_prob_zero(g, params, 2.0, 7.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
     a_t, b_t = np.array([0.5, 2.0]), np.array([1.0, 7.0])
     arr = _cond_prob_zero_array(g.a, g.b, params.rho, params.p_j, a_t, b_t)
@@ -75,10 +75,10 @@ def test_no_jamming_at_the_receiver_node() -> None:
 def test_infinite_jamming_conditional() -> None:
     g = LinkGains(2.0, 1.0)
     params = SystemParams(p_t=100.0, p_j=math.inf, rho=0.1)
-    t = v_terms(g, params, 1.5, 0.5)
-    assert t.v2 == 0.0
-    assert t.v1 == pytest.approx((1.0 / 2.0) * 1.5 / (0.1 * 0.5))
-    assert cond_prob_zero(g, params, 1.5, 0.5) == pytest.approx(1.0 / (1.0 + t.v1))
+    v1, v2 = (float(v) for v in _v_arrays(g.a, g.b, params.rho, params.p_j, 1.5, 0.5))
+    assert v2 == 0.0
+    assert v1 == pytest.approx((1.0 / 2.0) * 1.5 / (0.1 * 0.5))
+    assert cond_prob_zero(g, params, 1.5, 0.5) == pytest.approx(1.0 / (1.0 + v1))
 
 
 def test_conditional_decreases_in_legit_fading() -> None:

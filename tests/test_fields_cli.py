@@ -300,6 +300,16 @@ def test_cli_usage_errors(capsys) -> None:
     capsys.readouterr()
 
 
+def test_cli_has_no_delta_flag(tmp_path, capsys) -> None:
+    # no command's computation reads the exclusion radius, so neither a flag nor a config line sets it
+    assert cli.main(["policy", "--delta", "7"]) == 1
+    assert "unrecognized arguments: --delta 7" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("delta = 0.3\n")
+    assert cli.main(["regions", "--step", "0.5", "--config", str(cfg)]) == 1
+    assert "unknown config key 'delta'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "empty-path"])
 @pytest.mark.parametrize("fmt", [[], ["--json"]])
 def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys, where, fmt) -> None:
@@ -357,6 +367,14 @@ def test_cli_cdf_table(capsys) -> None:
     assert [r[0] for r in rows] == ["0.25", "0.50", "0.75"]
     for _, bound, emp in rows:
         assert float(bound) <= float(emp) + 0.02
+
+
+@pytest.mark.parametrize("step", ["1e-9", "5e-7"])
+def test_cli_cdf_step_below_the_floor_is_a_usage_error(monkeypatch, capsys, step: str) -> None:
+    # over 10^6 levels: refused before the level array is built
+    monkeypatch.setattr(np, "arange", lambda *a, **k: pytest.fail("a level array was built"))
+    assert cli.main(["cdf", "--at", "-0.6", "0", "--samples", "1000", "--p-step", step]) == 1
+    assert f"--p-step must be in (0, 2/3) and at least 1e-6, got {float(step):g}" in capsys.readouterr().err
 
 
 def test_cli_policy_table(capsys) -> None:

@@ -53,6 +53,7 @@ from fdjam.colluding_fading import (
     JamResponseKind,
     _cond_prob_zero_array,
     _prob_zero_cubature,
+    _v_arrays,
     cdf_lower_bound,
     classify_jam_response,
     cond_prob_zero,
@@ -62,7 +63,6 @@ from fdjam.colluding_fading import (
     secrecy_sample,
     uncond_prob_zero,
     uncond_upper_bound,
-    v_terms,
 )
 from fdjam.errors import InvalidParameterError, RegimeWarning, UnboundedOptimumError, UnsupportedRegimeError
 from fdjam.fields import GridSpec, build_field
@@ -203,20 +203,20 @@ def test_jam_derivative_coeffs_limits(g, rho, p_t) -> None:
 def test_colluding_outage_limits(g, rho, p_j, a_t, b_t) -> None:
     p = SystemParams(p_t=1.0, p_j=p_j, rho=rho)
     prob = cond_prob_zero(g, p, a_t, b_t)
-    t = v_terms(g, p, a_t, b_t)
+    v1, v2 = (float(v) for v in _v_arrays(g.a, g.b, rho, p_j, a_t, b_t))
     assert not math.isnan(prob) and 0.0 <= prob <= 1.0
-    assert not math.isnan(t.v1) and not math.isnan(t.v2) and t.v1 >= 0.0 and t.v2 >= 0.0
+    assert not math.isnan(v1) and not math.isnan(v2) and v1 >= 0.0 and v2 >= 0.0
     if math.isinf(g.a) or a_t == 0.0:  # Eve on the transmitter, or no signal to protect
         assert prob == 1.0
     elif p_j == 0:  # v1 vanishes, even at b = inf
-        assert t.v1 == 0.0
+        assert v1 == 0.0
         assert prob == pytest.approx(math.exp(-a_t / g.a), rel=1e-15)
     elif math.isinf(g.b):  # Eve on the jammer
         assert prob == 0.0
     elif math.isinf(p_j) and rho * b_t == 0:  # free jamming
-        assert prob == 0.0 and t.v2 == pytest.approx(a_t / g.a, rel=1e-15)
+        assert prob == 0.0 and v2 == pytest.approx(a_t / g.a, rel=1e-15)
     elif math.isinf(p_j):
-        assert t.v2 == 0.0
+        assert v2 == 0.0
         assert prob == pytest.approx(1.0 / (1.0 + g.b * a_t / (g.a * rho * b_t)), rel=1e-12)
     a_arr = np.array([a_t, 0.5, 2.0])
     arr = _cond_prob_zero_array(g.a, g.b, rho, p_j, a_arr, np.full(3, b_t))
@@ -248,8 +248,10 @@ def test_pairwise_outage_limits(g, rho, p_j, a_t, b1_t, b2_t) -> None:
         assert prob == pytest.approx(1.0, rel=1e-12)
     if not node:
         t = pair_terms(g, p, a_t, b1_t, b2_t)
-        assert not any(math.isnan(v) for v in (t.k, t.e_exp, t.c_min, t.v1, t.u1))
-        for thr, gain, b_t in ((t.v2, g.a, b1_t), (t.u2, g.b, b2_t)):
+        v1, v2 = (float(v) for v in _v_arrays(g.a, g.b, rho, p_j, a_t, b1_t))
+        u1, u2 = (float(u) for u in _v_arrays(g.b, g.a, rho, p_j, a_t, b2_t))
+        assert not any(math.isnan(v) for v in (t.k, t.e_exp, v1, u1))
+        for thr, gain, b_t in ((v2, g.a, b1_t), (u2, g.b, b2_t)):
             if rho * b_t == 0:  # a phase the jamming cannot reach keeps A~/gain at every P_J, inf included
                 assert thr == a_t / gain
             elif math.isinf(p_j):
@@ -273,8 +275,9 @@ def test_pairwise_outage_at_the_w1_cutoff(a, b, rho, a_t, b1_t, b2_t, eps) -> No
     p = SystemParams(p_t=1.0, p_j=star * (1.0 + eps), rho=rho)
     prob = cond_prob_zero_pair(g, p, a_t, b1_t, b2_t)
     t = pair_terms(g, p, a_t, b1_t, b2_t)
+    w1 = float(_wedge(_wedge_coeffs(a, b, rho, p.p_j, b1_t, b2_t), a_t)[0])
     assert not math.isnan(prob) and 0.0 <= prob <= 1e-10
-    if not t.w1 > 0.0:
+    if not w1 > 0.0:
         assert prob == 0.0 and t.k == 0.0 and t.e_exp == INF
     assert cond_prob_zero_pair(g, SystemParams(p_t=1.0, p_j=star * 1.001, rho=rho), a_t, b1_t, b2_t) == 0.0
 

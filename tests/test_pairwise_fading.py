@@ -27,7 +27,6 @@ from fdjam.pairwise_fading import (
     _wedge_coeffs,
     cond_prob_zero_pair,
     cond_prob_zero_pair_array,
-    eve_at_node_prob,
     homogeneous_secrecy,
     homogeneous_tail_bound,
     p1_bound,
@@ -104,8 +103,6 @@ def test_no_jamming_values() -> None:
     quad = quad_prob_zero_pair(ORIGIN, params, 1.0, 1.0, 1.0)
     got = cond_prob_zero_pair(ORIGIN, params, 1.0, 1.0, 1.0)
     assert abs(got - quad) < 2e-4
-    assert eve_at_node_prob(params) == 0.5
-    assert eve_at_node_prob(SystemParams(p_t=1.0, p_j=0.1, rho=0.1)) == 0.0
 
 
 def test_pj_star_reference_value() -> None:
@@ -125,7 +122,7 @@ def test_pj_star_gates_the_probability() -> None:
     t = pair_terms(ORIGIN, below, 1.0, 1.0, 1.0)
     # strict positivity is asserted in log space: K > 0 with a finite
     # exponent means K*exp(-E) > 0 even when the float product underflows
-    assert t.w1 > 0.0 and t.k > 0.0 and math.isfinite(t.e_exp)
+    assert t.k > 0.0 and math.isfinite(t.e_exp)
 
 
 def test_homogeneous_near_field() -> None:
@@ -471,7 +468,17 @@ def test_policy_at_an_endpoint_node_keeps_its_bound(at) -> None:
     assert semi.p2 is None and semi.p1 == p1_bound(params.rho, mc)
     silent = SystemParams(p_t=1.0, p_j=0.0, rho=0.1)
     rep = policy_prob_zero(JamPolicy(JamPolicyKind.CONSTANT), g, silent, mc)
-    assert (rep.estimate.mean, rep.p2.mean) == (eve_at_node_prob(silent), 1.0)  # the window is unbounded
+    assert (rep.estimate.mean, rep.p2.mean) == (prob_zero_nojam(g), 1.0)  # the window is unbounded
+
+
+@pytest.mark.parametrize("g", [LinkGains(math.inf, 3.0), LinkGains(0.25, math.inf)])
+def test_constant_policy_without_jamming_at_a_node_is_the_mean_of_its_draws(g: LinkGains) -> None:
+    # per draw the node limit is exp(-A~*(1/a + 1/b)), whose mean is prob_zero_nojam's 1/(1 + 1/a + 1/b)
+    params, mc = SystemParams(p_t=1.0, p_j=0.0, rho=0.1), MCConfig(seed=3, n_samples=200_000)
+    rep = policy_prob_zero(JamPolicy(JamPolicyKind.CONSTANT), g, params, mc)
+    per_draw = estimate(lambda u: cond_prob_zero_pair_array(g, params, *u.T), mc, draws_per_sample=3)
+    assert rep.estimate.mean == prob_zero_nojam(g)
+    assert abs(rep.estimate.mean - per_draw.mean) <= 4.0 * per_draw.stderr
 
 
 @pytest.mark.parametrize("kind", [JamPolicyKind.CONSTANT, JamPolicyKind.SEMI_DYNAMIC])

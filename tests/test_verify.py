@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fdjam import verify
-from fdjam.colluding_fading import v_terms
+from fdjam.colluding_fading import _v_arrays
 
 FLAKY = [("colluding-fading", s) for s in (23, 50, 85, 94, 96, 97)] + [
     ("pairwise-fading", s) for s in (3, 30, 46, 60, 72)
@@ -31,8 +31,8 @@ def test_suite_passes_where_the_draws_see_no_event(suite: str, seed: int) -> Non
 def test_wrong_closed_form_is_still_caught(monkeypatch, seed: int) -> None:
     # exp(-v2)/(1 + 2*v1) in place of exp(-v2)/(1 + v1)
     def wrong(g, params, a_tilde, b_tilde):
-        t = v_terms(g, params, a_tilde, b_tilde)
-        return math.exp(-t.v2) / (1.0 + 2.0 * t.v1)
+        v1, v2 = (float(v) for v in _v_arrays(g.a, g.b, params.rho, params.p_j, a_tilde, b_tilde))
+        return math.exp(-v2) / (1.0 + 2.0 * v1)
 
     monkeypatch.setattr(verify, "cond_prob_zero", wrong)
     check = next(r for r in verify.run_suite("colluding-fading", seed) if r.name == "conditional-vs-mc")
