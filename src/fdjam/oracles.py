@@ -194,18 +194,17 @@ def quad_policy_row(g: LinkGains, params: SystemParams, b1_tilde: float, b2_tild
     w0 and the A~ at which v1 or u1 reaches 1, the scales of that layer; the
     piece below lo is taken as its length (the integrand is 1 at A~ = 0),
     and the one above w0 - 1e-15*w0 is dropped (the integrand vanishes at w0).
+    Per unit of P_J the jammed link's noise is h = 1/P_J + rho*B~ (rho*B~ at
+    P_J = inf), so w0 = sqrt(h1)*sqrt(h2), each root taken alone so that no
+    product of the h's overflows or underflows.  Needs finite gains and
+    P_J > 0: without jamming the window is the whole half-line.
     """
     a, b, rho, p_j = g.a, g.b, params.rho, params.p_j
-    if math.isinf(a) or math.isinf(b):
-        raise InvalidParameterError("quad_policy_row needs finite gains")
-    if math.isinf(p_j):
-        r1, r2 = rho * b1_tilde, rho * b2_tilde  # SINR_B = A~*P_T/(r1*P_J)
-        w0 = math.sqrt(r1 * r2)
-        layers = (a * r1 / b, b * r2 / a)
-    else:
-        q1, q2 = 1.0 + rho * b1_tilde * p_j, 1.0 + rho * b2_tilde * p_j
-        w0 = math.sqrt(q1 * q2) / p_j
-        layers = (a * q1 / (b * p_j), b * q2 / (a * p_j))
+    if math.isinf(a) or math.isinf(b) or not p_j > 0:
+        raise InvalidParameterError(f"quad_policy_row needs finite gains and P_J > 0, got P_J = {p_j}")
+    h1, h2 = 1.0 / p_j + rho * b1_tilde, 1.0 / p_j + rho * b2_tilde
+    w0 = math.sqrt(h1) * math.sqrt(h2)
+    layers = (a * h1 / b, b * h2 / a)
     if w0 == 0.0:
         return 0.0
     lo = 1e-15 * min(w0, *layers)

@@ -10,6 +10,7 @@ probability collapses to K*exp(-E) when w1 > 0 and to 0 otherwise.
 
 from __future__ import annotations
 
+import decimal
 import enum
 import functools
 import math
@@ -89,29 +90,35 @@ def _wedge_coeffs(a, b, rho: float, p_j: float, b1_t, b2_t) -> tuple:
 
     w1 = C0 - C2*A~^2, w2 = C0 + D1*A~ + C2*A~^2 and w3 = A~*(S + Z*A~) give
     the wedge probability K*exp(-E), K = w1/w2, E = w3/w1.  With
-    q = 1 + rho*B~*P_J and the common factor a*b divided out: C0 = q1*q2,
-    C2 = P_J^2, D1 = P_J*(q1*a/b + q2*b/a), S = q1/b + q2/a and
-    Z = P_J*(1/a + 1/b).  The window outside which the wedge is empty is
-    w0 = sqrt(C0/C2), and the boundary layer at A~ = 0, where K falls like
-    1/(1 + c*A~), has rate c = D1/C0.  At P_J = inf the w's diverge; the
-    coefficients are divided by P_J^2 once more, C0 = rho^2*B1~*B2~,
-    C2 = 1, D1 = rho*(B1~*a/b + B2~*b/a) and S = Z = 0, the limits of K and
-    of E = 0.  C0, C2 and the jamming factors come from _wedge_window.
+    q = 1 + rho*B~*P_J and the common factor a*b divided out, the w's have
+    C0 = q1*q2, C2 = P_J^2, D1 = P_J*(q1*a/b + q2*b/a), S = q1/b + q2/a
+    and Z = P_J*(1/a + 1/b).  K and E keep their value when all five are
+    divided by one factor, here max(1, P_J)^2: with r = min(P_J, 1),
+    i = 1/max(P_J, 1) and h = i + rho*r*B~ (h = q at P_J <= 1), C0 = h1*h2,
+    C2 = r^2, D1 = r*(h1*a/b + h2*b/a), S = i*(h1/b + h2/a) and
+    Z = r*i*(1/a + 1/b).  None of them overflows as P_J grows, and
+    P_J = inf is the member i = 0, the limits of K and of E = 0.  The window
+    outside which the wedge is empty is w0 = sqrt(C0/C2), and the boundary
+    layer at A~ = 0, where K falls like 1/(1 + c*A~), has rate c = D1/C0.
+    C0, C2 and h come from _wedge_window.
     """
-    c0, c2, g1, g2 = _wedge_window(rho, p_j, b1_t, b2_t)
-    if math.isinf(p_j):
-        return c0, c2, (rho * a / b) * g1 + (rho * b / a) * g2, 0.0, 0.0
-    inv_a, inv_b = 1.0 / a, 1.0 / b
-    d1 = (p_j * a * inv_b) * g1 + (p_j * b * inv_a) * g2
-    return c0, c2, d1, inv_b * g1 + inv_a * g2, p_j * (inv_a + inv_b)
+    c0, c2, h1, h2 = _wedge_window(rho, p_j, b1_t, b2_t)
+    r, i, inv_a, inv_b = min(p_j, 1.0), 1.0 / max(p_j, 1.0), 1.0 / a, 1.0 / b
+    d1 = (r * a * inv_b) * h1 + (r * b * inv_a) * h2
+    return c0, c2, d1, (i * inv_b) * h1 + (i * inv_a) * h2, (r * i) * (inv_a + inv_b)
 
 
 def _wedge_window(rho: float, p_j: float, b1_t, b2_t) -> tuple:
-    """(C0, C2, g1, g2), the gain-free part of _wedge_coeffs: g = q at finite P_J and B~ at P_J = inf."""
-    if math.isinf(p_j):
-        return rho**2 * b1_t * b2_t, 1.0, b1_t, b2_t
-    q1, q2 = 1.0 + (rho * p_j) * b1_t, 1.0 + (rho * p_j) * b2_t
-    return q1 * q2, p_j**2, q1, q2
+    """(C0, C2, h1, h2), the gain-free part of _wedge_coeffs, h = i + rho*r*B~.
+
+    Where rho*B~ = 0, h1*h2 = i^2 underflows to 0 past P_J = 6.4e161, and
+    A~ = 0, inside every finite window, would read an empty one.  So C0 adds
+    min(i, 5e-324): the least float at finite P_J, which moves no C0 of
+    2^-1020 or more, and 0 at P_J = inf.
+    """
+    r, i = min(p_j, 1.0), 1.0 / max(p_j, 1.0)
+    h1, h2 = i + (rho * r) * b1_t, i + (rho * r) * b2_t
+    return h1 * h2 + min(i, math.ulp(0.0)), r**2, h1, h2
 
 
 def _wedge(coeffs: tuple, a_t, out: tuple = (None, None, None)) -> tuple:
@@ -180,9 +187,7 @@ def _cond_prob_zero_pair_kernel(a, b, rho: float, p_j: float, a_t, b1_t, b2_t) -
 
 def prob_zero_nojam(g: LinkGains) -> float:
     """Unconditional P{S = 0} without jamming: 1/(1 + 1/a + 1/b)."""
-    inv_a = 0.0 if math.isinf(g.a) else 1.0 / g.a
-    inv_b = 0.0 if math.isinf(g.b) else 1.0 / g.b
-    return 1.0 / (1.0 + inv_a + inv_b)
+    return 1.0 / (1.0 + 1.0 / g.a + 1.0 / g.b)
 
 
 def prob_zero_nojam_origin(alpha: float) -> float:
@@ -195,15 +200,18 @@ def pj_star(a_tilde: float, b1_tilde: float, b2_tilde: float, rho: float) -> flo
 
     Exists iff a_tilde^2 > rho^2*b1_tilde*b2_tilde; w1 <= 0 (wedge empty)
     for every P_J >= the returned root.  None when the fading draw leaves
-    w1 positive for all powers.
+    w1 positive for all powers.  disc and s are taken exactly in decimals,
+    which no product of floats overflows or underflows, and the root to 40
+    digits; it is inf past the float range, where only unbounded power
+    empties the wedge.
     """
     if not rho >= 0:
         raise InvalidParameterError(f"rho must be >= 0, got {rho}")
-    disc = a_tilde**2 - rho**2 * b1_tilde * b2_tilde
-    if not disc > 0:
-        return None
-    s = rho * (b1_tilde + b2_tilde)
-    return (s + math.sqrt(s * s + 4.0 * disc)) / (2.0 * disc)
+    a_tilde, b1_tilde, b2_tilde, rho = map(decimal.Decimal, (a_tilde, b1_tilde, b2_tilde, rho))
+    with decimal.localcontext(decimal.Context(prec=4000, traps=[])) as ctx:  # more digits than four floats' product
+        disc, s = a_tilde**2 - rho**2 * b1_tilde * b2_tilde, rho * (b1_tilde + b2_tilde)
+        ctx.prec = 40
+        return float((s + (s * s + 4 * disc).sqrt()) / (2 * disc)) if disc > 0 else None
 
 
 class JamPolicyKind(enum.Enum):
@@ -313,7 +321,7 @@ def _policy_rows(u, v, a: float, b: float, rho: float, p_j: float, work, out: np
         out[:, 0] = _semi_dynamic_row((rho * a / b) * u, (rho * b / a) * v, w0)
         return
     top = np.minimum(w0, _A_TOP)
-    with np.errstate(invalid="ignore"):  # c = D1/C0 overflows only at extreme P_J
+    with np.errstate(invalid="ignore", over="ignore"):  # c = D1/C0 overflows only at extreme P_J
         ct = d1 / c0 * top
     stretch = np.maximum(np.log1p(np.where(np.isfinite(ct), ct, 0.0)), _MIN_STRETCH)
     scale = top / np.expm1(stretch)  # 1/c
@@ -329,18 +337,19 @@ def _rows_on_rule(rule: tuple, c2: float, z: float, work: np.ndarray, c0, d1, s,
     expm1(t*L)*scale, and one exp of t*L - A~ - E gives e^-A~*e^-E times
     the map's Jacobian over L*scale.  One mask, w1 raised to +0 before K =
     w1/w2 and E = w3/w1 are taken, makes a node outside the wedge (w1 <= 0)
-    add exactly +0: K = +0 and E = +inf.  A node inside adds K*e^-E however
-    small K is; where the boundary layer has made K tiny over the whole
-    window (c*A~ past 1e30, only at extreme P_J, gains or B~), those nodes
-    carry the row.  Rows go through in tiles of _TILE_ROWS, in five (nodes,
-    rows) views of work, the caller's (5, >= nodes, _TILE_ROWS) slab, which
-    every tile reuses; _node_sum makes each row's value depend on that row
-    alone.
+    add exactly +0: K = +0, and E = +inf, or NaN where w3 underflows at
+    extreme P_J, which np.fmax takes to the exp floor.  A node inside adds
+    K*e^-E however small K is; where the boundary layer has made K tiny
+    over the whole window (c*A~ past 1e30, only at extreme P_J, gains or
+    B~), those nodes carry the row.  Rows go through in tiles of
+    _TILE_ROWS, in five (nodes, rows) views of work, the caller's
+    (5, >= nodes, _TILE_ROWS) slab, which every tile reuses; _node_sum
+    makes each row's value depend on that row alone.
     """
     t, w = rule
     row = np.empty(c0.size)
     work = work[:, : t.size]
-    with np.errstate(divide="ignore"):  # E = w3/+0 on a dead node; numpy's error state is per thread
+    with np.errstate(divide="ignore", invalid="ignore"):  # E = w3/+0, or 0/0, on a dead node; per thread
         for lo in range(0, c0.size, _TILE_ROWS):
             rows = slice(lo, lo + _TILE_ROWS)
             tl, a_t, w1, w2, w3 = work[:, :, : scale[rows].size]  # (nodes, rows) each
@@ -351,7 +360,7 @@ def _rows_on_rule(rule: tuple, c2: float, z: float, work: np.ndarray, c0, d1, s,
             np.maximum(w1, 0.0, out=w1)
             tl -= np.divide(w3, w1, out=w3)
             vals = np.divide(w1, w2, out=w1)  # K
-            vals *= np.exp(np.maximum(tl, _EXP_FLOOR, out=tl), out=tl)
+            vals *= np.exp(np.fmax(tl, _EXP_FLOOR, out=tl), out=tl)
             vals *= w[:, None]
             row[rows] = _node_sum(vals) * (stretch[rows] * scale[rows])
     return row

@@ -5,6 +5,7 @@ frequency count, and the jam-response taxonomy against probe minimization.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,6 +187,30 @@ def test_cdf_lower_bound_shape() -> None:
         cdf_lower_bound(0.0, a, b, rho, 10.0)
     with pytest.raises(InvalidParameterError):
         cdf_lower_bound(0.5, a, b, rho, 0.0)
+
+
+def test_cdf_lower_bound_where_its_exponent_underflows() -> None:
+    # at (1e100, 0), a = b = 1e-200, and P_J = 1e-300, b*P_J*p underflowed to 0 and the bound
+    # raised ZeroDivisionError; the exponent a(1-p)/(b*P_J*p) is 1e300 there, so the factor is 0
+    assert cdf_lower_bound(0.5, 1e-200, 1e-200, 0.0, 1e-300) == 0.0
+    # with a subnormal a the exponent, taken from logs, is moderate: about 4.94
+    ratio = Fraction(5e-324) / (Fraction(1e-200) * Fraction(1e-124))
+    assert cdf_lower_bound(0.5, 5e-324, 1e-200, 0.0, 1e-124) == pytest.approx(math.exp(-float(ratio)), rel=1e-9)
+
+
+def test_prob_zero_cubature_at_huge_power_meets_the_unbounded_one() -> None:
+    # the B~ map spread its nodes over log(rho*P_J*40) e-folds: 1.2e-7 off the oracle at rho*P_J
+    # = 1e12, 1.0000000000000024 at 6.6e34 (found by the limit suite) and 1.02 at 1e100, where
+    # the outage is that of P_J = inf, 0.99991
+    a, b, rho = 475.0, 0.001953125, 0.5
+
+    def value(p_j: float) -> float:
+        return float(_prob_zero_cubature(a, b, rho, p_j)[0])
+
+    oracle = quad_prob_zero_colluding(LinkGains(a, b), SystemParams(p_t=1.0, p_j=2e12, rho=rho))
+    assert value(2e12) == pytest.approx(oracle, rel=1e-9)
+    for p_j in (6.586322931643168e34, 1e100, 1e300):
+        assert value(p_j) == pytest.approx(value(math.inf), rel=1e-9)
 
 
 def test_bound_dominated_by_empirical_cdf() -> None:

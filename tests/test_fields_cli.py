@@ -435,6 +435,30 @@ POLICY_TABLE = (
 )
 
 
+@pytest.mark.parametrize("pj, rho", [("1e155", "0.1"), ("1e300", "0.1"), ("1e154", "1")])
+def test_cli_pairwise_prob_zero_past_the_overflow_is_the_unbounded_one(capsys, pj: str, rho: str) -> None:
+    # P_J^2 overflowed a float from P_J = 1.34e154 (a traceback), and at rho = 1 the product
+    # q1*q2 did just below it (nan, exit 0); the wedge scaled by max(1, P_J)^2 reaches
+    # P_J = inf as the member 1/P_J = 0, and a power that large prints its lines
+    argv = ["prob-zero", "--mode", "pairwise", "--at", "0", "0", "--rho", rho, "--samples", "20000", "--seed", "1"]
+    assert cli.main([*argv, "--pj", "inf"]) == 0
+    want = capsys.readouterr().out
+    assert cli.main([*argv, "--pj", pj]) == 0
+    got = capsys.readouterr().out
+    assert "nan" not in got and got == want
+
+
+def test_cli_policy_past_the_overflow_prints_no_nan_and_no_wider_window(capsys) -> None:
+    # at rho = 1, 1539 and 1540 dB printed a nan constant rung and a P2 above the 1530 dB rung's,
+    # and 1550 dB died with an OverflowError; P2 cannot grow with P_J
+    assert cli.main(["policy", "--rho", "1", "--samples", "2000", "--ladder-db", "1530", "1539", "1540", "1550"]) == 0
+    out = capsys.readouterr().out
+    table = [line.split() for line in out.splitlines() if line[:6].strip().isdigit()]
+    rows = {int(row[0]): [float(v) for v in row[1:]] for row in table}
+    assert "nan" not in out and sorted(rows) == [1530, 1539, 1540, 1550]
+    assert all(0.0 < row[0] <= row[1] <= rows[1530][1] for row in rows.values())
+
+
 def test_cli_policy_table_is_unchanged_with_one_semi_dynamic_report(monkeypatch, capsys) -> None:
     # the semi-dynamic rung runs at P_J = inf whatever the row's power, so the
     # command computes it once; the table is the one the per-row loop printed

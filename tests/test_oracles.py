@@ -7,8 +7,11 @@ and leave every oracle where it was, so the cross-checks see it.
 import math
 import types
 
+import pytest
+
 from fdjam import colluding_fading, oracles, pairwise_fading, verify
-from fdjam.geometry import SystemParams, gains
+from fdjam.errors import InvalidParameterError
+from fdjam.geometry import LinkGains, SystemParams, gains
 from fdjam.montecarlo import MCConfig
 from fdjam.oracles import mc_cond_prob_zero_colluding, mc_cond_prob_zero_pair, quad_prob_zero_pair
 
@@ -39,6 +42,18 @@ def test_a_doubled_colluding_v1_is_caught(monkeypatch) -> None:
     assert abs(est.mean - closed) > 4.0 * math.sqrt(closed * (1.0 - closed) / est.n)
     check = next(r for r in verify.run_suite("colluding-fading", 0) if r.name == "conditional-vs-mc")
     assert not check.passed
+
+
+def test_window_oracle_takes_every_jamming_power() -> None:
+    # quad_policy_row divided by P_J = 0 (ZeroDivisionError) and overflowed sqrt(q1*q2) from
+    # P_J = 1e155 (nan); with h = 1/P_J + rho*B~ its window is the P_J = inf window there
+    def row(p_j: float, rho: float = 1.0) -> float:
+        return oracles.quad_policy_row(LinkGains(4.0, 1.0), SystemParams(p_t=1.0, p_j=p_j, rho=rho), 1.0, 1.0)
+
+    with pytest.raises(InvalidParameterError):
+        row(0.0, rho=0.1)
+    assert row(math.inf) == pytest.approx(0.2307045, abs=1e-7)
+    assert row(1e155) == row(1e300) == row(math.inf)
 
 
 def test_wedge_oracles_do_not_move_with_the_closed_form(monkeypatch) -> None:

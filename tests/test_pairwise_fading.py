@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,6 +124,42 @@ def test_pj_star_gates_the_probability() -> None:
     # strict positivity is asserted in log space: K > 0 with a finite
     # exponent means K*exp(-E) > 0 even when the float product underflows
     assert t.k > 0.0 and math.isfinite(t.e_exp)
+
+
+def test_pj_star_takes_no_square_out_of_range() -> None:
+    # rho = 1e155 squared overflowed a float; from 1e-300 to 1e301, a returned root sits where
+    # the exact quadratic disc*P^2 - s*P - 1 changes sign, within 1e-12 either side of it
+    assert pj_star(1.0, 1.0, 1.0, 1e155) is None
+    rng = np.random.default_rng(61)
+    draws = rng.uniform(1.0, 10.0, (300, 4)) * 10.0 ** rng.integers(-300, 301, (300, 4)).astype(float)
+    draws[rng.random(draws.shape) < 0.1] = 0.0
+    eps, roots = Fraction(1, 10**12), 0
+    for a_t, b1, b2, rho in draws.tolist():
+        got = pj_star(a_t, b1, b2, rho)
+        a_t, b1, b2, rho = map(Fraction, (a_t, b1, b2, rho))
+        disc, s = a_t**2 - rho**2 * b1 * b2, rho * (b1 + b2)
+
+        def f(p: Fraction) -> Fraction:
+            return disc * p * p - s * p - 1
+
+        if got is None:
+            assert disc <= 0
+        elif got == math.inf:
+            assert f(Fraction(sys.float_info.max)) < 0
+        else:
+            assert f(Fraction(got) * (1 - eps)) < 0 < f(Fraction(got) * (1 + eps))
+            roots += 1
+    assert roots > 50
+
+
+@pytest.mark.parametrize("p_j", [1e155, 1e200, 1e300, sys.float_info.max])
+def test_a_zero_fading_lies_inside_every_finite_window(p_j: float) -> None:
+    # with rho*B~ = 0 the window is A~ < 1/P_J, whose square C0 underflows to 0 past
+    # P_J = 6.4e161; A~ = 0, a link with no SINR, lies inside it at every finite power, and
+    # outside the empty window of P_J = inf
+    for rho, b_t in ((0.0, (1.0, 1.0)), (0.1, (0.0, 0.0))):
+        assert cond_prob_zero_pair(ORIGIN, SystemParams(p_t=1.0, p_j=p_j, rho=rho), 0.0, *b_t) == 1.0
+        assert cond_prob_zero_pair(ORIGIN, SystemParams(p_t=1.0, p_j=math.inf, rho=rho), 0.0, *b_t) == 0.0
 
 
 def test_homogeneous_near_field() -> None:
@@ -280,6 +317,68 @@ def test_policy_rows_raise_no_floating_point_warning(monkeypatch, rho: float, p_
             warnings.simplefilter("error")
             rows = _policy_integrand(u, v, g.a, g.b, rho, p_j)
         assert np.all(np.isfinite(rows)) and np.all(rows >= 0.0) and np.all(rows[:, 0] <= rows[:, 1])
+
+
+def _rows_past_the_overflow() -> tuple:
+    """(u, v): ordinary draws with B~ at 0, 1e-300 and 700 on every seventh row, two lanes' worth."""
+    u, v = np.random.default_rng(67).exponential(size=(2, 3000))
+    edge = np.array([0.0, 1e-300, 700.0])
+    u[::7], v[::7] = np.resize(np.repeat(edge, 3), u[::7].size), np.resize(np.tile(edge, 3), v[::7].size)
+    return u, v
+
+
+# 1e-80 from Bob's node b/a = 1e160 overflows the layer rate c of the constant rows
+PAST_THE_OVERFLOW = ((-0.6, 0.0), (0.49, 0.0), (1.3, 0.7), (0.5, 1e-80))
+
+
+@pytest.mark.parametrize("p_j", [1e155, 1e300, sys.float_info.max])
+def test_policy_rows_past_the_overflow_stay_finite_and_bounded(p_j: float) -> None:
+    # P_J^2 overflowed a float from 1.34e154: no floating-point warning and rows inside their bounds
+    u, v = _rows_past_the_overflow()
+    for rho in (0.0, 1e-4, 1.0):
+        for at in PAST_THE_OVERFLOW:
+            g = gains(*at, 2.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = _policy_integrand(u, v, g.a, g.b, rho, p_j)
+            assert np.all(np.isfinite(rows)) and np.all((rows[:, 0] >= 0.0) & (rows[:, 0] <= rows[:, 1]))
+
+
+@pytest.mark.parametrize(
+    "at",
+    [
+        *PAST_THE_OVERFLOW[:3],
+        pytest.param(
+            PAST_THE_OVERFLOW[3],
+            marks=pytest.mark.xfail(
+                strict=True, reason="an overflowing layer rate c takes the least stretch, 1.4e-7 off (CHANGES.md FOUND)"
+            ),
+        ),
+    ],
+)
+@pytest.mark.parametrize("p_j", [1e155, 1e300, sys.float_info.max])
+def test_policy_rows_past_the_overflow_are_the_unbounded_rows(p_j: float, at: tuple) -> None:
+    # each row with rho*B~ past 1e-100 on both sides is the P_J = inf row, whose window differs
+    # by 1/(P_J*rho*B~), to the rule's error
+    u, v = _rows_past_the_overflow()
+    g = gains(*at, 2.0)
+    for rho in (1e-4, 1.0):
+        far = rho * np.minimum(u, v) > 1e-100
+        rows, unbounded = (_policy_integrand(u, v, g.a, g.b, rho, pj)[far] for pj in (p_j, math.inf))
+        np.testing.assert_allclose(rows, unbounded, rtol=1e-9)
+
+
+def test_constant_policy_at_1e300_is_the_semi_dynamic_one() -> None:
+    # the constant rung raised OverflowError past P_J = 1.34e154; now it meets the semi-dynamic
+    # closed form within the quadrature's rule error, and its window mass P2 is P1 on the stream
+    mc = MCConfig(seed=3, n_samples=20_000)
+    for g in (ORIGIN, gains(0.49, 0.0, 2.0)):
+        for rho in (0.01, 1.0):
+            params = SystemParams(p_t=1.0, p_j=1e300, rho=rho)
+            const = policy_prob_zero(JamPolicy(JamPolicyKind.CONSTANT), g, params, mc)
+            semi = policy_prob_zero(JamPolicy(JamPolicyKind.SEMI_DYNAMIC), g, params, mc)
+            assert const.estimate.mean == pytest.approx(semi.estimate.mean, rel=1e-9, abs=0.0)
+            assert const.p2 == semi.p1 == p2_bound(rho, 1e300, mc) == p1_bound(rho, mc)
 
 
 def test_policy_row_keeps_the_nodes_of_a_tiny_k() -> None:

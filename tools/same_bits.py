@@ -29,9 +29,10 @@ P_J in {0, 1, 1e4, inf} x rho in {0, 0.01, 1} x n in {1, 7, 2000, 70000} on a
 rho in {0, 0.01, 1} x P_J in {1e-3, 1, 1e4, 1e9} x n in {1, 8193, 70000},
 and the semi-dynamic policy, which jams without bound whatever P_J is, at
 the same points, rho and n (225 cases).  The per-draw cases: the same
-points x rho in {0, 0.01, 1} x P_J in {1e-3, 1, 1e4, 1e15, 1e100, inf}
-(90 cases, 808 in all).  The stored file also names the numpy and Python
-versions it was written with; floating-point results may move with either.
+points x rho in {0, 0.01, 1} x P_J in {1e-3, 1, 1e4, 1e15, 1e100, 1e155,
+1e300, inf} (120 cases, 838 in all).  The stored file also names the
+numpy and Python versions it was written with; floating-point results may
+move with either.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ POLICY_POINTS = ((0.0, 0.0), (-0.6, 0.0), (0.49, 0.0), (1.3, 0.7), (0.5, 0.0))
 POLICY_RHOS = (0.0, 0.01, 1.0)
 POLICY_PJS = (1e-3, 1.0, 1e4, 1e9)
 POLICY_NS = (1, 8193, 70_000)
-DRAW_PJS = (1e-3, 1.0, 1e4, 1e15, 1e100, math.inf)
+DRAW_PJS = (1e-3, 1.0, 1e4, 1e15, 1e100, 1e155, 1e300, math.inf)
 DRAW_N = 8193
 # (B1~, B2~) of the edge rows, each taken at A~ = w0/2, half its window
 DRAW_EDGES = ((30.0, 0.0), (0.0, 30.0), (1e-300, 1.0), (1.0, 1e-300))
