@@ -47,8 +47,6 @@ def snr_ab(params: SystemParams) -> float:
     """Received SNR on the protected link: P_T / (1 + rho*P_J)."""
     if params.rho == 0:
         return params.p_t
-    if math.isinf(params.p_j):
-        return 0.0
     return params.p_t / (1.0 + params.rho * params.p_j)
 
 
@@ -76,16 +74,17 @@ def secrecy_ab(g: LinkGains, params: SystemParams) -> float:
 
 
 def lambda_factor(g: LinkGains, params: SystemParams) -> float:
-    """lambda = (1 + b*P_J) / (a*(1 + rho*P_J)); secrecy is positive iff > 1."""
+    """lambda = (1 + b*P_J) / (a*(1 + rho*P_J)); secrecy is positive iff > 1.
+
+    Taken as (i + b*r)/(a*(i + rho*r)), r = min(P_J, 1), i = 1/max(P_J, 1),
+    which no P_J overflows: P_J = inf is i = 0, and a zero denominator gives inf.
+    """
     a, b, rho, p_j = g.a, g.b, params.rho, params.p_j
     if math.isinf(a):
         return 0.0
-    if math.isinf(p_j):
-        if rho == 0:
-            return math.inf
-        return math.inf if math.isinf(b) else b / (rho * a)
-    num = 1.0 if p_j == 0 else 1.0 + b * p_j  # guards inf*0 when b is infinite
-    return num / (a * (1.0 + rho * p_j))
+    r, i = min(p_j, 1.0), 1.0 / max(p_j, 1.0)
+    num = i if p_j == 0 else i + b * r  # guards inf*0 when b is infinite
+    return num / den if (den := a * (i + rho * r)) else math.inf
 
 
 def _gamma_array(a, b, rho: float) -> np.ndarray:

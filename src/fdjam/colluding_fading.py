@@ -88,21 +88,25 @@ def cond_prob_zero(g: LinkGains, params: SystemParams, a_tilde: float, b_tilde: 
 def _v_arrays(a, b, rho: float, p_j, a_t, b_t) -> tuple[np.ndarray, np.ndarray]:
     """v1 = b*A~*P_J/(a*(1+rho*B~*P_J)) and v2 = A~/(a*(1+rho*B~*P_J)) over fading arrays.
 
-    The gains and P_J may be arrays that broadcast.
+    The gains and P_J may be arrays that broadcast.  Both are taken on the
+    jamming scale of pairwise_fading._wedge_coeffs, r = min(P_J, 1) and
+    i = 1/max(P_J, 1): with h = i + rho*B~*r, v1 = b*A~*r/(a*h) and
+    v2 = A~/(a*(h/i)).  At P_J <= 1 these are the forms above, no P_J
+    overflows them, and where rho*B~ = 0, h/i is exactly 1.
 
     Limits: a = inf gives (0, 0); P_J = 0 or A~ = 0 drops v1 (also at
-    b = inf); P_J = inf drops v2 where rho*B~ > 0 and leaves v1 =
-    b*A~/(a*rho*B~), and where rho*B~ = 0 sends v1 to inf and keeps A~/a.
+    b = inf); P_J = inf is i = 0, which drops v2 where rho*B~ > 0 and
+    leaves v1 = b*A~/(a*rho*B~), and where rho*B~ = 0 (h = 0) sends v1 to
+    inf and keeps v2 = A~/a.
     """
-    a_t, b_t, inf_pj = np.asarray(a_t, dtype=float), np.asarray(b_t, dtype=float), np.isinf(p_j)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        den = a * (1.0 + rho * b_t * p_j)
-        v1, v2 = b * a_t * p_j / den, a_t / den
-        if np.any(inf_pj):
-            rb = rho * b_t
-            v1 = np.where(inf_pj, np.where(rb > 0, (b / a) * a_t / rb, np.inf), v1)
-            v2 = np.where(inf_pj & (rb == 0), a_t / a, v2)
-    if np.any(inf_pj) or np.any(np.isinf(b)):
+    a_t, b_t = np.asarray(a_t, dtype=float), np.asarray(b_t, dtype=float)
+    r, i = np.minimum(p_j, 1.0), 1.0 / np.maximum(p_j, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # h/i overflows only where exp(-v2) is 1
+        h = i + rho * b_t * r
+        v1, v2 = b * a_t * r / (a * h), a_t / (a * (h / i))
+    if np.any(i == 0):  # P_J = inf: h/i is 0/0 where h = 0
+        v2 = np.where(h == 0, a_t / a, v2)
+    if np.any(i == 0) or np.any(np.isinf(b)):  # 0/0 where h = 0, 0*inf where b = inf
         v1 = np.where((p_j == 0) | (a_t == 0), 0.0, v1)
     if np.any(np.isinf(a)):
         v1, v2 = np.where(np.isinf(a), 0.0, v1), np.where(np.isinf(a), 0.0, v2)
@@ -118,28 +122,32 @@ def _cond_prob_zero_array(a, b, rho: float, p_j, a_t, b_t) -> np.ndarray:
 def _prob_zero_cubature(a, b, rho: float, p_j, upper: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """E over (A~, B~) ~ Exp(1)^2 of exp(-v2)/(1+v1) per cell, and its error; a, b, p_j broadcast.
 
-    With s = a*(1 + rho*B~*P_J) the A~ integral is s/(s+1)*h(x),
-    x = (s+1)/(b*P_J), h(x) = x*e^x*E1(x) (_x_exp_e1).  B~ goes over
-    [0, _TAIL_CUT] on the log map B~ = expm1(t*L)/c, c = rho*P_J,
-    L = log1p(c*_TAIL_CUT), which spreads the scale 1/c on which s moves over
-    the nodes of _B_RULE; the error is the gap to _B_CHECK_RULE.  The map's
-    c stops at _MAP_C_CAP: past it the nodes still reach below 1/c, what
-    lies under 1/c weighs at most about 1/c, and a map spread over
-    log(c*_TAIL_CUT) e-folds left too few nodes where the cell has its mass.
-    Uncapped, the gap to oracles.quad_prob_zero_colluding grew from 1.6e-12
-    at c = 1e5 to 2.6e-7 at 1e13, and at rho = 0.5, P_J = 1e100 a cell read
-    1.02; capped, it stayed within 2.9e-12 from c = 1e5 to 1e14.  The
-    limits of _v_arrays are taken exactly, with error 0: 1 at a = inf,
-    a/(a+1) at P_J = 0, 0 at b = inf for P_J > 0, the B~ mean of a
-    constant at rho*P_J = 0, and at P_J = inf, where h(kappa*B~) is left
-    with kappa = a*rho/b, its mean kappa*(kappa - 1 - ln kappa)/(kappa - 1)^2
-    (_pj_inf_mean).  upper=True gives E{1/(1+v1)} instead, the same
-    construction without exp(-v2): the A~ integral is h(s/(b*P_J)).
-    Against oracles.quad_prob_zero_colluding the relative gap is 5e-15 at
-    paper settings and 9e-11 at rho = 1, 80 dB.
+    On the jamming scale of _v_arrays, r = min(P_J, 1) and i = 1/max(P_J, 1),
+    the A~ integral is s/(s+i)*h(x) with s = a*(i + rho*r*B~),
+    x = (s+i)/(b*r) and h(x) = x*e^x*E1(x) (_x_exp_e1); no P_J overflows
+    s or b*r.  B~ goes over [0, _TAIL_CUT] on the log map B~ = expm1(t*L)/c,
+    c = rho*P_J, L = log1p(c*_TAIL_CUT), which spreads the scale 1/c on
+    which s moves over the nodes of _B_RULE; the error is the gap to
+    _B_CHECK_RULE.  The map's c stops at _MAP_C_CAP: past it the nodes
+    still reach below 1/c, what lies under 1/c weighs at most about 1/c,
+    and a map spread over log(c*_TAIL_CUT) e-folds left too few nodes where
+    the cell has its mass.  Uncapped, the gap to
+    oracles.quad_prob_zero_colluding grew from 1.6e-12 at c = 1e5 to 2.6e-7
+    at 1e13, and at rho = 0.5, P_J = 1e100 a cell read 1.02; capped, it
+    stayed within 2.9e-12 from c = 1e5 to 1e14.  The limits of _v_arrays
+    are taken exactly, with error 0: 1 at a = inf, a/(a+1) at P_J = 0, 0 at
+    b = inf for P_J > 0, the B~ mean of a constant at rho*P_J = 0, and at
+    P_J = inf, where h(kappa*B~) is left with kappa = a*rho/b, its mean
+    kappa*(kappa - 1 - ln kappa)/(kappa - 1)^2 (_pj_inf_mean); on 2 000
+    random cells the rule at P_J = 1e300 was up to 3.4e-12 off that mean.
+    upper=True gives E{1/(1+v1)} instead, the same construction without
+    exp(-v2): the A~ integral is h(s/(b*r)).  Against
+    oracles.quad_prob_zero_colluding the relative gap is 5e-15 at paper
+    settings and 9e-11 at rho = 1, 80 dB.
     """
     shape = np.broadcast(a, b, p_j).shape
     a, b, p_j = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b, p_j))
+    r, i = np.minimum(p_j, 1.0), 1.0 / np.maximum(p_j, 1.0)
     val, err = np.zeros(a.size), np.zeros(a.size)
     finite = ~np.isinf(a)
     val[~finite] = 1.0
@@ -149,36 +157,38 @@ def _prob_zero_cubature(a, b, rho: float, p_j, upper: bool = False) -> tuple[np.
     inf_pj = live & np.isinf(p_j)
     val[inf_pj] = _pj_inf_mean(a[inf_pj] * rho / b[inf_pj])
     live &= ~inf_pj
-    c = rho * np.where(np.isinf(p_j), 0.0, p_j)
-    flat = live & (c == 0)
-    val[flat] = _a_mean(a[flat], b[flat] * p_j[flat], upper)
-    idx = np.flatnonzero(live & (c > 0))
+    flat = live & (rho * r == 0)
+    val[flat] = _a_mean(a[flat] * i[flat], i[flat], b[flat] * r[flat], upper)
+    idx = np.flatnonzero(live & ~flat)
     for lo in range(0, idx.size, _CUBATURE_CELLS):
         cells = idx[lo : lo + _CUBATURE_CELLS]
-        args = (a[cells], b[cells] * p_j[cells], c[cells], upper)
+        args = (a[cells], i[cells], rho * r[cells], b[cells] * r[cells], upper)
         val[cells] = _on_b_rule(_B_RULE, *args)
         err[cells] = np.abs(val[cells] - _on_b_rule(_B_CHECK_RULE, *args))
     return val.reshape(shape), err.reshape(shape)
 
 
-def _on_b_rule(rule: tuple, a: np.ndarray, b_pj: np.ndarray, c: np.ndarray, upper: bool) -> np.ndarray:
+def _on_b_rule(
+    rule: tuple, a: np.ndarray, i: np.ndarray, rho_r: np.ndarray, b_r: np.ndarray, upper: bool
+) -> np.ndarray:
     """The B~ integral of _a_mean per cell on the rule (t, w), through the log map of _prob_zero_cubature."""
     t, w = rule
-    stretch = np.maximum(np.log1p(np.minimum(c, _MAP_C_CAP) * _TAIL_CUT), _MIN_STRETCH)[:, None]
+    c = np.minimum(rho_r, _MAP_C_CAP * i) / i  # rho*P_J, capped
+    stretch = np.maximum(np.log1p(c * _TAIL_CUT), _MIN_STRETCH)[:, None]
     scale = _TAIL_CUT / np.expm1(stretch)  # 1/c
     tl = t * stretch  # (cells, nodes)
     b_t = np.expm1(tl) * scale
-    s = a[:, None] * (1.0 + c[:, None] * b_t)
+    s = a[:, None] * (i[:, None] + rho_r[:, None] * b_t)
     # e^-B~ times the map's Jacobian over L*scale
-    vals = _a_mean(s, b_pj[:, None], upper) * np.exp(tl - b_t)
+    vals = _a_mean(s, i[:, None], b_r[:, None], upper) * np.exp(tl - b_t)
     return (vals * w).sum(axis=1) * (stretch * scale)[:, 0]
 
 
-def _a_mean(s, b_pj, upper: bool) -> np.ndarray:
-    """The A~ integral at s = a*(1 + rho*B~*P_J): s/(s+1)*h((s+1)/(b*P_J)), or h(s/(b*P_J)) for upper."""
+def _a_mean(s, i, b_r, upper: bool) -> np.ndarray:
+    """The A~ integral at s = a*(i + rho*r*B~): s/(s+i)*h((s+i)/(b*r)), or h(s/(b*r)) for upper."""
     if upper:
-        return _x_exp_e1(s / b_pj)
-    return s / (s + 1.0) * _x_exp_e1((s + 1.0) / b_pj)
+        return _x_exp_e1(s / b_r)
+    return s / (s + i) * _x_exp_e1((s + i) / b_r)
 
 
 def _pj_inf_mean(kappa: np.ndarray) -> np.ndarray:
@@ -203,11 +213,14 @@ def _pj_inf_mean(kappa: np.ndarray) -> np.ndarray:
 
 
 def _x_exp_e1(x) -> np.ndarray:
-    """h(x) = x*e^x*E1(x) for x >= 0: 0 at x = 0, 1/(1 + (1 - R)/x) above _E1_SPLIT, 1 at x = inf."""
+    """h(x) = x*e^x*E1(x) for x >= 0: 0 at x = 0, 1/(1 + (1 - R)/x) above _E1_SPLIT, 1 at x = inf.
+
+    The series takes the log of x itself down to the least subnormal.
+    """
     x = np.asarray(x, dtype=float)
     out, small = np.empty_like(x), x < _E1_SPLIT
     xs = x[small]
-    out[small] = xs * _exp_e1(np.maximum(xs, np.finfo(float).tiny))
+    out[small] = xs * _exp_e1(np.maximum(xs, np.finfo(float).smallest_subnormal))
     xl = x[~small]
     out[~small] = 1.0 / (1.0 + (1.0 - _e1_cf_tail(xl)) / xl)
     return out
@@ -403,8 +416,9 @@ def cdf_lower_bound(p: float, a: float, b: float, rho: float, p_j: float) -> flo
     disappears at P_J = inf, where the bound is the exact CDF.  Its limits
     at the endpoint nodes: 1 at b = inf (Eve on the jammer, where the
     conditional probability is 0) and 0 at a = inf below p = 1 (Eve on the
-    transmitter, where it is 1).  Where b*P_J*p underflows, the exponent is
-    taken from logs, and past e^7 its factor is 0.
+    transmitter, where it is 1).  At rho = 0 the second factor is its limit
+    1, also where b*p underflows.  Where b*P_J*p underflows, the exponent
+    is taken from logs, and past e^7 its factor is 0.
     """
     if not 0 < p <= 1:
         raise InvalidParameterError(f"p must be in (0, 1], got {p}")
@@ -416,9 +430,7 @@ def cdf_lower_bound(p: float, a: float, b: float, rho: float, p_j: float) -> flo
         return 1.0
     if math.isinf(a):
         return 0.0
-    tail = b * p / (b * p + a * rho * (1.0 - p))
-    if math.isinf(p_j):
-        return tail
+    tail = b * p / (b * p + a * rho * (1.0 - p)) if rho else 1.0
     if (den := b * p_j * p) > 0.0:
         return math.exp(-a * (1.0 - p) / den) * tail
     log_x = math.log(a) + math.log1p(-p) - math.log(b) - math.log(p_j) - math.log(p)

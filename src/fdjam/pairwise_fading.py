@@ -314,12 +314,15 @@ def _policy_integrand(u: np.ndarray, v: np.ndarray, a: float, b: float, rho: flo
 
 def _policy_rows(u, v, a: float, b: float, rho: float, p_j: float, work, out: np.ndarray) -> None:
     """One block of _policy_integrand's rows, written into out, shape (rows, 2)."""
+    if math.isinf(p_j):  # the closed form reads the window alone
+        c0, c2, _, _ = _wedge_window(rho, p_j, u, v)
+        w0 = np.sqrt(c0 / c2)
+        out[:, 1] = -np.expm1(-w0)
+        out[:, 0] = _semi_dynamic_row((rho * a / b) * u, (rho * b / a) * v, w0)
+        return
     c0, c2, d1, s, z = _wedge_coeffs(a, b, rho, p_j, u, v)
     w0 = np.sqrt(c0 / c2)
     out[:, 1] = -np.expm1(-w0)
-    if math.isinf(p_j):
-        out[:, 0] = _semi_dynamic_row((rho * a / b) * u, (rho * b / a) * v, w0)
-        return
     top = np.minimum(w0, _A_TOP)
     with np.errstate(invalid="ignore", over="ignore"):  # c = D1/C0 overflows only at extreme P_J
         ct = d1 / c0 * top
@@ -398,15 +401,15 @@ def _semi_dynamic_row(r1: np.ndarray, r2: np.ndarray, w0: np.ndarray) -> np.ndar
     A plain sum of the four E1 terms cancels near Bob's node, where r1 and
     r2 lie 12 decades apart: at (0.499, 0), rho = 1e-4, it missed a row by
     110 times its value.  A row agrees with a 40-digit evaluation to 2e-15.
-    An empty window (rho = 0 or B~ = 0) gives 0.
+    An empty window (rho = 0 or B~ = 0) gives 0, and so does r_s = 0, its
+    limit also where r_s underflows while w0 > 0.
     """
-    return _piecewise(
-        w0 > 0, _semi_dynamic_live, lambda r_s, r_b, w0: np.zeros_like(w0), np.minimum(r1, r2), np.maximum(r1, r2), w0
-    )
+    r_s = np.minimum(r1, r2)
+    return _piecewise(r_s > 0, _semi_dynamic_live, lambda r_s, r_b, w0: np.zeros_like(w0), r_s, np.maximum(r1, r2), w0)
 
 
 def _semi_dynamic_live(r_s: np.ndarray, r_b: np.ndarray, w0: np.ndarray) -> np.ndarray:
-    """_semi_dynamic_row on rows with w0 > 0, from r_s = min(r1, r2) and r_b = max(r1, r2)."""
+    """_semi_dynamic_row on rows with r_s > 0, from r_s = min(r1, r2) and r_b = max(r1, r2); w0 = 0 gives 0."""
     e_w0 = np.exp(-w0)
     f = _exp_e1(np.concatenate((r_s, r_s + w0)))
     near = r_s * (f[: r_s.size] - e_w0 * f[r_s.size :])

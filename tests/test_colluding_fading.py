@@ -198,6 +198,14 @@ def test_cdf_lower_bound_where_its_exponent_underflows() -> None:
     assert cdf_lower_bound(0.5, 5e-324, 1e-200, 0.0, 1e-124) == pytest.approx(math.exp(-float(ratio)), rel=1e-9)
 
 
+def test_cdf_lower_bound_without_self_interference_where_b_p_underflows() -> None:
+    # at rho = 0 the factor b*p/(b*p + a*rho*(1-p)) is 1, but where b*p underflows it was 0/0
+    # and the bound raised ZeroDivisionError
+    assert cdf_lower_bound(1e-6, 1e-200, 1e-320, 0.0, 1.0) == 0.0  # the exponent, about e^290, zeroes it
+    ratio = Fraction(1e-200) * (1 - Fraction(1e-6)) / (Fraction(1e-320) * Fraction(1e300) * Fraction(1e-6))
+    assert cdf_lower_bound(1e-6, 1e-200, 1e-320, 0.0, 1e300) == pytest.approx(math.exp(-float(ratio)), rel=1e-12)
+
+
 def test_prob_zero_cubature_at_huge_power_meets_the_unbounded_one() -> None:
     # the B~ map spread its nodes over log(rho*P_J*40) e-folds: 1.2e-7 off the oracle at rho*P_J
     # = 1e12, 1.0000000000000024 at 6.6e34 (found by the limit suite) and 1.02 at 1e100, where

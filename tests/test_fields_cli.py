@@ -448,6 +448,28 @@ def test_cli_pairwise_prob_zero_past_the_overflow_is_the_unbounded_one(capsys, p
     assert "nan" not in got and got == want
 
 
+@pytest.mark.parametrize("pj", ["1e307", "1e308", "1.7976931348623157e308"])
+def test_cli_colluding_prob_zero_near_the_float_limit_is_the_unbounded_one(capsys, pj: str) -> None:
+    # the products with P_J overflowed: at 1e308 the estimate printed nan +- nan and a share of 0.0973;
+    # on the jamming scale r = min(P_J, 1), i = 1/max(P_J, 1) the power prints the P_J = inf lines
+    argv = ["prob-zero", "--mode", "colluding", "--at", "-0.6", "0", "--rho", "0.01", "--samples", "20000"]
+    assert cli.main([*argv, "--seed", "1", "--pj", "inf"]) == 0
+    want = capsys.readouterr().out
+    assert cli.main([*argv, "--seed", "1", "--pj", pj]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_colluding_prob_zero_field_near_the_float_limit_is_the_unbounded_one() -> None:
+    # the 41x41 field at rho = 0.01 had 8 nan cells at P_J = 1e307 and 68 at 1e308; each cell now
+    # lies within its reported error of the P_J = inf cell
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 0.1)
+    unbounded = build_field("colluding", SystemParams(p_t=100.0, p_j=math.inf, rho=0.01), grid, quantity="prob-zero")
+    for p_j in (1e307, 1e308, sys.float_info.max):
+        fg = build_field("colluding", SystemParams(p_t=100.0, p_j=p_j, rho=0.01), grid, quantity="prob-zero")
+        assert not np.any(np.isnan(fg.values))
+        assert np.all(np.abs(fg.values - unbounded.values) <= fg.error)
+
+
 def test_cli_policy_past_the_overflow_prints_no_nan_and_no_wider_window(capsys) -> None:
     # at rho = 1, 1539 and 1540 dB printed a nan constant rung and a P2 above the 1530 dB rung's,
     # and 1550 dB died with an OverflowError; P2 cannot grow with P_J

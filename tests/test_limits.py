@@ -29,6 +29,7 @@ whose curvature reaches its limit 0 at P_J = inf.
 """
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -125,7 +126,9 @@ from fdjam.pairwise_fading import (
 INF = math.inf
 finite_gain = st.floats(1e-3, 1e3)
 gain = st.one_of(finite_gain, st.just(INF))
-power = st.one_of(st.just(0.0), st.floats(1e-3, 1e6), st.floats(1e6, 1e300), st.just(INF))
+power = st.one_of(
+    st.just(0.0), st.floats(1e-3, 1e6), st.floats(1e6, 1e300), st.floats(1e300, sys.float_info.max), st.just(INF)
+)
 rho_s = st.one_of(st.just(0.0), st.floats(1e-4, 0.9))
 fading = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
 p_t_s = st.floats(1e-2, 1e6)

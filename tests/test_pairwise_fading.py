@@ -302,6 +302,17 @@ def test_semi_dynamic_rows_do_not_depend_on_their_block() -> None:
     assert np.all(rows[w0 == 0] == 0.0) and np.all(rows[w0 > 0, 0] > 0.0)
 
 
+def test_semi_dynamic_row_is_zero_where_r_s_underflows() -> None:
+    # 1e-80 from Bob's node r1 = rho*B1~*a/b = 1e-464 underflows to 0 while the window w0 > 0:
+    # r_s*e^0*E1(0) was 0*inf, a nan row with RuntimeWarnings; the row's limit is 0
+    g = gains(0.5, 1e-80, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _policy_integrand(np.array([1e-300, 1.0]), np.array([700.0, 1.0]), g.a, g.b, 1e-4, math.inf)
+    assert rows[0, 0] == 0.0 and rows[0, 1] > 0.0
+    assert 0.0 <= rows[1, 0] <= rows[1, 1]
+
+
 @pytest.mark.parametrize("p_j", [1e-6, 1e15, math.inf])
 @pytest.mark.parametrize("rho", [1e-4, 10.0])
 def test_policy_rows_raise_no_floating_point_warning(monkeypatch, rho: float, p_j: float) -> None:
