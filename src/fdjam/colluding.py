@@ -19,6 +19,7 @@ from .geometry import (
     LinkGains,
     Region,
     SystemParams,
+    _jam_scale,
     _sign_array,
     gains,
     region4_containment_threshold,
@@ -43,29 +44,47 @@ __all__ = [
 LOG2E = math.log2(math.e)
 
 
+def _snr(sig, jam, p_t: float, p_j, fade=1.0, jam_fade=1.0) -> np.ndarray:
+    """SNR = fade*sig*P_T/(1 + jam_fade*jam*P_J) over arrays that broadcast; p_j may be one per element.
+
+    sig is the gain from the sender and jam the one from the jammer.  On
+    the jamming scale (r, i) of _jam_scale it is fade*sig*(P_T*i)/h with
+    h = i + jam_fade*jam*r: at P_J <= 1 the plain form, and past it no P_J
+    overflows it.  Where fade*sig*(P_T*i) overflows (h > 1, or h = inf
+    where the jammer's gain is), the quotient (P_T*i)/h is taken first.
+    Limits: a jamming term with a zero factor means no jamming, also
+    against an infinite gain or at P_J = 0, and so does h = 0 (P_J = inf
+    where no jamming reaches): the unjammed fade*sig*P_T.  sig = inf gives
+    inf, and fade = 0 gives 0.  These are taken only on the elements where
+    the plain quotient is not finite or nothing jams, gathered and
+    scattered back, so an array pays for them in proportion to their number.
+    """
+    r, i = _jam_scale(p_j)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        gain, jam = fade * sig, jam_fade * jam * r  # jam is NaN only where 0*inf, a zero factor
+        snr = np.asarray(gain * (p_t * i) / (i + jam))
+        if (fix := ~np.isfinite(snr) | (jam == 0)).any():  # the limits, and the overflow, element by element
+            g, t, s, f, ii = (np.broadcast_to(x, fix.shape)[fix] for x in (gain, jam, sig, fade, i))
+            snr[fix] = np.where((t == 0) | np.isnan(t), g * p_t, g * (p_t * ii / (ii + t)))
+            snr[fix] = np.where(np.isinf(s), np.where(f == 0, 0.0, np.inf), snr[fix])
+    return snr
+
+
 def snr_ab(params: SystemParams) -> float:
-    """Received SNR on the protected link: P_T / (1 + rho*P_J)."""
-    if params.rho == 0:
-        return params.p_t
-    return params.p_t / (1.0 + params.rho * params.p_j)
+    """Received SNR on the protected link: P_T / (1 + rho*P_J) (_snr)."""
+    return float(_snr(1.0, params.rho, params.p_t, params.p_j))
 
 
 def _secrecy_array(a, b, p_t: float, rho: float, p_j, c=1.0, d=1.0, a_t=1.0, b_t=1.0) -> np.ndarray:
     """One-direction secrecy [log2(1+SNR_AB) - log2(1+SNR_AE)]^+ over arrays that broadcast.
 
-    SNR_AB = A~*P_T/(1+rho*B~*P_J) and SNR_AE = C~*a*P_T/(1+D~*b*P_J), with
-    (a_t, b_t) the link-side and (c, d) the eavesdropper-side fading; all
-    ones is the static secrecy.  p_j is a scalar or one power per element.
-    Limits: a jamming term with a zero factor is 0 (also at b or P_J = inf),
-    a = inf makes SNR_AE infinite unless C~ = 0, and P_J = inf silences
-    every jammed receiver.
+    SNR_AB = A~*P_T/(1+rho*B~*P_J) and SNR_AE = C~*a*P_T/(1+D~*b*P_J), both
+    from _snr, with (a_t, b_t) the link-side and (c, d) the
+    eavesdropper-side fading; all ones is the static secrecy.  p_j is a
+    scalar or one power per element.
     """
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        jam_ab = np.where((p_j == 0) | (rho * b_t == 0), 0.0, rho * b_t * p_j)
-        jam_ae = np.where((p_j == 0) | (d == 0), 0.0, d * b * p_j)
-        snr_ae = np.where(np.isinf(a), np.inf, c * a * p_t / (1.0 + jam_ae))
-        snr_ae = np.where(c == 0, 0.0, snr_ae)
-        return np.maximum(0.0, (np.log1p(a_t * p_t / (1.0 + jam_ab)) - np.log1p(snr_ae)) / math.log(2.0))
+    snr_ab, snr_ae = _snr(1.0, rho, p_t, p_j, a_t, b_t), _snr(a, b, p_t, p_j, c, d)
+    return np.maximum(0.0, (np.log1p(snr_ab) - np.log1p(snr_ae)) / math.log(2.0))
 
 
 def secrecy_ab(g: LinkGains, params: SystemParams) -> float:
@@ -76,13 +95,14 @@ def secrecy_ab(g: LinkGains, params: SystemParams) -> float:
 def lambda_factor(g: LinkGains, params: SystemParams) -> float:
     """lambda = (1 + b*P_J) / (a*(1 + rho*P_J)); secrecy is positive iff > 1.
 
-    Taken as (i + b*r)/(a*(i + rho*r)), r = min(P_J, 1), i = 1/max(P_J, 1),
-    which no P_J overflows: P_J = inf is i = 0, and a zero denominator gives inf.
+    Taken as (i + b*r)/(a*(i + rho*r)) on the jamming scale (r, i) of
+    _jam_scale, which no P_J overflows: P_J = inf is i = 0, and a zero
+    denominator gives inf.
     """
     a, b, rho, p_j = g.a, g.b, params.rho, params.p_j
     if math.isinf(a):
         return 0.0
-    r, i = min(p_j, 1.0), 1.0 / max(p_j, 1.0)
+    r, i = map(float, _jam_scale(p_j))
     num = i if p_j == 0 else i + b * r  # guards inf*0 when b is infinite
     return num / den if (den := a * (i + rho * r)) else math.inf
 
@@ -151,15 +171,16 @@ def _jam_coeffs_array(a, b, rho: float, p_t: float) -> tuple:
     """(c2, c1, c0) of the jamming-power derivative over gain arrays that broadcast.
 
     Limits: a term with an exactly-zero factor is 0 even against an
-    infinite gain, as in _secrecy_array; that 0*inf is the only NaN c2 and
-    c1 can meet.  At a = inf, c0 = a*(b + P_T*(b - rho)) - rho is infinite
+    infinite gain or an overflowing a*P_T, as in _snr; that 0*inf is the
+    only NaN c2 and c1 can meet, and off a = inf the only one c0 can meet
+    (b = rho).  At a = inf, c0 = a*(b + P_T*(b - rho)) - rho is infinite
     with the sign of b + P_T*(b - rho), or -rho where that is 0.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         c2 = rho * b * (b - rho * a)
         c1 = 2.0 * rho * b * (a - 1.0)
-        c0 = a * b - rho + a * p_t * (b - rho)
+        c0 = a * b - rho + np.where(b == rho, 0.0, a * p_t * (b - rho))
     k = b + p_t * (b - rho)
     c0 = np.where(np.isinf(a), np.where(k == 0, -rho, np.copysign(math.inf, k)), c0)
     return np.where(np.isnan(c2), 0.0, c2), np.where(np.isnan(c1), 0.0, c1), c0

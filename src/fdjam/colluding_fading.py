@@ -20,7 +20,7 @@ import numpy as np
 
 from .colluding import _secrecy_array
 from .errors import InvalidParameterError
-from .geometry import LinkGains, SystemParams
+from .geometry import LinkGains, SystemParams, _jam_scale
 from .montecarlo import Estimate, MCConfig, estimate, exp_chunks
 
 __all__ = [
@@ -100,7 +100,7 @@ def _v_arrays(a, b, rho: float, p_j, a_t, b_t) -> tuple[np.ndarray, np.ndarray]:
     inf and keeps v2 = A~/a.
     """
     a_t, b_t = np.asarray(a_t, dtype=float), np.asarray(b_t, dtype=float)
-    r, i = np.minimum(p_j, 1.0), 1.0 / np.maximum(p_j, 1.0)
+    r, i = _jam_scale(p_j)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # h/i overflows only where exp(-v2) is 1
         h = i + rho * b_t * r
         v1, v2 = b * a_t * r / (a * h), a_t / (a * (h / i))
@@ -147,7 +147,7 @@ def _prob_zero_cubature(a, b, rho: float, p_j, upper: bool = False) -> tuple[np.
     """
     shape = np.broadcast(a, b, p_j).shape
     a, b, p_j = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b, p_j))
-    r, i = np.minimum(p_j, 1.0), 1.0 / np.maximum(p_j, 1.0)
+    r, i = _jam_scale(p_j)
     val, err = np.zeros(a.size), np.zeros(a.size)
     finite = ~np.isinf(a)
     val[~finite] = 1.0
@@ -416,9 +416,10 @@ def cdf_lower_bound(p: float, a: float, b: float, rho: float, p_j: float) -> flo
     disappears at P_J = inf, where the bound is the exact CDF.  Its limits
     at the endpoint nodes: 1 at b = inf (Eve on the jammer, where the
     conditional probability is 0) and 0 at a = inf below p = 1 (Eve on the
-    transmitter, where it is 1).  At rho = 0 the second factor is its limit
-    1, also where b*p underflows.  Where b*P_J*p underflows, the exponent
-    is taken from logs, and past e^7 its factor is 0.
+    transmitter, where it is 1).  Where both terms of the second factor
+    underflow, it is 1/(1 + x), x = a*rho*(1 - p)/(b*p) taken from logs: its
+    limit 1 at rho = 0.  Where b*P_J*p underflows, the exponent is taken
+    from logs, and past e^7 its factor is 0.
     """
     if not 0 < p <= 1:
         raise InvalidParameterError(f"p must be in (0, 1], got {p}")
@@ -430,7 +431,11 @@ def cdf_lower_bound(p: float, a: float, b: float, rho: float, p_j: float) -> flo
         return 1.0
     if math.isinf(a):
         return 0.0
-    tail = b * p / (b * p + a * rho * (1.0 - p)) if rho else 1.0
+    if (den := b * p + a * rho * (1.0 - p)) > 0.0:
+        tail = b * p / den
+    else:  # 1/(1 + e^x) as e^-m/(e^-m + e^(x - m)), m = max(x, 0), which no x overflows
+        x = math.log(a) + (math.log(rho) if rho else -math.inf) + math.log1p(-p) - math.log(b) - math.log(p)
+        tail = math.exp(-max(x, 0.0)) / (math.exp(-max(x, 0.0)) + math.exp(min(x, 0.0)))
     if (den := b * p_j * p) > 0.0:
         return math.exp(-a * (1.0 - p) / den) * tail
     log_x = math.log(a) + math.log1p(-p) - math.log(b) - math.log(p_j) - math.log(p)

@@ -167,6 +167,17 @@ def gain_fields(x: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray,
     return a, b
 
 
+def _jam_scale(p_j):
+    """(r, i) = (min(P_J, 1), 1/max(P_J, 1)), the jamming scale, for a scalar or an array P_J.
+
+    A jammed denominator 1 + g*P_J is h/i with h = i + g*r, and a jammed
+    quantity divided by max(1, P_J) keeps its value: no P_J overflows h,
+    P_J = inf is the member i = 0, and at P_J <= 1 (i = 1) h is the
+    denominator itself.
+    """
+    return np.minimum(p_j, 1.0), 1.0 / np.maximum(p_j, 1.0)
+
+
 def _sign_array(a, b, rho: float) -> np.ndarray:
     """Sign of b - rho*a over gain arrays that broadcast, with infinite gains as limits.
 

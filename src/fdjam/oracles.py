@@ -1,7 +1,8 @@
 """Brute-force numeric oracles used to cross-check every closed form.
 
 Nothing here shares algebra with the formulas under test: the maximizer is
-a log-grid plus golden-section search over actual secrecy evaluations, the
+a log-grid plus golden-section search over actual secrecy evaluations, or
+the bisected zero of the secrecy's slope taken from the raw SNRs, the
 wedge probability is a direct 2-D quadrature, the colluding outage is a
 2-D quadrature over both link fadings, and the Monte Carlo oracles count
 raw indicator events.  Every zero-secrecy event is read off the SINRs here
@@ -22,6 +23,7 @@ from .montecarlo import Estimate, MCConfig, estimate
 
 __all__ = [
     "golden_max_secrecy",
+    "bisect_max_secrecy",
     "quad_prob_zero_pair",
     "quad_policy_row",
     "quad_prob_zero_colluding",
@@ -33,7 +35,8 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_LANES = 1000  # lanes per block of golden_max_secrecy: its (lanes, grid) table stays near 16 MB
+_LANES = 1000  # lanes per block of _grid_argmax: its (lanes, grid) table stays near 16 MB
+_GRID = np.concatenate(([0.0], np.geomspace(1e-6, 1e9, 2000)))  # the P_J grid of the maximizers
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)  # per panel of quad_prob_zero_colluding
 
 
@@ -81,6 +84,26 @@ def _secrecy_over_pj(g: LinkGains, rho, p_t, p_j: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, (np.log1p(snr_main) - np.log1p(snr_eve)) / math.log(2.0))
 
 
+def _grid_argmax(g, rho, p_t) -> tuple:
+    """(one, lanes, k, at_k, bracket): per lane the index k and value of the largest secrecy on _GRID.
+
+    g is one LinkGains, or a sequence of them run as lanes with rho and p_t
+    scalars or one per lane; lanes is (a, b, rho, p_t), one array each, and
+    bracket the grid points (lo, hi) on either side of k.
+    """
+    one = isinstance(g, LinkGains)
+    gs = [g] if one else list(g)
+    a, b = np.array([x.a for x in gs]), np.array([x.b for x in gs])
+    rho, p_t = (np.broadcast_to(np.asarray(v, dtype=float), (len(gs),)) for v in (rho, p_t))
+    k, at_k = np.empty(len(gs), dtype=int), np.empty(len(gs))
+    for start in range(0, len(gs), _LANES):
+        blk = slice(start, start + _LANES)
+        vals = _secrecy_over_pj(SimpleNamespace(a=a[blk, None], b=b[blk, None]), rho[blk, None], p_t[blk, None], _GRID)
+        k[blk], at_k[blk] = np.argmax(vals, axis=1), vals.max(axis=1)
+    bracket = _GRID[np.maximum(k - 1, 0)], _GRID[np.minimum(k + 1, _GRID.size - 1)]
+    return one, (a, b, rho, p_t), k, at_k, bracket
+
+
 def golden_max_secrecy(
     g: LinkGains | Sequence[LinkGains], rho, p_t
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
@@ -92,29 +115,40 @@ def golden_max_secrecy(
     scalars or one per lane; lanes give two arrays, each entry equal to the
     lane's own scalar call.
     """
-    one = isinstance(g, LinkGains)
-    lanes = [g] if one else list(g)
-    n = len(lanes)
-    a, b = np.array([x.a for x in lanes]), np.array([x.b for x in lanes])
-    rho, p_t = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (rho, p_t))
-    grid = np.concatenate(([0.0], np.geomspace(1e-6, 1e9, 2000)))
-    best_x, best_f = np.empty(n), np.empty(n)
-    for start in range(0, n, _LANES):
-        blk = slice(start, start + _LANES)
-        ga, gb, r, pt = a[blk], b[blk], rho[blk], p_t[blk]
-        vals = _secrecy_over_pj(SimpleNamespace(a=ga[:, None], b=gb[:, None]), r[:, None], pt[:, None], grid)
-        k = np.argmax(vals, axis=1)
-        lo_b, hi_b = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
-        hi_b = np.where(hi_b <= lo_b, lo_b + 1.0, hi_b)
+    one, (a, b, rho, p_t), k, at_k, (lo, hi) = _grid_argmax(g, rho, p_t)
 
-        def f(pj: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            return _secrecy_over_pj(SimpleNamespace(a=ga[idx], b=gb[idx]), r[idx], pt[idx], pj)
+    def f(pj: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return _secrecy_over_pj(SimpleNamespace(a=a[idx], b=b[idx]), rho[idx], p_t[idx], pj)
 
-        x, fx = _golden_section_lanes(f, lo_b, hi_b)
-        at_k = vals[np.arange(k.size), k]
-        best_x[blk] = np.where(at_k > fx, grid[k], x)
-        best_f[blk] = np.where(at_k > fx, at_k, fx)
+    x, fx = _golden_section_lanes(f, lo, np.where(hi <= lo, lo + 1.0, hi))
+    best_x, best_f = np.where(at_k > fx, _GRID[k], x), np.where(at_k > fx, at_k, fx)
     return (float(best_x[0]), float(best_f[0])) if one else (best_x, best_f)
+
+
+def bisect_max_secrecy(g: LinkGains | Sequence[LinkGains], rho, p_t) -> float | np.ndarray:
+    """The interior maximizer of secrecy over P_J, bisected as the zero of its slope; NaN where there is none.
+
+    With SNR_AB = P_T/(1 + rho*P_J) and SNR_AE = a*P_T/(1 + b*P_J), each
+    rate falls as its receiver's jamming grows, and in nats
+    dS/dP_J = b*SNR_AE/((1 + b*P_J)*(1 + SNR_AE)) - rho*SNR_AB/((1 + rho*P_J)*(1 + SNR_AB)).
+    The bracket is the two grid cells around golden_max_secrecy's grid
+    maximum.  A lane whose slope does not fall from + to - across it (a
+    maximum at an end of the grid, or zero secrecy there) is NaN.  100
+    halvings take the bracket to adjacent floats.  Lanes as in
+    golden_max_secrecy: one LinkGains gives a float, a sequence an array.
+    """
+    one, (a, b, rho, p_t), _, at_k, (lo, hi) = _grid_argmax(g, rho, p_t)
+
+    def slope(pj: np.ndarray) -> np.ndarray:
+        snr_main, snr_eve = p_t / (1.0 + rho * pj), a * p_t / (1.0 + b * pj)
+        return b * snr_eve / ((1.0 + b * pj) * (1.0 + snr_eve)) - rho * snr_main / ((1.0 + rho * pj) * (1.0 + snr_main))
+
+    interior = (at_k > 0.0) & (slope(lo) > 0.0) & (slope(hi) < 0.0)
+    for _ in range(100):
+        rise = slope(mid := 0.5 * (lo + hi)) > 0.0
+        lo, hi = np.where(rise, mid, lo), np.where(rise, hi, mid)
+    root = np.where(interior, 0.5 * (lo + hi), math.nan)
+    return float(root[0]) if one else root
 
 
 def _eve_line(sig: float, jam: float, rho: float, p_j: float, a_t, b_t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -15,12 +15,13 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .colluding import LOG2E, _secrecy_array, gamma_coeff, positivity, snr_ab
+from .colluding import LOG2E, _secrecy_array, _snr, gamma_coeff, positivity, snr_ab
 from .errors import InvalidParameterError, RegimeWarning, UnsupportedRegimeError
 from .geometry import (
     LinkGains,
     Region,
     SystemParams,
+    _jam_scale,
     gains,
     region4_containment_threshold,
     region_classify,
@@ -103,15 +104,15 @@ def positivity_universal(rho: float) -> bool:
 
 
 def t_factor(g: LinkGains, params: SystemParams) -> float:
-    """T = (1+SNR_AE)(1+SNR_BE) = (1 + a*P_T/(1+b*P_J))*(1 + b*P_T/(1+a*P_J)).
+    """T = (1+SNR_AE)(1+SNR_BE) = (1 + a*P_T/(1+b*P_J))*(1 + b*P_T/(1+a*P_J)), the SNRs from _snr.
 
     Every term is positive, so nothing cancels, and the form reaches its
-    limit 1 at P_J = inf (or where b*P_J overflows) without inf/inf.
+    limit 1 at P_J = inf without inf/inf.
     """
     a, b, p_t, p_j = g.a, g.b, params.p_t, params.p_j
     if math.isinf(a) or math.isinf(b):
         raise InvalidParameterError("t_factor needs finite gains")
-    return (1.0 + a * p_t / (1.0 + b * p_j)) * (1.0 + b * p_t / (1.0 + a * p_j))
+    return float((1.0 + _snr(a, b, p_t, p_j)) * (1.0 + _snr(b, a, p_t, p_j)))
 
 
 def pair_hypotheses_hold(g: LinkGains, params: SystemParams) -> bool:
@@ -158,15 +159,17 @@ def origin_curvature(params: SystemParams) -> float:
     (4*alpha*q/u^2) * ((alpha+1)*G*P_T/u + alpha*q*((G/u)^2*P_J^2 - (P_J-P_T)^2)).
     Positive curvature of T means a local maximum of secrecy.  It is taken
     in r = 1/u and m = q*P_J/u = 1 - r, as
-    4*alpha*q*P_T*r*((alpha+1)*r*(1 + q*P_T*r) + alpha*(1 + m)*(2*m - q*P_T*r^2)):
-    no inf - inf at large P_J, and the limit 0 at P_J = inf, where T = 1.
+    4*alpha*q*P_T*r*((alpha+1)*r*(1 + q*P_T*r) + alpha*(1 + m)*(2*m - q*P_T*r^2)).
+    On the jamming scale (r_j, i) of _jam_scale u is h/i with h = i + q*r_j,
+    so r = i/h and m = q*r_j/h, and P_T enters only as (P_T*i)/h: no
+    inf - inf and no overflow at large P_J or P_T, and the limit 0 at
+    P_J = inf (i = 0), where T = 1.  At P_J <= 1 (i = 1) the products are
+    those of the form above, factor for factor.
     """
-    q, alpha, p_t = 2.0**params.alpha, params.alpha, params.p_t
-    qp = q * params.p_j
-    r = 1.0 / (1.0 + qp)
-    m = qp / (1.0 + qp) if qp < math.inf else 1.0
-    qtr = q * p_t * r
-    return 4.0 * alpha * q * p_t * r * ((alpha + 1.0) * r * (1.0 + qtr) + alpha * (1.0 + m) * (2.0 * m - qtr * r))
+    q, alpha, (r_j, i) = 2.0**params.alpha, params.alpha, map(float, _jam_scale(params.p_j))
+    inv_h, pt_i = 1.0 / (i + q * r_j), params.p_t * i
+    r, m, qtr = i * inv_h, q * r_j / (i + q * r_j), q * pt_i * inv_h
+    return 4.0 * alpha * q * pt_i * inv_h * ((alpha + 1.0) * r * (1.0 + qtr) + alpha * (1.0 + m) * (2.0 * m - qtr * r))
 
 
 def origin_extremum(params: SystemParams) -> ExtremumClass:
@@ -214,7 +217,7 @@ def deriv_x_axis(d: float, params: SystemParams) -> float:
     """d/dx of the pair secrecy (bits) along y = 0, at d_A = d.
 
     Equals -(log2 e)/2 times dlnT/dd; only T varies with position.  With
-    x = a*P_T/(1+b*P_J), y = b*P_T/(1+a*P_J) (T = (1+x)(1+y)) and the
+    x = a*P_T/(1+b*P_J), y = b*P_T/(1+a*P_J) from _snr (T = (1+x)(1+y)) and the
     logarithmic slopes a'/a = -alpha/d, b'/b = alpha/(1-d), which hold for
     any real alpha on both sides of d = 1,
     dlnT/dd = x/(1+x)*(a'/a - b'/b*(1 - 1/f_b)) + y/(1+y)*(b'/b - a'/a*(1 - 1/f_a)),
@@ -227,7 +230,7 @@ def deriv_x_axis(d: float, params: SystemParams) -> float:
     a, b, p_t, p_j, alpha = g.a, g.b, params.p_t, params.p_j, params.alpha
     la, lb = -alpha / d, alpha / (1.0 - d)
     f_b, f_a = 1.0 + b * p_j, 1.0 + a * p_j
-    x, y = a * p_t / f_b, b * p_t / f_a
+    x, y = float(_snr(a, b, p_t, p_j)), float(_snr(b, a, p_t, p_j))
     dlnt = x / (1.0 + x) * (la - lb * (1.0 - 1.0 / f_b)) + y / (1.0 + y) * (lb - la * (1.0 - 1.0 / f_a))
     return -0.5 * LOG2E * dlnt
 
@@ -308,11 +311,9 @@ def near_far_field(params: SystemParams) -> NearFarField:
             RegimeWarning,
             stacklevel=2,
         )
-    return NearFarField(
-        near=math.log2(1.0 / params.rho),
-        far=0.5 * math.log2(params.p_t / params.rho),
-        margin=margin,
-    )
+    quotient = params.p_t / params.rho  # past the float range, log2 P_T - log2 rho
+    far = math.log2(quotient) if quotient < math.inf else math.log2(params.p_t) - math.log2(params.rho)
+    return NearFarField(near=math.log2(1.0 / params.rho), far=0.5 * far, margin=margin)
 
 
 def node_peaks(params: SystemParams) -> float:

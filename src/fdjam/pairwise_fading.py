@@ -22,7 +22,7 @@ from . import montecarlo
 from .colluding_fading import _E1_SPLIT, _MIN_STRETCH, _e1_cf_tail, _exp_e1, _gauss_legendre, _piecewise
 from .colluding_fading import _TAIL_CUT as _A_TOP  # the A~ quadrature stops there; a wider window takes _WIDE_RULE
 from .errors import InvalidParameterError
-from .geometry import LinkGains, SystemParams
+from .geometry import LinkGains, SystemParams, _jam_scale
 from .montecarlo import Estimate, MCConfig, estimate, exp_chunks
 from .pairwise import _secrecy_pair_array
 
@@ -103,7 +103,7 @@ def _wedge_coeffs(a, b, rho: float, p_j: float, b1_t, b2_t) -> tuple:
     C0, C2 and h come from _wedge_window.
     """
     c0, c2, h1, h2 = _wedge_window(rho, p_j, b1_t, b2_t)
-    r, i, inv_a, inv_b = min(p_j, 1.0), 1.0 / max(p_j, 1.0), 1.0 / a, 1.0 / b
+    (r, i), inv_a, inv_b = _jam_scale(p_j), 1.0 / a, 1.0 / b
     d1 = (r * a * inv_b) * h1 + (r * b * inv_a) * h2
     return c0, c2, d1, (i * inv_b) * h1 + (i * inv_a) * h2, (r * i) * (inv_a + inv_b)
 
@@ -116,7 +116,7 @@ def _wedge_window(rho: float, p_j: float, b1_t, b2_t) -> tuple:
     min(i, 5e-324): the least float at finite P_J, which moves no C0 of
     2^-1020 or more, and 0 at P_J = inf.
     """
-    r, i = min(p_j, 1.0), 1.0 / max(p_j, 1.0)
+    r, i = _jam_scale(p_j)
     h1, h2 = i + (rho * r) * b1_t, i + (rho * r) * b2_t
     return h1 * h2 + min(i, math.ulp(0.0)), r**2, h1, h2
 

@@ -43,6 +43,7 @@ from fdjam.geometry import (
 )
 from fdjam.montecarlo import MCConfig, ecdf, sample_matrix
 from fdjam.oracles import (
+    bisect_max_secrecy,
     golden_max_secrecy,
     mc_cond_prob_zero_colluding,
     mc_cond_prob_zero_pair,
@@ -108,9 +109,10 @@ def test_containment_threshold() -> None:
 
 
 def test_optimal_jamming_matches_search_oracle() -> None:
+    """opt_jam against the golden-section search, and its interior optima against the bisected slope to 1e-9."""
     rng = np.random.default_rng(7)
     t0 = time.perf_counter()
-    bad = 0
+    bad = interior = 0
     regions = {r: 0 for r in Region}
     draws = []
     for _ in range(10_000):
@@ -121,20 +123,24 @@ def test_optimal_jamming_matches_search_oracle() -> None:
         draws.append((LinkGains(a, b), rho, p_t))
     gs, rhos, p_ts = zip(*draws)
     searched = golden_max_secrecy(gs, np.array(rhos), np.array(p_ts))  # one lane per draw
-    for (g, rho, p_t), pj_o, s_o in zip(draws, *searched):
+    roots = bisect_max_secrecy(gs, np.array(rhos), np.array(p_ts))
+    for (g, rho, p_t), pj_o, s_o, root in zip(draws, *searched, roots):
         res = opt_jam(g, rho, p_t)
         regions[res.region] += 1
         s_c = secrecy_ab(g, SystemParams(p_t=p_t, p_j=res.p_j_opt, rho=rho))
         rel = abs(res.p_j_opt - pj_o) / max(res.p_j_opt, 1e-30)
         if not (rel < 1e-6 or s_o - s_c < 1e-10):
             bad += 1
+        if not math.isnan(root):  # an interior optimum: the zero of dS/dP_J
+            interior += 1
+            bad += not abs(res.p_j_opt - root) <= 1e-9 * root
     dt = time.perf_counter() - t0
     spanned = all(regions[r] > 0 for r in (Region.R1, Region.R2, Region.R3))
-    ok = bad == 0 and spanned and dt < 60.0
+    ok = bad == 0 and spanned and interior > 5000 and dt < 60.0
     assert _report(
         "optimal-jamming-oracle",
         ok,
-        f"10000 draws, {bad} outside tolerance, regions "
+        f"10000 draws, {interior} interior, {bad} outside tolerance, regions "
         + "/".join(str(regions[r]) for r in Region)
         + f", {dt:.1f} s",
     )

@@ -206,6 +206,17 @@ def test_cdf_lower_bound_without_self_interference_where_b_p_underflows() -> Non
     assert cdf_lower_bound(1e-6, 1e-200, 1e-320, 0.0, 1e300) == pytest.approx(math.exp(-float(ratio)), rel=1e-12)
 
 
+def test_cdf_lower_bound_where_both_terms_of_its_second_factor_underflow() -> None:
+    # at rho > 0, b*p and a*rho*(1-p) both underflowed and b*p/(b*p + a*rho*(1-p)) raised
+    # ZeroDivisionError; the factor is 1/(1 + x), x = a*rho*(1-p)/(b*p), from about 1e13 to 1e-17 here
+    assert cdf_lower_bound(1e-6, 1e-200, 1e-320, 1e-200, 1.0) == 0.0  # the exponent, about e^290, zeroes it
+    p, a, b, p_j = Fraction(1e-6), Fraction(1e-163), Fraction(1e-320), Fraction(1e300)
+    for rho in (1e-150, 1e-163, 1e-180):
+        x = a * Fraction(rho) * (1 - p) / (b * p)
+        want = math.exp(-float(a * (1 - p) / (b * p_j * p))) / (1 + float(x))
+        assert cdf_lower_bound(1e-6, 1e-163, 1e-320, rho, 1e300) == pytest.approx(want, rel=1e-12)
+
+
 def test_prob_zero_cubature_at_huge_power_meets_the_unbounded_one() -> None:
     # the B~ map spread its nodes over log(rho*P_J*40) e-folds: 1.2e-7 off the oracle at rho*P_J
     # = 1e12, 1.0000000000000024 at 6.6e34 (found by the limit suite) and 1.02 at 1e100, where

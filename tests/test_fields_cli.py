@@ -470,6 +470,16 @@ def test_colluding_prob_zero_field_near_the_float_limit_is_the_unbounded_one() -
         assert np.all(np.abs(fg.values - unbounded.values) <= fg.error)
 
 
+@pytest.mark.parametrize("mode, rho", [("colluding", "0"), ("pairwise", "0.01")])
+def test_cli_secrecy_field_at_the_float_limit_prints_a_finite_mean(capsys, mode: str, rho: str) -> None:
+    # a*P_T overflowed before the jamming term divided it: at P_T = 1e308 and P_J = inf the colluding
+    # field printed mean = nan (176 nan cells at rho = 0), and the pairwise one 313 nan cells at rho = 0.01
+    argv = ["field", "--mode", mode, "--quantity", "secrecy", "--pt", "1e308", "--pj", "inf", "--rho", rho]
+    assert cli.main([*argv, "--step", "0.1"]) == 0
+    mean = float(capsys.readouterr().out.split("mean = ")[1].split()[0])
+    assert math.isfinite(mean)
+
+
 def test_cli_policy_past_the_overflow_prints_no_nan_and_no_wider_window(capsys) -> None:
     # at rho = 1, 1539 and 1540 dB printed a nan constant rung and a P2 above the 1530 dB rung's,
     # and 1550 dB died with an OverflowError; P2 cannot grow with P_J

@@ -6,6 +6,9 @@ stated once per quantity: no NaN, secrecy >= 0, probabilities in [0, 1], the
 kernel on arrays equals the scalar form element by element, and the closed
 limits (infinite gain at an endpoint, P_J in {0, inf}, rho = 0, zero
 fading, b = rho*a, w1 = 0 at the jamming gate) hold as literal values.
+The SNR forms (snr_ab, the secrecy static, per fading draw and over a
+field at P_T = 1e308, and T) match a 60-digit decimal evaluation of the
+raw SNRs wherever those lie in the float range.
 The pairwise wedge coefficients reproduce the w-form K = w1/w2, E = w3/w1
 and the closed forms of the window and the layer rate.  The policy rows
 (the quadrature at finite P_J, the closed form at P_J = inf) keep
@@ -28,9 +31,11 @@ exactly where the pair secrecy is positive, and the origin-extremum forms,
 whose curvature reaches its limit 0 at P_J = inf.
 """
 
+import decimal
 import math
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +53,7 @@ from fdjam.colluding import (
     p_j_opt_array,
     positivity,
     secrecy_ab,
+    snr_ab,
     worst_location,
     zero_region_predicate,
 )
@@ -73,6 +79,7 @@ from fdjam.geometry import (
     LinkGains,
     Region,
     SystemParams,
+    gain_fields,
     gains,
     region4_containment_threshold,
     region_classify,
@@ -180,11 +187,99 @@ def test_secrecy_limits(g, rho, p_j, p_t, a_t, b_t, b2_t, c, d) -> None:
     assert 0.5 * (arr[0] + arr[1]) == s_pair
 
 
+D60 = decimal.Context(prec=60)
+BIG = D60.create_decimal(1e308)  # the true values compared lie at or below the float 1e308, to 60 digits
+log_gain = st.one_of(st.floats(-3.0, 305.0).map(lambda e: 10.0**e), st.just(INF))
+log_p_t = st.floats(-2.0, 306.0).map(lambda e: 10.0**e)
+
+
+def _snr_60(sig: float, jam: float, p_t: float, p_j: float, fade: float = 1.0, jam_fade: float = 1.0) -> Decimal:
+    """fade*sig*P_T/(1 + jam_fade*jam*P_J) in 60 digits from the exact floats; no jamming where a factor is 0."""
+    if fade == 0:
+        return Decimal(0)
+    if math.isinf(sig):
+        return Decimal("Infinity")
+    with decimal.localcontext(D60):
+        top = Decimal(fade) * Decimal(sig) * Decimal(p_t)
+        if jam_fade == 0 or jam == 0 or p_j == 0:
+            return top
+        if math.isinf(jam) or math.isinf(p_j):
+            return Decimal(0)
+        return top / (1 + Decimal(jam_fade) * Decimal(jam) * Decimal(p_j))
+
+
+def _bits_60(snr_link: Decimal, snr_eve: Decimal) -> float | None:
+    """[log2(1 + SNR_AB) - log2(1 + SNR_AE)]^+ in 60 digits; None where an SNR is past 1e308 (Eve's may be inf)."""
+    if snr_link > BIG or (BIG < snr_eve < Decimal("Infinity")):
+        return None
+    if snr_eve.is_infinite():
+        return 0.0
+    with decimal.localcontext(D60):
+        return float(max(Decimal(0), ((1 + snr_link).ln() - (1 + snr_eve).ln()) / Decimal(2).ln()))
+
+
+@SETTINGS
+@given(log_gain, log_gain, log_p_t, power, rho_s, fading, fading, fading, fading, fading)
+@example(1e303, 1.0, 1e6, 1e305, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0)  # a*P_T overflowed before b*P_J divided it: 0 bits
+@example(1e200, 1e-10, 1e200, 1e250, 0.01, 1.0, 1.0, 1.0, 1.0, 1.0)  # T = 1e160 read inf
+@example(gains(-0.49999999, 0.0, 2.0).a, gains(-0.49999999, 0.0, 2.0).b, 1e300, 1e300, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+@example(100.0, 1.0, 1e307, INF, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0)  # inf/inf: nan
+@example(100.0, 1.0, 1e307, INF, 0.01, 1.0, 1.0, 1.0, 1.0, 1.0)
+@example(100.0, 1.0, 1e307, 1e300, 0.01, 1.0, 1.0, 1.0, 1.0, 1.0)
+@example(1e300, 1e300, 1e300, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 10.0)  # P_J <= 1: fade*sig*P_T overflows, the SNR does not
+def test_snr_forms_match_a_60_digit_evaluation(a, b, p_t, p_j, rho, a_t, b_t, b2_t, c, d) -> None:
+    """secrecy_sample(_pair), secrecy_ab, snr_ab and t_factor against the raw SNR formulas in 60 digits.
+
+    Compared where the true SNRs and T lie at or below 1e308, to 1e-12*max(1, value).
+    """
+    assume(not (math.isinf(a) and math.isinf(b)))
+    g, p = LinkGains(a, b), SystemParams(p_t=p_t, p_j=p_j, rho=rho)
+
+    def check(got: float, want: float | None) -> None:
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    link = _snr_60(1.0, rho, p_t, p_j)
+    link_t, link_t2 = (_snr_60(1.0, rho, p_t, p_j, a_t, bt) for bt in (b_t, b2_t))
+    if link <= BIG:
+        check(snr_ab(p), float(link))
+    check(secrecy_ab(g, p), _bits_60(link, _snr_60(a, b, p_t, p_j)))
+    s_ab = _bits_60(link_t, _snr_60(a, b, p_t, p_j, c, d))
+    check(secrecy_sample(g, p, c, d, a_t, b_t), s_ab)
+    s_ba = _bits_60(link_t2, _snr_60(b, a, p_t, p_j, d, c))
+    if s_ab is not None and s_ba is not None:
+        check(secrecy_sample_pair(g, p, c, d, a_t, b_t, b2_t), 0.5 * (s_ab + s_ba))
+    if not (math.isinf(a) or math.isinf(b)):
+        x, y = _snr_60(a, b, p_t, p_j), _snr_60(b, a, p_t, p_j)
+        with decimal.localcontext(D60):
+            t = (1 + x) * (1 + y)
+        if t <= BIG:
+            check(t_factor(g, p), float(t))
+
+
+@pytest.mark.parametrize("mode", ["colluding", "pairwise"])
+@pytest.mark.parametrize("p_j, rho", [(1e300, 0.0), (1e300, 0.01), (INF, 0.0), (INF, 0.01)])
+def test_secrecy_field_at_the_float_limit_matches_a_60_digit_evaluation(mode: str, p_j: float, rho: float) -> None:
+    # at P_T = 1e308 a*P_T overflowed: at P_J = inf the colluding field had 176 nan cells at rho = 0
+    # (the pairwise one 313 at rho = 0.01), and at 1e300 the same cells read 0 for up to 999 bits
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 0.1)
+    fg = build_field(mode, SystemParams(p_t=1e308, p_j=p_j, rho=rho), grid)
+    a_f, b_f = gain_fields(*np.meshgrid(grid.xs(), grid.ys()), 2.0)
+    link = _snr_60(1.0, rho, 1e308, p_j)
+    for got, a, b in zip(fg.values.flat, a_f.flat, b_f.flat):
+        if math.isinf(a) or math.isinf(b):
+            continue
+        s_ab = _bits_60(link, _snr_60(a, b, 1e308, p_j))
+        want = s_ab if mode == "colluding" else 0.5 * (s_ab + _bits_60(link, _snr_60(b, a, 1e308, p_j)))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 @SETTINGS
 @given(gain_pairs(), rho_s, p_t_s)
 @example(gains(0.5, 0.0, 2.0), 0.1, 100.0)  # Bob's node at a = 1: c1 meets inf*0
 @example(LinkGains(INF, 0.05), 0.1, 100.0)  # Alice's node with b < rho: c0 meets inf - inf
 @example(LinkGains(2.0, INF), 0.0, 100.0)  # rho = 0 against an infinite gain
+@example(LinkGains(194.0, 0.5), 0.5, 9.266459458053175e305)  # b = rho with a*P_T overflowing: c0 met inf*0
 def test_jam_derivative_coeffs_limits(g, rho, p_t) -> None:
     c2, c1, c0 = jam_derivative_coeffs(g, rho, p_t)
     assert not any(math.isnan(c) for c in (c2, c1, c0))
@@ -192,8 +287,9 @@ def test_jam_derivative_coeffs_limits(g, rho, p_t) -> None:
     if math.isinf(a):
         k = b + p_t * (b - rho)
         assert c0 == (-rho if k == 0 else math.copysign(INF, k))
-    elif not math.isinf(b):  # off the nodes the polynomial is the plain formula
-        assert (c2, c1, c0) == (rho * b * (b - rho * a), 2.0 * rho * b * (a - 1.0), a * b - rho + a * p_t * (b - rho))
+    elif not math.isinf(b):  # off the nodes the polynomial is the plain formula, a zero factor zeroing its term
+        c0_want = a * b - rho + (0.0 if b == rho else a * p_t * (b - rho))
+        assert (c2, c1, c0) == (rho * b * (b - rho * a), 2.0 * rho * b * (a - 1.0), c0_want)
     if rho == 0:
         assert c2 == 0.0 and c1 == 0.0
 
@@ -733,6 +829,7 @@ def test_lr_asymmetry_asymptotic_limits(delta, p_j, p_t, alpha) -> None:
 @example(1e-4, 1e6, True, 0.0, 0.5, 2.0)  # inside the regime, margin 50
 @example(0.01, 1e6, True, 0.0, 0.1, 2.0)  # rho above the containment threshold
 @example(0.01, 1e6, False, INF, 0.1, 2.0)
+@example(1e-4, 1.797693134862316e304, True, 0.0, 1.0, 2.0)  # P_T/rho overflows: far read inf, not 512 bits
 def test_near_far_field_limits(rho, p_t, coupled, p_j, delta, alpha) -> None:
     if coupled and rho > 0:
         p_j = math.sqrt(p_t / rho)

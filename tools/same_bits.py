@@ -24,13 +24,15 @@ The CLI cases: the README's CLI commands; `policy --samples 20000 --seed 5`;
 seeds 0-3 and 7; and the field matrix, both modes x five quantities x
 P_J in {0, 1, 1e4, inf} x rho in {0, 0.01, 1} x n in {1, 7, 2000, 70000} on a
 9x5 grid holding both endpoints, each written once as CSV and once as JSON
-(480 cases, 493 in all).  The policy cases: the constant policy at the points
+(480 cases), and the exact secrecy field at the float limit of P_T, both
+modes x `--pt 1e308` x P_J in {1e300, inf} x rho in {0, 0.01} on the same
+grid, written the same way (8 cases, 501 in all).  The policy cases: the constant policy at the points
 (0, 0), (-0.6, 0), (0.49, 0), (1.3, 0.7) and Bob's node (0.5, 0) x
 rho in {0, 0.01, 1} x P_J in {1e-3, 1, 1e4, 1e9} x n in {1, 8193, 70000},
 and the semi-dynamic policy, which jams without bound whatever P_J is, at
 the same points, rho and n (225 cases).  The per-draw cases: the same
 points x rho in {0, 0.01, 1} x P_J in {1e-3, 1, 1e4, 1e15, 1e100, 1e155,
-1e300, inf} (120 cases, 838 in all).  The stored file also names the
+1e300, inf} (120 cases, 846 in all).  The stored file also names the
 numpy and Python versions it was written with; floating-point results may
 move with either.
 """
@@ -111,6 +113,12 @@ def cases() -> dict[str, list]:
                         argv += ["--samples", n, "--seed", "1", *GRID]
                         name = f"field {mode} {quantity} pj={p_j} rho={rho} n={n}"
                         out[name] = [argv + ["--out", "f.csv"], argv + ["--out", "f.json", "--json"]]
+        for p_j in ("1e300", "inf"):
+            for rho in ("0", "0.01"):
+                argv = ["field", "--mode", mode, "--quantity", "secrecy", "--pt", "1e308", "--pj", p_j, "--rho", rho]
+                argv += GRID
+                name = f"field {mode} secrecy pt=1e308 pj={p_j} rho={rho}"
+                out[name] = [argv + ["--out", "f.csv"], argv + ["--out", "f.json", "--json"]]
     for x, y in POLICY_POINTS:
         for rho in POLICY_RHOS:
             for n in POLICY_NS:
