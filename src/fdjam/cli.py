@@ -22,6 +22,7 @@ from .errors import FdjamError, UnboundedOptimumError
 from .fields import GridSpec, build_field, build_region_grid, grid_argmax, grid_argmin, write_csv, write_json
 from .geometry import LinkGains, SystemParams, gains, region_classify, rho_disk, sign_b_minus_rho_a
 from .montecarlo import MCConfig, ecdf, estimate
+from .pairwise import _coupled_power
 from .pairwise_fading import JamPolicy, JamPolicyKind, _cond_prob_zero_pair_kernel, policy_prob_zero, semi_dynamic_cap
 from .verify import available_suites, run_suite
 
@@ -97,7 +98,7 @@ def _resolve_params(args: argparse.Namespace) -> SystemParams:
     if args.pj_auto:
         if not args.rho > 0:
             raise _UsageError("--pj-auto needs rho > 0")
-        p_j = math.sqrt(args.pt / args.rho)
+        p_j = _coupled_power(args.pt, args.rho)
     return SystemParams(p_t=args.pt, p_j=p_j, rho=args.rho, alpha=args.alpha)
 
 

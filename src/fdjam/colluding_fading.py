@@ -62,14 +62,23 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # e^x*E1(x) (_exp_e1): the power series of E1 below _E1_SPLIT (25 terms, highest first,
-# for Horner), a backward continued fraction of 32 terms above; both within 5e-14 relative
-_E1_SPLIT = 3.0
+# for Horner), a backward continued fraction of 96 terms above (_e1_cf).  Against a 60-digit
+# evaluation on [1e-3, 20] both were within 3 ulps; the series cancels past x = 1 (up to
+# 239 ulps just below 3), and the fraction needs 96 terms there (80 missed by 31 ulps)
+_E1_SPLIT = 1.0
 _E1_SERIES = tuple((-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(25, 0, -1))
-_E1_CF_TERMS = 32
+_E1_CF_TERMS = 96
 _EULER_GAMMA = 0.5772156649015329
 # The B~ rules of _prob_zero_cubature: Gauss-Legendre nodes on [0, 1]; a cell reports the
 # 48-node value, and its gap to the 32-node one as the error
 _B_RULE, _B_CHECK_RULE = ((0.5 * (1.0 + x), 0.5 * w) for x, w in map(_gauss_legendre, (48, 32)))
+# What the meta of a field from _prob_zero_cubature says of its method (fields.build_field)
+_CUBATURE_META = {
+    "method": "cubature",
+    "rule": "gauss-legendre in B~ on a log map, A~ in closed form",
+    "nodes": _B_RULE[0].size,
+    "error_nodes": _B_CHECK_RULE[0].size,
+}
 # Exp(1) variate past which e^-x < 5e-18: the B~ integral here and _policy_integrand's A~ one stop there
 _TAIL_CUT = 40.0
 # Smallest stretch L = log1p(c*top) of their log maps; below it a map is linear in t to 1e-8
@@ -173,15 +182,24 @@ def _on_b_rule(
 ) -> np.ndarray:
     """The B~ integral of _a_mean per cell on the rule (t, w), through the log map of _prob_zero_cubature."""
     t, w = rule
-    c = np.minimum(rho_r, _MAP_C_CAP * i) / i  # rho*P_J, capped
-    stretch = np.maximum(np.log1p(c * _TAIL_CUT), _MIN_STRETCH)[:, None]
-    scale = _TAIL_CUT / np.expm1(stretch)  # 1/c
-    tl = t * stretch  # (cells, nodes)
-    b_t = np.expm1(tl) * scale
+    stretch, scale = _log_map(np.minimum(rho_r, _MAP_C_CAP * i) / i * _TAIL_CUT, _TAIL_CUT)  # c = rho*P_J, capped
+    tl = t * stretch[:, None]  # (cells, nodes)
+    b_t = np.expm1(tl) * scale[:, None]
     s = a[:, None] * (i[:, None] + rho_r[:, None] * b_t)
     # e^-B~ times the map's Jacobian over L*scale
     vals = _a_mean(s, i[:, None], b_r[:, None], upper) * np.exp(tl - b_t)
-    return (vals * w).sum(axis=1) * (stretch * scale)[:, 0]
+    return (vals * w).sum(axis=1) * (stretch * scale)
+
+
+def _log_map(ct: np.ndarray, top) -> tuple[np.ndarray, np.ndarray]:
+    """(L, 1/c) of the log map x = expm1(t*L)/c from t in [0, 1] onto [0, top], L = log1p(c*top), from ct = c*top.
+
+    The map spreads a scale 1/c near x = 0 over the nodes.  L stops at
+    _MIN_STRETCH, below which the map is linear in t to 1e-8, and so does an
+    overflowing ct (inf, or NaN from inf/inf): such a map is linear in t.
+    """
+    stretch = np.maximum(np.log1p(np.where(np.isfinite(ct), ct, 0.0)), _MIN_STRETCH)
+    return stretch, top / np.expm1(stretch)
 
 
 def _a_mean(s, i, b_r, upper: bool) -> np.ndarray:
@@ -213,7 +231,7 @@ def _pj_inf_mean(kappa: np.ndarray) -> np.ndarray:
 
 
 def _x_exp_e1(x) -> np.ndarray:
-    """h(x) = x*e^x*E1(x) for x >= 0: 0 at x = 0, 1/(1 + (1 - R)/x) above _E1_SPLIT, 1 at x = inf.
+    """h(x) = x*e^x*E1(x) for x >= 0: 0 at x = 0, 1 - g from _e1_cf above _E1_SPLIT, 1 at x = inf.
 
     The series takes the log of x itself down to the least subnormal.
     """
@@ -221,33 +239,32 @@ def _x_exp_e1(x) -> np.ndarray:
     out, small = np.empty_like(x), x < _E1_SPLIT
     xs = x[small]
     out[small] = xs * _exp_e1(np.maximum(xs, np.finfo(float).smallest_subnormal))
-    xl = x[~small]
-    out[~small] = 1.0 / (1.0 + (1.0 - _e1_cf_tail(xl)) / xl)
+    out[~small] = 1.0 - _e1_cf(x[~small])[1]
     return out
 
 
-def _e1_cf_tail(x: np.ndarray) -> np.ndarray:
-    """The tail R of e^x*E1(x) = 1/(x + 1 - R), R = 1/(x + 3 - 4/(x + 5 - ...)), for x >= _E1_SPLIT.
+def _e1_cf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, g) = (e^x*E1(x), 1 - x*e^x*E1(x)) for x >= _E1_SPLIT, by the backward continued fraction.
 
-    1 - x*e^x*E1(x) = (1 - R)/(x + 1 - R) then has no cancellation.
+    f = 1/(x + 1 - R), R = 1/(x + 3 - 4/(x + 5 - ...)), and g = (1 - R)*f,
+    which has no cancellation.
     """
-    if not x.size:
-        return np.zeros(x.shape)
     tail = 0.0
     for k in range(_E1_CF_TERMS, 0, -1):
         tail = k * k / (x + (2 * k + 1) - tail)
-    return tail
+    f = 1.0 / (x + 1.0 - tail)
+    return f, (1.0 - tail) * f
 
 
 def _exp_e1(x) -> np.ndarray:
     """e^x*E1(x) for x > 0, E1 the exponential integral int_x^inf e^-t/t dt.
 
     Below _E1_SPLIT: e^x*(-gamma - log(x) - sum_k (-x)^k/(k*k!)); above it
-    the continued fraction of _e1_cf_tail.  The result has the shape of x
+    the continued fraction of _e1_cf.  The result has the shape of x
     and is an ndarray also for 0-d x.
     """
     x = np.asarray(x, dtype=float)
-    return np.asarray(_piecewise(x < _E1_SPLIT, _e1_series, lambda xl: 1.0 / (xl + 1.0 - _e1_cf_tail(xl)), x))
+    return np.asarray(_piecewise(x < _E1_SPLIT, _e1_series, lambda xl: _e1_cf(xl)[0], x))
 
 
 def _e1_series(x: np.ndarray) -> np.ndarray:

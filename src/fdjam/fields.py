@@ -20,7 +20,7 @@ import numpy as np
 
 from . import montecarlo
 from .colluding import _at_optimum, _secrecy_array, p_j_opt_array
-from .colluding_fading import _B_CHECK_RULE, _B_RULE, _prob_zero_cubature
+from .colluding_fading import _CUBATURE_META, _prob_zero_cubature
 from .errors import InvalidParameterError
 from .geometry import SystemParams, _region_array, gain_fields
 from .montecarlo import MCConfig
@@ -157,7 +157,7 @@ def build_field(
             e = montecarlo.sample_matrix(MCConfig(mc.seed, a_f.size), 2)
             c, d = e[:, 0].reshape(a_f.shape), e[:, 1].reshape(a_f.shape)
         if mode == "pairwise":
-            values, _, _ = _secrecy_pair_array(a_f, b_f, params.p_t, params.rho, p_j, c, d)
+            values = _secrecy_pair_array(a_f, b_f, params.p_t, params.rho, p_j, c, d)
         else:
             values = _secrecy_array(a_f, b_f, params.p_t, params.rho, p_j, c, d)
 
@@ -169,8 +169,7 @@ def build_field(
         **_params_meta(params),
     }
     if error is not None:
-        rule = "gauss-legendre in B~ on a log map, A~ in closed form"
-        meta.update(method="cubature", rule=rule, nodes=_B_RULE[0].size, error_nodes=_B_CHECK_RULE[0].size)
+        meta.update(_CUBATURE_META)
     elif drawn:  # an exact field draws nothing, whatever mc says
         meta["seed"] = mc.seed
         if not fading:  # a fading field draws once per cell, whatever n_samples is

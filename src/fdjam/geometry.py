@@ -76,14 +76,10 @@ class LinkGains:
 
     a is the gain from the transmitter at (-0.5, 0), b from (0.5, 0).
     Either may be math.inf when the point coincides with an endpoint.
-    Distances are carried along when the gains came from a location and are
-    NaN when the pair (a, b) was constructed directly.
     """
 
     a: float
     b: float
-    d_a: float = math.nan
-    d_b: float = math.nan
 
     def __post_init__(self) -> None:
         if not self.a > 0 or not self.b > 0:
@@ -93,7 +89,7 @@ class LinkGains:
 
     def swapped(self) -> "LinkGains":
         """Gains seen when the two endpoint roles are exchanged."""
-        return LinkGains(self.b, self.a, self.d_b, self.d_a)
+        return LinkGains(self.b, self.a)
 
 
 class Region(enum.Enum):
@@ -152,9 +148,7 @@ def gains(x: float, y: float, alpha: float) -> LinkGains:
         except (ZeroDivisionError, OverflowError):
             return math.inf
 
-    d_a = math.hypot(x + 0.5, y)
-    d_b = math.hypot(x - 0.5, y)
-    return LinkGains(a=gain(d_a), b=gain(d_b), d_a=d_a, d_b=d_b)
+    return LinkGains(a=gain(math.hypot(x + 0.5, y)), b=gain(math.hypot(x - 0.5, y)))
 
 
 def gain_fields(x: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:

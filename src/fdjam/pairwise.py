@@ -29,7 +29,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "PairSecrecy",
     "ExtremumClass",
     "NearFarField",
     "secrecy_pair",
@@ -53,15 +52,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PairSecrecy:
-    s: float
-    s_ab: float
-    s_ba: float
-
-
 def _secrecy_pair_array(a, b, p_t: float, rho: float, p_j, c=1.0, d=1.0, a_t=1.0, b1_t=1.0, b2_t=1.0):
-    """(pair secrecy, s_ab, s_ba) over arrays: the mean of the two one-direction secrecies.
+    """The pair secrecy over arrays: the mean of the two one-direction secrecies.
 
     The A->B direction sees self-interference fading b1_t and the B->A
     direction b2_t; the gains and the eavesdropper fadings (c, d) swap with
@@ -69,13 +61,12 @@ def _secrecy_pair_array(a, b, p_t: float, rho: float, p_j, c=1.0, d=1.0, a_t=1.0
     """
     s_ab = _secrecy_array(a, b, p_t, rho, p_j, c, d, a_t, b1_t)
     s_ba = _secrecy_array(b, a, p_t, rho, p_j, d, c, a_t, b2_t)
-    return 0.5 * (s_ab + s_ba), s_ab, s_ba
+    return 0.5 * (s_ab + s_ba)
 
 
-def secrecy_pair(g: LinkGains, params: SystemParams) -> PairSecrecy:
+def secrecy_pair(g: LinkGains, params: SystemParams) -> float:
     """Average of the two one-direction secrecies, each clipped at zero."""
-    s, s_ab, s_ba = _secrecy_pair_array(g.a, g.b, params.p_t, params.rho, params.p_j)
-    return PairSecrecy(s=float(s), s_ab=float(s_ab), s_ba=float(s_ba))
+    return float(_secrecy_pair_array(g.a, g.b, params.p_t, params.rho, params.p_j))
 
 
 def positivity_pair(g: LinkGains, params: SystemParams) -> bool:
@@ -297,7 +288,7 @@ def near_far_field(params: SystemParams) -> NearFarField:
     """
     if not params.rho > 0:
         raise UnsupportedRegimeError("near_far_field needs rho > 0")
-    p_j_auto = math.sqrt(params.p_t / params.rho)
+    p_j_auto = _coupled_power(params.p_t, params.rho)
     if not math.isclose(params.p_j, p_j_auto, rel_tol=1e-9):
         raise UnsupportedRegimeError(
             f"near_far_field needs P_J = sqrt(P_T/rho) = {p_j_auto:.6g}, got {params.p_j}"
@@ -311,9 +302,13 @@ def near_far_field(params: SystemParams) -> NearFarField:
             RegimeWarning,
             stacklevel=2,
         )
-    quotient = params.p_t / params.rho  # past the float range, log2 P_T - log2 rho
-    far = math.log2(quotient) if quotient < math.inf else math.log2(params.p_t) - math.log2(params.rho)
-    return NearFarField(near=math.log2(1.0 / params.rho), far=0.5 * far, margin=margin)
+    return NearFarField(near=math.log2(1.0 / params.rho), far=math.log2(p_j_auto), margin=margin)
+
+
+def _coupled_power(p_t: float, rho: float) -> float:
+    """The coupled jamming power sqrt(P_T/rho), rho > 0: sqrt(P_T)/sqrt(rho) where P_T/rho overflows."""
+    quotient = p_t / rho
+    return math.sqrt(quotient) if quotient < math.inf else math.sqrt(p_t) / math.sqrt(rho)
 
 
 def node_peaks(params: SystemParams) -> float:

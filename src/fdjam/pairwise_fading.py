@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import montecarlo
-from .colluding_fading import _E1_SPLIT, _MIN_STRETCH, _e1_cf_tail, _exp_e1, _gauss_legendre, _piecewise
+from .colluding_fading import _e1_cf, _exp_e1, _gauss_legendre, _log_map, _piecewise
 from .colluding_fading import _TAIL_CUT as _A_TOP  # the A~ quadrature stops there; a wider window takes _WIDE_RULE
 from .errors import InvalidParameterError
 from .geometry import LinkGains, SystemParams, _jam_scale
@@ -62,8 +62,10 @@ def _crowded_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 _CLOSING_RULE = _crowded_rule(32)
 _WIDE_RULE = _crowded_rule(48)
 # 12 Gauss-Legendre nodes on [0, 1] for the smooth part of the semi-dynamic row (_semi_dynamic_row)
+# where its window w0 is below _FAR_SPLIT; from there on the part is a closed form in e^x*E1(x)
 _GL12_X, _GL12_WX = _gauss_legendre(12)
 _GL12_T, _GL12_W = 0.5 * (1.0 + _GL12_X), 0.5 * _GL12_WX
+_FAR_SPLIT = 3.0
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,13 @@ def _wedge_coeffs(a, b, rho: float, p_j: float, b1_t, b2_t) -> tuple:
     P_J = inf is the member i = 0, the limits of K and of E = 0.  The window
     outside which the wedge is empty is w0 = sqrt(C0/C2), and the boundary
     layer at A~ = 0, where K falls like 1/(1 + c*A~), has rate c = D1/C0.
-    C0, C2 and h come from _wedge_window.
+    C0, C2 and h come from _wedge_window, the rest from _window_coeffs.
     """
-    c0, c2, h1, h2 = _wedge_window(rho, p_j, b1_t, b2_t)
+    return _window_coeffs(a, b, p_j, *_wedge_window(rho, p_j, b1_t, b2_t))
+
+
+def _window_coeffs(a, b, p_j: float, c0, c2, h1, h2) -> tuple:
+    """(C0, C2, D1, S, Z) of _wedge_coeffs from the window (C0, C2, h1, h2) of _wedge_window and the gains."""
     (r, i), inv_a, inv_b = _jam_scale(p_j), 1.0 / a, 1.0 / b
     d1 = (r * a * inv_b) * h1 + (r * b * inv_a) * h2
     return c0, c2, d1, (i * inv_b) * h1 + (i * inv_a) * h2, (r * i) * (inv_a + inv_b)
@@ -121,13 +127,19 @@ def _wedge_window(rho: float, p_j: float, b1_t, b2_t) -> tuple:
     return h1 * h2 + min(i, math.ulp(0.0)), r**2, h1, h2
 
 
-def _wedge(coeffs: tuple, a_t, out: tuple = (None, None, None)) -> tuple:
-    """(w1, w2, w3) at A~ = a_t from _wedge_coeffs, written into the arrays of out if given.
+def _window_mass(c0, c2) -> tuple:
+    """(w0, 1 - e^-w0): the window w0 = sqrt(C0/C2), past which the wedge is empty, and its Exp(1) mass."""
+    w0 = np.sqrt(c0 / c2)
+    return w0, -np.expm1(-w0)
+
+
+def _wedge(coeffs: tuple, a_t, out: tuple | None = None) -> tuple:
+    """(w1, w2, w3) at A~ = a_t from _wedge_coeffs, written into the three arrays of out, or of new ones.
 
     w1 <= C0 <= w2 also after rounding, so K = w1/w2 <= 1.
     """
     c0, c2, d1, s, z = coeffs
-    o1, o2, o3 = out
+    o1, o2, o3 = out or (np.empty(np.broadcast_shapes(*map(np.shape, (c0, d1, s, a_t)))) for _ in range(3))
     c2a2 = np.multiply(c2, np.multiply(a_t, a_t, out=o1), out=o1)
     w2 = np.add(np.add(c0, np.multiply(d1, a_t, out=o2), out=o2), c2a2, out=o2)
     w3 = np.multiply(a_t, np.add(s, np.multiply(z, a_t, out=o3), out=o3), out=o3)
@@ -151,37 +163,35 @@ def cond_prob_zero_pair_array(
 def _cond_prob_zero_pair_kernel(a, b, rho: float, p_j: float, a_t, b1_t, b2_t) -> np.ndarray:
     """cond_prob_zero_pair over fading arrays; the gains a, b may be arrays that broadcast.
 
-    K*exp(-E) where w1 > 0, else 0.  The gain-free window test
-    C0 > C2*A~^2 comes first, on about 1024 evenly spaced draws: if under a
-    quarter of them are inside, the wedge is taken on the in-window draws
-    alone, gathered with their gains, and scattered into zeros.  At an
-    endpoint node (a or b infinite) the limit is 0 for P_J > 0 and
-    exp(-A~*(1/a + 1/b)) without jamming, where only the finite-gain phase
-    can fail.
+    K*exp(-E) where w1 > 0, else 0.  The gain-free window comes first, once
+    per draw, and its test C0 > C2*A~^2 is exactly w1 > 0: fl(C0 - x) > 0
+    iff C0 > x.  Where under a quarter of the draws are inside, the wedge
+    is taken on those alone, from their gathered window and gains, and
+    scattered into zeros.  At an endpoint node (a or b infinite) the limit
+    is 0 for P_J > 0 and exp(-A~*(1/a + 1/b)) without jamming, where only
+    the finite-gain phase can fail.
     """
-
-    def inside(at, u, v):  # exactly where _wedge gives w1 > 0: fl(C0 - x) > 0 iff C0 > x
-        c0, c2, _, _ = _wedge_window(rho, p_j, u, v)
-        return c0 > c2 * (at * at)
-
     a_t, node = np.asarray(a_t, dtype=float), np.isinf(a) | np.isinf(b)
     if np.any(node):
         limit = np.exp(-a_t * (1.0 / a + 1.0 / b)) if p_j == 0 else 0.0
         a, b = np.where(node, 1.0, a), np.where(node, 1.0, b)
-    shape = np.broadcast_shapes(np.shape(a), np.shape(b), a_t.shape, np.shape(b1_t), np.shape(b2_t))
-    step = max(1, math.prod(shape) // 1024)
-    probe = inside(*(np.broadcast_to(x, shape).flat[::step] for x in (a_t, b1_t, b2_t)))
-    if gather := 4 * np.count_nonzero(probe) < probe.size:
-        pick = np.flatnonzero(np.broadcast_to(inside(a_t, b1_t, b2_t), shape))
-        a, b, a_t, b1_t, b2_t = (np.broadcast_to(x, shape).flat[pick] for x in (a, b, a_t, b1_t, b2_t))
-    w1, w2, w3 = _wedge(_wedge_coeffs(a, b, rho, p_j, b1_t, b2_t), a_t)
-    live = w1 > 0.0
+    c0, c2, h1, h2 = _wedge_window(rho, p_j, b1_t, b2_t)
+    live = c0 > a_t * a_t * c2  # the square first: numpy multiplies into its buffer
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), live.shape)
+    if gather := 4 * np.count_nonzero(live) < live.size:
+        pick = np.flatnonzero(np.broadcast_to(live, shape))
+        a, b, a_t, c0, h1, h2 = (np.broadcast_to(x, shape).flat[pick] for x in (a, b, a_t, c0, h1, h2))
+    # each array goes after its last use: the dense path holds fewer at once than the wedge's
+    # coefficients and terms together
+    coeffs = _window_coeffs(a, b, p_j, c0, c2, h1, h2)
+    del c0, h1, h2
+    w1, w2, w3 = _wedge(coeffs, a_t)
+    del coeffs
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        # E = 0 where masked: numpy's exp is ~20x slower where its result underflows
-        val = np.where(live, w1 / w2 * np.exp(-w3 / np.where(live, w1, np.inf)), 0.0)
-    if gather:
-        np.put(out := np.zeros(shape), pick, val)
-        val = out
+        if gather:  # every gathered draw is inside
+            np.put(val := np.zeros(shape), pick, w1 / w2 * np.exp(-w3 / w1))
+        else:  # E = 0 where masked: numpy's exp is ~20x slower where its result underflows
+            val = np.where(live, w1 / w2 * np.exp(-w3 / np.where(live, w1, np.inf)), 0.0)
     return np.where(node, limit, val) if np.any(node) else val
 
 
@@ -314,20 +324,15 @@ def _policy_integrand(u: np.ndarray, v: np.ndarray, a: float, b: float, rho: flo
 
 def _policy_rows(u, v, a: float, b: float, rho: float, p_j: float, work, out: np.ndarray) -> None:
     """One block of _policy_integrand's rows, written into out, shape (rows, 2)."""
+    window = _wedge_window(rho, p_j, u, v)
+    w0, out[:, 1] = _window_mass(*window[:2])
     if math.isinf(p_j):  # the closed form reads the window alone
-        c0, c2, _, _ = _wedge_window(rho, p_j, u, v)
-        w0 = np.sqrt(c0 / c2)
-        out[:, 1] = -np.expm1(-w0)
         out[:, 0] = _semi_dynamic_row((rho * a / b) * u, (rho * b / a) * v, w0)
         return
-    c0, c2, d1, s, z = _wedge_coeffs(a, b, rho, p_j, u, v)
-    w0 = np.sqrt(c0 / c2)
-    out[:, 1] = -np.expm1(-w0)
+    c0, c2, d1, s, z = _window_coeffs(a, b, p_j, *window)
     top = np.minimum(w0, _A_TOP)
     with np.errstate(invalid="ignore", over="ignore"):  # c = D1/C0 overflows only at extreme P_J
-        ct = d1 / c0 * top
-    stretch = np.maximum(np.log1p(np.where(np.isfinite(ct), ct, 0.0)), _MIN_STRETCH)
-    scale = top / np.expm1(stretch)  # 1/c
+        stretch, scale = _log_map(d1 / c0 * top, top)
     wide, closing = (functools.partial(_rows_on_rule, rule, c2, z, work) for rule in (_WIDE_RULE, _CLOSING_RULE))
     out[:, 0] = _piecewise(w0 > _A_TOP, wide, closing, c0, d1, s, stretch, scale)
 
@@ -395,9 +400,9 @@ def _semi_dynamic_row(r1: np.ndarray, r2: np.ndarray, w0: np.ndarray) -> np.ndar
     - r_s*int_0^w0 e^-A~/(A~ + r_s) = r_s*(f(r_s) - e^-w0*f(r_s + w0)),
       f = _exp_e1;
     - int_0^w0 e^-A~*A~/(A~ + r_b), whose pole lies at least w0 below the
-      window: 12 Gauss-Legendre nodes for w0 < _E1_SPLIT, and above it
+      window: 12 Gauss-Legendre nodes for w0 < _FAR_SPLIT, and above it
       g(r_b) - e^-w0*(g(r_b + w0) + w0*f(r_b + w0)) with g(x) = 1 - x*f(x)
-      taken from the continued fraction's tail, free of cancellation.
+      from the continued fraction (_e1_cf), free of cancellation.
     A plain sum of the four E1 terms cancels near Bob's node, where r1 and
     r2 lie 12 decades apart: at (0.499, 0), rho = 1e-4, it missed a row by
     110 times its value.  A row agrees with a 40-digit evaluation to 2e-15.
@@ -413,11 +418,11 @@ def _semi_dynamic_live(r_s: np.ndarray, r_b: np.ndarray, w0: np.ndarray) -> np.n
     e_w0 = np.exp(-w0)
     f = _exp_e1(np.concatenate((r_s, r_s + w0)))
     near = r_s * (f[: r_s.size] - e_w0 * f[r_s.size :])
-    return near - _piecewise(w0 >= _E1_SPLIT, _far_tail, _far_nodes, r_b, w0)
+    return near - _piecewise(w0 >= _FAR_SPLIT, _far_tail, _far_nodes, r_b, w0)
 
 
 def _far_nodes(r_b: np.ndarray, w0: np.ndarray) -> np.ndarray:
-    """int_0^w0 e^-A~*A~/(A~ + r_b) on the 12 Gauss-Legendre nodes, for w0 < _E1_SPLIT."""
+    """int_0^w0 e^-A~*A~/(A~ + r_b) on the 12 Gauss-Legendre nodes, for w0 < _FAR_SPLIT."""
     acc = np.zeros_like(w0)
     for t, w in zip(_GL12_T, _GL12_W):
         x = t * w0
@@ -426,11 +431,9 @@ def _far_nodes(r_b: np.ndarray, w0: np.ndarray) -> np.ndarray:
 
 
 def _far_tail(r_b: np.ndarray, w0: np.ndarray) -> np.ndarray:
-    """The same integral for w0 >= _E1_SPLIT: g(r_b) - e^-w0*(g(r_b + w0) + w0*f(r_b + w0))."""
+    """The same integral for w0 >= _FAR_SPLIT: g(r_b) - e^-w0*(g(r_b + w0) + w0*f(r_b + w0)), r_b >= w0."""
     x = np.concatenate((r_b, r_b + w0))
-    tail = _e1_cf_tail(x)
-    fx = 1.0 / (x + 1.0 - tail)
-    gx = (1.0 - tail) * fx
+    fx, gx = _e1_cf(x)
     return gx[: r_b.size] - np.exp(-w0) * (gx[r_b.size :] + w0 * fx[r_b.size :])
 
 
@@ -508,8 +511,7 @@ def p2_bound(rho: float, p_j: float, mc: MCConfig) -> Estimate:
         raise InvalidParameterError(f"p2_bound needs P_J > 0, got {p_j}")
 
     def window_mass(uv: np.ndarray) -> np.ndarray:
-        c0, c2, _, _ = _wedge_window(rho, p_j, uv[:, 0], uv[:, 1])
-        return -np.expm1(-np.sqrt(c0 / c2))
+        return _window_mass(*_wedge_window(rho, p_j, uv[:, 0], uv[:, 1])[:2])[1]
 
     return estimate(window_mass, mc, draws_per_sample=2)
 
@@ -562,7 +564,5 @@ def secrecy_sample_pair(
     The A->B direction sees self-interference fading b1_tilde and the
     B->A direction b2_tilde; the eavesdropper fadings swap with the roles.
     """
-    s, _, _ = _secrecy_pair_array(
-        g.a, g.b, params.p_t, params.rho, params.p_j, c_tilde, d_tilde, a_tilde, b1_tilde, b2_tilde
-    )
-    return float(s)
+    p_t, rho, p_j = params.p_t, params.rho, params.p_j
+    return float(_secrecy_pair_array(g.a, g.b, p_t, rho, p_j, c_tilde, d_tilde, a_tilde, b1_tilde, b2_tilde))

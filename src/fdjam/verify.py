@@ -251,7 +251,7 @@ def _suite_pairwise(seed: int) -> list[CheckResult]:
     for _ in range(100):
         g = LinkGains(a=float(10.0 ** rng.uniform(-2, 2)), b=float(10.0 ** rng.uniform(-2, 2)))
         params = SystemParams(p_t=100.0, p_j=float(10.0 ** rng.uniform(-1, 3)), rho=float(rng.uniform(0, 0.5)))
-        ok &= abs(secrecy_pair(g, params).s - secrecy_pair(g.swapped(), params).s) < 1e-12
+        ok &= abs(secrecy_pair(g, params) - secrecy_pair(g.swapped(), params)) < 1e-12
     out.append(_check("pairwise", "swap-symmetry", ok))
 
     draws, s_t = [], []  # (a, b, P_T, P_J, rho) and secrecy_from_t there
@@ -267,7 +267,7 @@ def _suite_pairwise(seed: int) -> list[CheckResult]:
         draws.append((g.a, g.b, params.p_t, params.p_j, params.rho))
         s_t.append(secrecy_from_t(g, params))
     a, b, p_t, p_j, rho = np.array(draws).T
-    s_p, _, _ = _secrecy_pair_array(a, b, p_t, rho, p_j)  # secrecy_pair's kernel, one call
+    s_p = _secrecy_pair_array(a, b, p_t, rho, p_j)  # secrecy_pair's kernel, one call
     ok = bool(np.all(np.abs(np.array(s_t) - s_p) < 1e-10 * np.maximum(1.0, s_p)))
     out.append(_check("pairwise", "t-factor-identity", ok))
 
@@ -276,7 +276,7 @@ def _suite_pairwise(seed: int) -> list[CheckResult]:
     for d in (0.3, 0.7, 1.4):
 
         def f(dd: float) -> float:
-            return secrecy_pair(gains(dd - 0.5, 0.0, params.alpha), params).s
+            return secrecy_pair(gains(dd - 0.5, 0.0, params.alpha), params)
 
         fd = central_diff(f, d, 1e-5)
         an = deriv_x_axis(d, params)
@@ -287,7 +287,7 @@ def _suite_pairwise(seed: int) -> list[CheckResult]:
     params = SystemParams(p_t=100.0, p_j=50.0, rho=0.1)
 
     def fx(x: float) -> float:
-        return secrecy_pair(gains(x, 0.0, params.alpha), params).s
+        return secrecy_pair(gains(x, 0.0, params.alpha), params)
 
     coef = origin_curvature(params)
     s2 = second_diff(fx, 0.0, 1e-3)

@@ -445,7 +445,7 @@ def test_derivative_suite() -> None:
     params = SystemParams(p_t=100.0, p_j=1e4, rho=1e-4)
 
     def s_axis(d: float) -> float:
-        return secrecy_pair(gains(d - 0.5, 0.0, params.alpha), params).s
+        return secrecy_pair(gains(d - 0.5, 0.0, params.alpha), params)
 
     worst_fd = 0.0
     for d in (0.3, 0.7, 1.4):
@@ -481,7 +481,7 @@ def test_derivative_suite() -> None:
         checked += 1
 
         def s_at(xv: float) -> float:
-            return secrecy_pair(gains(xv, 0.0, p.alpha), p).s
+            return secrecy_pair(gains(xv, 0.0, p.alpha), p)
 
         s0 = s_at(0.0)
         noise = 1e3 * np.finfo(float).eps * max(abs(s0), 1.0)

@@ -80,7 +80,7 @@ def test_fields_and_sample_matrix_see_the_same_draws(mode: str) -> None:
     if mode == "colluding":
         want = _secrecy_array(a_f, b_f, params.p_t, params.rho, params.p_j, c, d)
     else:
-        want, _, _ = _secrecy_pair_array(a_f, b_f, params.p_t, params.rho, params.p_j, c, d)
+        want = _secrecy_pair_array(a_f, b_f, params.p_t, params.rho, params.p_j, c, d)
     assert np.array_equal(fading.values, want)
 
 

@@ -722,6 +722,13 @@ def test_verify_takes_a_seed_and_no_samples(monkeypatch, capsys) -> None:
     assert captured.out == "" and captured.err.startswith("fdjam: error: ")
 
 
+def test_cli_pj_auto_where_pt_over_rho_overflows(capsys) -> None:
+    # P_T/rho passes the float range, but the coupled power sqrt(P_T/rho) is 1.34e154, not inf
+    argv = ["cdf", "--at", "-0.6", "0", "--pt", "1.797693134862316e304", "--rho", "1e-4", "--pj-auto"]
+    assert cli.main(argv + ["--samples", "1000"]) == 0
+    assert " p_j=1.34078e+154 " in capsys.readouterr().out.splitlines()[0]
+
+
 def test_cli_pj_auto(capsys) -> None:
     rc = cli.main(
         [

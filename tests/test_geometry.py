@@ -42,7 +42,6 @@ def test_gains_basic_values() -> None:
     g = gains(0.0, 0.0, 2.0)
     assert g.a == pytest.approx(4.0)
     assert g.b == pytest.approx(4.0)
-    assert g.d_a == pytest.approx(0.5)
     g3 = gains(1.5, 0.0, 3.0)
     assert g3.a == pytest.approx(2.0**-3)
     assert g3.b == pytest.approx(1.0)
@@ -72,7 +71,6 @@ def test_swapped_exchanges_roles() -> None:
     g = gains(0.2, 0.4, 2.0)
     s = g.swapped()
     assert (s.a, s.b) == (g.b, g.a)
-    assert (s.d_a, s.d_b) == (g.d_b, g.d_a)
 
 
 def test_sign_handles_limits() -> None:

@@ -706,7 +706,7 @@ def test_t_factor_and_secrecy_from_t_limits(g, rho, p_j, p_t) -> None:
         return
     s = secrecy_from_t(g, p)
     assert not math.isnan(s)
-    assert s == pytest.approx(secrecy_pair(g, p).s, rel=1e-9, abs=1e-9)
+    assert s == pytest.approx(secrecy_pair(g, p), rel=1e-9, abs=1e-9)
 
 
 @SETTINGS
@@ -830,13 +830,16 @@ def test_lr_asymmetry_asymptotic_limits(delta, p_j, p_t, alpha) -> None:
 @example(0.01, 1e6, True, 0.0, 0.1, 2.0)  # rho above the containment threshold
 @example(0.01, 1e6, False, INF, 0.1, 2.0)
 @example(1e-4, 1.797693134862316e304, True, 0.0, 1.0, 2.0)  # P_T/rho overflows: far read inf, not 512 bits
+@example(1e-4, 1.797693134862316e304, False, INF, 1.0, 2.0)  # there P_J = inf is not the coupled power
 def test_near_far_field_limits(rho, p_t, coupled, p_j, delta, alpha) -> None:
+    # the coupled power sqrt(P_T/rho) as sqrt(P_T)/sqrt(rho): no quotient to overflow
+    coupled_pj = math.sqrt(p_t) / math.sqrt(rho) if rho > 0 else math.nan
     if coupled and rho > 0:
-        p_j = math.sqrt(p_t / rho)
+        p_j = coupled_pj
     p = SystemParams(p_t=p_t, p_j=p_j, rho=rho, alpha=alpha, delta=delta)
     inside = (
         rho > 0
-        and math.isclose(p_j, math.sqrt(p_t / rho), rel_tol=1e-9)
+        and math.isclose(p_j, coupled_pj, rel_tol=1e-9)
         and (delta > 1 or rho < region4_containment_threshold(delta, alpha))
     )
     if not inside:
@@ -848,6 +851,7 @@ def test_near_far_field_limits(rho, p_t, coupled, p_j, delta, alpha) -> None:
         field = near_far_field(p)
     assert not any(math.isnan(v) or math.isinf(v) for v in (field.near, field.far, field.margin))
     assert field.near == math.log2(1.0 / rho) and field.margin > 0.0
+    assert field.far == pytest.approx(0.5 * (math.log2(p_t) - math.log2(rho)), rel=1e-12)
     assert any(issubclass(w.category, RegimeWarning) for w in seen) == (field.margin < 10.0)
 
 
@@ -992,10 +996,10 @@ def test_prob_zero_cubature_limits(g, rho, p_j) -> None:
     value, error = (float(v) for v in _prob_zero_cubature(g.a, g.b, rho, p_j))
     bound, _ = (float(v) for v in _prob_zero_cubature(g.a, g.b, rho, p_j, upper=True))
     assert not any(math.isnan(v) for v in (value, error, bound))
-    # past P_J ~ 1e13 the outage and its bound meet closer than the 1e-13 to which each
-    # takes h = x*e^x*E1(x) (test_x_exp_e1_against_the_table_and_its_limits), so the
-    # bound holds to twice that
-    assert 0.0 <= value <= bound * (1.0 + 2e-13) and bound <= 1.0 and error >= 0.0
+    # past P_J ~ 1e13 the outage and its bound meet closer than the 3 ulps (6.7e-16) to
+    # which each takes h = x*e^x*E1(x) (test_exp_e1_within_3_ulps_of_a_60_digit_series_on_a_dense_grid),
+    # so the bound holds to 2e-15, somewhat more than twice that
+    assert 0.0 <= value <= bound * (1.0 + 2e-15) and bound <= 1.0 and error >= 0.0
     limit = _colluding_limit(g, rho, p_j)
     if limit is not None:
         assert (value, error) == (limit, 0.0)
@@ -1190,12 +1194,12 @@ def test_pair_positivity_limits(g, rho, p_j, p_t) -> None:
     if all(abs(lam - 1.0) > 1e-9 for lam in lams):  # away from the rounding of lambda = 1
         assert pos == any(lam > 1.0 for lam in lams)
         if not math.isinf(p_j):
-            assert pos == (secrecy_pair(g, p).s > 0.0)
+            assert pos == (secrecy_pair(g, p) > 0.0)
     nojam = positivity_nojam(g)
     assert isinstance(nojam, bool)
     assert nojam == positivity_pair(g, SystemParams(p_t=p_t, p_j=0.0, rho=rho))
     if min(abs(g.a - 1.0), abs(g.b - 1.0)) > 1e-9:  # away from the rounding of a = 1 or b = 1
-        assert nojam == (secrecy_pair(g, SystemParams(p_t=p_t, p_j=0.0, rho=rho)).s > 0.0)
+        assert nojam == (secrecy_pair(g, SystemParams(p_t=p_t, p_j=0.0, rho=rho)) > 0.0)
     exists = positivity_exists_pj(g, rho)
     assert isinstance(exists, bool)
     if pos:  # a power that works is one that exists

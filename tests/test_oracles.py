@@ -62,7 +62,7 @@ def test_wedge_oracles_do_not_move_with_the_closed_form(monkeypatch) -> None:
     before = (quad_prob_zero_pair(*args), mc_cond_prob_zero_pair(*args, mc), pairwise_fading.cond_prob_zero_pair(*args))
     for module in (colluding_fading, pairwise_fading):  # wherever a module binds the thresholds
         monkeypatch.setattr(module, "_v_arrays", _doubled_v1(colluding_fading._v_arrays), raising=False)
-    real = pairwise_fading._wedge_coeffs
-    monkeypatch.setattr(pairwise_fading, "_wedge_coeffs", lambda *a: (2.0 * real(*a)[0], *real(*a)[1:]))
+    real = pairwise_fading._window_coeffs  # the coefficients of every wedge, from its window
+    monkeypatch.setattr(pairwise_fading, "_window_coeffs", lambda *a: (2.0 * real(*a)[0], *real(*a)[1:]))
     assert pairwise_fading.cond_prob_zero_pair(*args) != before[2]  # the mutation reaches the closed form
     assert (quad_prob_zero_pair(*args), mc_cond_prob_zero_pair(*args, mc)) == before[:2]

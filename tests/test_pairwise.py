@@ -35,8 +35,8 @@ from fdjam.pairwise import (
 def test_pair_secrecy_is_minimum_of_directions() -> None:
     g = gains(0.2, 0.3, 2.0)
     params = SystemParams(p_t=100.0, p_j=10.0, rho=0.05)
-    s = secrecy_pair(g, params).s
-    s_swapped = secrecy_pair(g.swapped(), params).s
+    s = secrecy_pair(g, params)
+    s_swapped = secrecy_pair(g.swapped(), params)
     assert s == pytest.approx(s_swapped)
     assert s >= 0.0
 
@@ -44,8 +44,8 @@ def test_pair_secrecy_is_minimum_of_directions() -> None:
 def test_mirror_symmetry() -> None:
     params = SystemParams(p_t=100.0, p_j=10.0, rho=0.05)
     for x, y in ((0.3, 0.2), (1.2, -0.4), (0.0, 0.7)):
-        left = secrecy_pair(gains(-x, y, 2.0), params).s
-        right = secrecy_pair(gains(x, y, 2.0), params).s
+        left = secrecy_pair(gains(-x, y, 2.0), params)
+        right = secrecy_pair(gains(x, y, 2.0), params)
         assert left == pytest.approx(right)
 
 
@@ -60,7 +60,7 @@ def test_positivity_variants() -> None:
     assert not positivity_exists_pj(LinkGains(2.0, 2.0), 1.0)
     assert positivity_exists_pj(LinkGains(2.0, 2.0), 0.5)
     params = SystemParams(p_t=100.0, p_j=10.0, rho=0.05)
-    assert positivity_pair(inside, params) == (secrecy_pair(inside, params).s > 0.0)
+    assert positivity_pair(inside, params) == (secrecy_pair(inside, params) > 0.0)
 
 
 def test_t_factor_identity() -> None:
@@ -81,7 +81,7 @@ def test_secrecy_from_t_matches_direct_form() -> None:
         if not pair_hypotheses_hold(g, params):
             continue
         checked += 1
-        assert secrecy_from_t(g, params) == pytest.approx(secrecy_pair(g, params).s, abs=1e-10)
+        assert secrecy_from_t(g, params) == pytest.approx(secrecy_pair(g, params), abs=1e-10)
     assert checked > 50
     with pytest.raises(UnsupportedRegimeError):
         secrecy_from_t(LinkGains(100.0, 0.1), params)
@@ -92,7 +92,7 @@ def test_origin_curvature_sign_classifies() -> None:
     coef = origin_curvature(params)
 
     def s_axis(x: float) -> float:
-        return secrecy_pair(gains(x, 0.0, params.alpha), params).s
+        return secrecy_pair(gains(x, 0.0, params.alpha), params)
 
     h = 1e-3
     sampled = s_axis(h) + s_axis(-h) - 2.0 * s_axis(0.0)
@@ -128,7 +128,7 @@ def test_axis_derivative_matches_finite_difference() -> None:
     params = SystemParams(p_t=100.0, p_j=1e4, rho=1e-4)
 
     def s_axis(d: float) -> float:
-        return secrecy_pair(gains(d - 0.5, 0.0, params.alpha), params).s
+        return secrecy_pair(gains(d - 0.5, 0.0, params.alpha), params)
 
     for d in (0.3, 0.7, 1.4):
         closed = deriv_x_axis(d, params)
@@ -201,7 +201,7 @@ def test_near_far_plateau_levels() -> None:
     assert field.margin == pytest.approx(100.0)
     # the near plateau really holds between the exclusion rings
     for x, y in ((0.0, 0.0), (0.2, 0.3), (-0.3, -0.2)):
-        s = secrecy_pair(gains(x, y, 2.0), params).s
+        s = secrecy_pair(gains(x, y, 2.0), params)
         assert s == pytest.approx(field.near, abs=0.01)
 
 

@@ -1,6 +1,7 @@
 """Two-phase fading: wedge probability K*exp(-E), the jamming gate P_J*,
 policy bounds and the homogeneous near-field law."""
 
+import decimal
 import math
 import sys
 import threading
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from fdjam.errors import InvalidParameterError
-from fdjam.colluding_fading import _e1_cf_tail, _exp_e1, _x_exp_e1
+from fdjam.colluding_fading import _e1_cf, _exp_e1, _x_exp_e1
 from fdjam.geometry import LinkGains, SystemParams, gains
 from fdjam import montecarlo, pairwise_fading
 from fdjam.montecarlo import MCConfig, estimate
@@ -485,14 +486,44 @@ def test_window_oracle_resolves_a_tiny_self_interference_fading(rho: float) -> N
     np.testing.assert_allclose(ref, rows, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "at, rho, p_j, gathered",
+    [((-0.6, 0.0), 1.0, 1e4, False), ((-0.6, 0.0), 0.01, 1.0, False), ((0.0, 0.0), 0.01, 1e4, True)],
+    ids=["dense", "dense at P_J = 1", "gathered"],
+)
+def test_kernel_takes_the_window_once_per_draw(monkeypatch, at, rho: float, p_j: float, gathered: bool) -> None:
+    # one evaluation of the gain-free window per draw, whether the wedge then runs on every
+    # draw or on the live ones alone (under a quarter of them live), with the same bits
+    window, wedge, seen = pairwise_fading._wedge_window, pairwise_fading._wedge, {"window": [], "wedge": []}
+
+    def counted_window(rho, p_j, b1_t, b2_t):
+        seen["window"].append(np.broadcast(b1_t, b2_t).size)
+        return window(rho, p_j, b1_t, b2_t)
+
+    def counted_wedge(coeffs, a_t, *rest):
+        seen["wedge"].append(np.size(a_t))
+        return wedge(coeffs, a_t, *rest)
+
+    u = montecarlo.sample_matrix(MCConfig(seed=4, n_samples=5000), 3)
+    g, params = gains(*at, 2.0), SystemParams(p_t=1.0, p_j=p_j, rho=rho)
+    want = cond_prob_zero_pair_array(g, params, *u.T)
+    monkeypatch.setattr(pairwise_fading, "_wedge_window", counted_window)
+    monkeypatch.setattr(pairwise_fading, "_wedge", counted_wedge)
+    got = cond_prob_zero_pair_array(g, params, *u.T)
+    assert seen["window"] == [5000] and got.tobytes() == want.tobytes()
+    live = np.count_nonzero(got)
+    assert seen["wedge"] == ([live] if gathered else [5000]) and (4 * live < 5000) == gathered
+
+
 # (x, e^x*E1(x)) to 17 digits, from a 40-digit evaluation; the series/continued
-# fraction split of _exp_e1 lies at x = 3
+# fraction split of _exp_e1 lies at x = 1, and the series cancelled most just below 3
 EXP_E1_TABLE = (
     (1e-300, 690.19831223331217),
     (1e-12, 27.053805451055069),
     (1e-3, 6.337874070325488),
     (0.1, 2.0146425447084516),
     (0.5, 0.92291063248373047),
+    (0.9999999999999999, 0.59634736232319412),
     (1.0, 0.59634736232319407),
     (2.0, 0.36132861688822258),
     (2.9999999999999996, 0.26208374025531853),
@@ -509,22 +540,49 @@ EXP_E1_TABLE = (
 
 def test_exp_e1_against_a_table() -> None:
     x, want = np.array(EXP_E1_TABLE).T
-    np.testing.assert_allclose(_exp_e1(x), want, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(_exp_e1(x), want, rtol=1e-15, atol=0.0)
 
 
 def test_x_exp_e1_against_the_table_and_its_limits() -> None:
     # h(x) = x*e^x*E1(x), the A~ integral of the colluding outage: 0 at x = 0, 1 at x = inf
     x, want = np.array(EXP_E1_TABLE).T
-    np.testing.assert_allclose(_x_exp_e1(x), x * want, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(_x_exp_e1(x), x * want, rtol=1e-15, atol=0.0)
     assert _x_exp_e1(np.array([0.0, math.inf])).tolist() == [0.0, 1.0]
 
+
+_EULER_GAMMA_60 = decimal.Decimal("0.577215664901532860606512090082402431042159335939923598805767")
+
+
+def _exp_e1_60_digits(x: float) -> decimal.Decimal:
+    """e^x*E1(x) = e^x*(-gamma - ln x - sum_k (-x)^k/(k*k!)) in 60-digit decimals, for 0 < x <= 20.
+
+    The terms of the series reach 20^20/20! ~ 4e7 against E1(20) ~ 1e-10, so
+    the sum runs at 90 digits, which leaves more than 60.
+    """
+    with decimal.localcontext(decimal.Context(prec=90)):
+        d, term, total, k = decimal.Decimal(x), decimal.Decimal(1), decimal.Decimal(0), 0
+        while k < 2 * d or abs(term) > decimal.Decimal("1e-80"):
+            k += 1
+            term *= -d / k
+            total += term / k
+        return (-_EULER_GAMMA_60 - d.ln() - total) * d.exp()
+
+
+def test_exp_e1_within_3_ulps_of_a_60_digit_series_on_a_dense_grid() -> None:
+    # 2 001 points on [1e-3, 20] and the neighbours of x = 1 and 3: the series cancelled
+    # past x = 1, up to 239 ulps just below 3, and a 32-term fraction lost 8 ulps on [3, 5)
+    x = np.geomspace(1e-3, 20.0, 2001)
+    x = np.concatenate((x, np.nextafter(1.0, [0.0, 2.0]), np.nextafter(3.0, [0.0, 4.0]), [1.0, 3.0]))
+    want = np.array([float(_exp_e1_60_digits(float(t))) for t in x])
+    for got in (_exp_e1(x), _x_exp_e1(x) / x):
+        assert np.all(np.abs(got - want) <= 3 * np.spacing(want))
 
 
 @pytest.mark.parametrize(
     "x",
     [
-        np.array([1e-300, 1e-12, 0.5, 2.9999999999999996]),  # all below the split at 3
-        np.array([[3.0, 30.0], [1e4, 1e10]]),  # all above it
+        np.array([1e-300, 1e-12, 0.5, 0.9999999999999999]),  # all below the split at 1
+        np.array([[1.0, 30.0], [1e4, 1e10]]),  # all above it
         np.array([1e-3, 3.0, 0.5, 100.0, 2.0]),  # both sides
         np.empty(0),
         np.array(0.5),
@@ -540,9 +598,9 @@ def test_exp_e1_is_the_bits_of_each_element_alone(x) -> None:
     assert np.array(alone).tobytes() == got.ravel().tobytes()
 
 
-def test_e1_cf_tail_of_no_elements_is_an_empty_float_array() -> None:
-    tail = _e1_cf_tail(np.empty(0))
-    assert type(tail) is np.ndarray and tail.dtype == np.float64 and tail.shape == (0,)
+def test_e1_cf_of_no_elements_is_two_empty_float_arrays() -> None:
+    for part in _e1_cf(np.empty(0)):
+        assert type(part) is np.ndarray and part.dtype == np.float64 and part.shape == (0,)
 
 @pytest.mark.parametrize("at", [(0.0, 0.0), (-0.6, 0.0), (0.49, 0.0), (0.499, 0.0), (1.3, 0.7)])
 @pytest.mark.parametrize("rho", [1e-4, 0.01, 0.1, 1.0])

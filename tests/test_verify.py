@@ -67,7 +67,7 @@ def test_pair_secrecy_wiring_is_caught(monkeypatch) -> None:
 
     def same_direction(a, b, p_t, rho, p_j, c=1.0, d=1.0, a_t=1.0, b1_t=1.0, b2_t=1.0):
         s_ab = _secrecy_array(a, b, p_t, rho, p_j, c, d, a_t, b1_t)
-        return s_ab, s_ab, s_ab
+        return s_ab
 
     monkeypatch.setattr(pairwise, "_secrecy_pair_array", same_direction)
     monkeypatch.setattr(verify, "_secrecy_pair_array", same_direction)
