@@ -81,7 +81,7 @@ _CUBATURE_META = {
 }
 # Exp(1) variate past which e^-x < 5e-18: the B~ integral here and _policy_integrand's A~ one stop there
 _TAIL_CUT = 40.0
-# Smallest stretch L = log1p(c*top) of their log maps; below it a map is linear in t to 1e-8
+# Smallest stretch L = log1p(c*top) of _log_map; below it the map is linear in t to 1e-8
 _MIN_STRETCH = 1e-8
 # Cells per block of _prob_zero_cubature: its (cells, nodes) temporaries stay near 0.8 MB
 _CUBATURE_CELLS = 2048

@@ -278,6 +278,12 @@ class NearFarField:
     margin: float  # delta^alpha * sqrt(rho*P_T); the plateaus need this >> 1
 
 
+def _coupled_power(p_t: float, rho: float) -> float:
+    """The coupled jamming power sqrt(P_T/rho), rho > 0: sqrt(P_T)/sqrt(rho) where P_T/rho overflows."""
+    quotient = p_t / rho
+    return math.sqrt(quotient) if quotient < math.inf else math.sqrt(p_t) / math.sqrt(rho)
+
+
 def near_far_field(params: SystemParams) -> NearFarField:
     """Plateau levels of the pair secrecy field under P_J = sqrt(P_T/rho).
 
@@ -303,12 +309,6 @@ def near_far_field(params: SystemParams) -> NearFarField:
             stacklevel=2,
         )
     return NearFarField(near=math.log2(1.0 / params.rho), far=math.log2(p_j_auto), margin=margin)
-
-
-def _coupled_power(p_t: float, rho: float) -> float:
-    """The coupled jamming power sqrt(P_T/rho), rho > 0: sqrt(P_T)/sqrt(rho) where P_T/rho overflows."""
-    quotient = p_t / rho
-    return math.sqrt(quotient) if quotient < math.inf else math.sqrt(p_t) / math.sqrt(rho)
 
 
 def node_peaks(params: SystemParams) -> float:
