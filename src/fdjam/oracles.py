@@ -11,6 +11,7 @@ raw indicator events.  Every zero-secrecy event is read off the SINRs here
 
 from __future__ import annotations
 
+import decimal
 import math
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -349,17 +350,25 @@ def deriv_x_axis_even_alpha(d: float, params: SystemParams) -> float:
 
     The compact display assumes even alpha so that (1-d)^alpha is positive
     on both sides of d = 1; an independent cross-check of
-    pairwise.deriv_x_axis.
+    pairwise.deriv_x_axis.  The polynomial is evaluated in 40-digit decimal
+    arithmetic, whose exponent range holds its powers of P_J and 1/(1-d)
+    where floats overflow (P_J^3/(1-d)^(3*alpha+1) near Bob's node).
     """
-    alpha, p_t, p_j = params.alpha, params.p_t, params.p_j
-    if alpha != int(alpha) or int(alpha) % 2:
-        raise InvalidParameterError(f"literal polynomial form needs even alpha, got {alpha}")
+    if params.alpha != int(params.alpha) or int(params.alpha) % 2:
+        raise InvalidParameterError(f"literal polynomial form needs even alpha, got {params.alpha}")
     if not d > 0 or d == 1.0:
         raise InvalidParameterError(f"axis distance must be > 0 and != 1, got {d}")
-    e = d
-    f = 1.0 - d
+    with decimal.localcontext(decimal.Context(prec=40, traps=[])):  # inf/inf gives NaN, as in floats
+        n, dd = _axis_polynomial(int(params.alpha), *map(decimal.Decimal, (params.p_t, params.p_j, d)))
+        return -0.5 * math.log2(math.e) * float(n / dd)
 
-    def pw(base: float, k: float) -> float:
+
+def _axis_polynomial(alpha: int, p_t, p_j, d) -> tuple:
+    """(N(d), D(d)) of deriv_x_axis_even_alpha, in the arithmetic of the given numbers."""
+    e = d
+    f = 1 - d
+
+    def pw(base, k: int):
         return base**k
 
     n = (
@@ -371,15 +380,15 @@ def deriv_x_axis_even_alpha(d: float, params: SystemParams) -> float:
             + (pw(e, 3 * alpha + 1) - pw(f, 3 * alpha + 1)) / (pw(e, 3 * alpha + 1) * pw(f, 3 * alpha + 1))
         )
         + alpha * p_j**3 * p_t * (pw(e, 2 * alpha) - pw(f, 2 * alpha)) / (pw(e, 3 * alpha + 1) * pw(f, 3 * alpha + 1))
-        + alpha * p_t**2 * (2 * d - 1.0) / (pw(e, alpha + 1) * pw(f, alpha + 1))
+        + alpha * p_t**2 * (2 * d - 1) / (pw(e, alpha + 1) * pw(f, alpha + 1))
     )
     dd = (
-        (1.0 + p_j / pw(f, alpha) + p_t / pw(e, alpha))
-        * (1.0 + p_j / pw(f, alpha))
-        * (1.0 + p_j / pw(e, alpha) + p_t / pw(f, alpha))
-        * (1.0 + p_j / pw(e, alpha))
+        (1 + p_j / pw(f, alpha) + p_t / pw(e, alpha))
+        * (1 + p_j / pw(f, alpha))
+        * (1 + p_j / pw(e, alpha) + p_t / pw(f, alpha))
+        * (1 + p_j / pw(e, alpha))
     )
-    return -0.5 * math.log2(math.e) * n / dd
+    return n, dd
 
 
 def central_diff(f: Callable[[float], float], x: float, h: float) -> float:

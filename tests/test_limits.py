@@ -743,6 +743,7 @@ axis_d = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 5.0))
 @example(1.0, 0.01, 10.0, 100.0)  # Bob's node
 @example(0.0, 0.01, 10.0, 100.0)  # Alice's node
 @example(0.7, 1e-4, 1e4, 100.0)
+@example(0.984375, 0.0, 3.395413876356915e97, 498.0)  # P_J^3/(1-d)^7 overflows a float
 def test_deriv_x_axis_limits(d, rho, p_j, p_t) -> None:
     p = SystemParams(p_t=p_t, p_j=p_j, rho=rho)
     if d in (0.0, 1.0):
@@ -757,10 +758,11 @@ def test_deriv_x_axis_limits(d, rho, p_j, p_t) -> None:
     assert not math.isnan(slope)
     if math.isinf(p_j):
         assert slope == 0.0
-    elif p_j > 1e100:  # past the range of the polynomial's powers of P_J; the slope falls like P_T/P_J
+        return
+    if p_j > 1e100:  # the slope falls like P_T/P_J
         assert abs(slope) < 1e-90
-    else:  # the literal N(d)/D(d) polynomial
-        assert slope == pytest.approx(deriv_x_axis_even_alpha(d, p), rel=1e-6, abs=1e-12)
+    # the literal N(d)/D(d) polynomial, in decimal arithmetic at every finite P_J
+    assert slope == pytest.approx(deriv_x_axis_even_alpha(d, p), rel=1e-6, abs=1e-12)
 
 
 @SETTINGS
