@@ -2,14 +2,14 @@
 
 Every probabilistic quantity in the package reduces to expectations of
 functions of i.i.d. Exp(1) variates (Rayleigh fading power gains).  They
-all come from one counter-based stream, Generator(Philox(key=seed)): a
-caller that takes k draws per sample gives sample i the uniforms
-[i*k, (i+1)*k), each mapped to Exp(1) by -log1p(-u).  Philox yields the
-same uniforms however the calls split them, so the draws depend on
-(seed, n) alone; _BLOCK only bounds memory, and the reduction order is
-fixed.  Every reader holds a few _BLOCK-sized temporaries whatever n is;
-only sample_matrix returns every draw at once (verify, the fading-secrecy
-field, the tests).
+all come from one stream per seed, Generator(PCG64DXSM(seed)): a caller
+that takes k draws per sample gives sample i the uniforms [i*k, (i+1)*k),
+each mapped to Exp(1) by -log1p(-u).  The stream yields the same uniforms
+however the calls split them, and its advance() opens it at any uniform,
+so the draws depend on (seed, n) alone; _BLOCK only bounds memory, and
+the reduction order is fixed.  Every reader holds a few _BLOCK-sized
+temporaries whatever n is; only sample_matrix returns every draw at once
+(verify, the fading-secrecy field, the tests).
 """
 
 from __future__ import annotations
@@ -109,15 +109,11 @@ class Estimate:
 def _stream(seed: int, word: int = 0) -> np.random.Generator:
     """The one stream of a seed, opened at its uniform number `word`.
 
-    Every caller consumes it in sample order.  Philox turns counter c into
-    the uniforms [4c, 4c + 4), one 64-bit word each, so the stream from word
-    w is the counter w // 4 with its first w % 4 uniforms skipped: the same
-    draws as the stream from word 0 after w uniforms.
+    Every caller consumes it in sample order.  PCG64DXSM spends one 64-bit
+    output on each uniform, and advance(w) jumps its state over w outputs in
+    O(log w) steps: the same draws as the stream from word 0 after w uniforms.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=word // 4))
-    if word % 4:
-        rng.random(word % 4)
-    return rng
+    return np.random.Generator(np.random.PCG64DXSM(seed).advance(word))
 
 
 def _exp_draws(rng: np.random.Generator, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Whole-grid field kernels against independent references, and the field stream rule.
 
-Every draw comes from one Philox stream keyed by the seed: a caller taking
-k draws per sample gives sample i uniforms [i*k, (i+1)*k), each mapped to
-Exp(1) by -log1p(-u), and a fading or pairwise prob-zero field takes cell i
-(row-major) as a sample of k*n draws.  The draws are rebuilt here from
-that rule alone, and a pairwise prob-zero field split over lanes, each
-opening the stream at its first cell's word, gives the bits of one lane.
+Every draw comes from one stream per seed, Generator(PCG64DXSM(seed)): a
+caller taking k draws per sample gives sample i uniforms [i*k, (i+1)*k),
+each mapped to Exp(1) by -log1p(-u), and a fading or pairwise prob-zero
+field takes cell i (row-major) as a sample of k*n draws.  The draws are
+rebuilt here from that rule alone, and a pairwise prob-zero field split
+over lanes, each opening the stream at its first cell's word, gives the
+bits of one lane.
 A colluding prob-zero field draws nothing: its cubature is gated against
 the 2-D quadrature oracle, and statistically against the per-cell Monte
 Carlo mean it replaced.
@@ -45,7 +46,7 @@ def _cell_gains(grid: GridSpec) -> list[LinkGains]:
 
 
 def _stream(seed: int, size: int) -> np.ndarray:
-    u = np.random.Generator(np.random.Philox(key=seed)).random(size)
+    u = np.random.Generator(np.random.PCG64DXSM(seed)).random(size)
     return -np.log1p(-u)
 
 
@@ -337,19 +338,19 @@ def test_prob_zero_field_is_chunk_invariant(monkeypatch, mode: str, grid: GridSp
 def test_one_sweep_makes_constant_setup_calls(monkeypatch, kwargs: dict) -> None:
     # a per-cell loop would call gain_fields or build a generator once per
     # cell; a pairwise prob-zero field builds one per lane, on every grid
-    counts = {"gain_fields": 0, "Philox": 0}
-    real_gain_fields, real_philox = fields_mod.gain_fields, np.random.Philox
+    counts = {"gain_fields": 0, "PCG64DXSM": 0}
+    real_gain_fields, real_bit_generator = fields_mod.gain_fields, np.random.PCG64DXSM
 
     def counted_gain_fields(*args, **kw):
         counts["gain_fields"] += 1
         return real_gain_fields(*args, **kw)
 
-    def counted_philox(*args, **kw):
-        counts["Philox"] += 1
-        return real_philox(*args, **kw)
+    def counted_bit_generator(*args, **kw):
+        counts["PCG64DXSM"] += 1
+        return real_bit_generator(*args, **kw)
 
     monkeypatch.setattr(fields_mod, "gain_fields", counted_gain_fields)
-    monkeypatch.setattr(np.random, "Philox", counted_philox)
+    monkeypatch.setattr(np.random, "PCG64DXSM", counted_bit_generator)
     params = SystemParams(p_t=100.0, p_j=30.0, rho=0.05)
     monkeypatch.setattr(montecarlo, "_BLOCK", 64)
     mc = MCConfig(seed=1, n_samples=8)
@@ -360,12 +361,12 @@ def test_one_sweep_makes_constant_setup_calls(monkeypatch, kwargs: dict) -> None
     drawn = lanes or (1 if kw.get("fading") else 0)
     for step in (0.1, 0.05):  # 21 x 21 and 41 x 41, no endpoint
         grid = GridSpec(-1.0, 1.0, -0.95, 1.05, step)
-        counts.update(gain_fields=0, Philox=0)
+        counts.update(gain_fields=0, PCG64DXSM=0)
         build_field(mode, params, grid, mc=mc, **kw)
-        assert counts == {"gain_fields": 1, "Philox": drawn}
-        counts.update(gain_fields=0, Philox=0)
+        assert counts == {"gain_fields": 1, "PCG64DXSM": drawn}
+        counts.update(gain_fields=0, PCG64DXSM=0)
         build_optjam_grid(grid, params)
-        assert counts == {"gain_fields": 1, "Philox": 0}
+        assert counts == {"gain_fields": 1, "PCG64DXSM": 0}
 
 
 @pytest.mark.parametrize("w", [0, 1, 2, 3, 5, 3 * 2**16 + 1])
@@ -374,8 +375,28 @@ def test_stream_opened_at_a_word_is_the_one_stream_from_there(w: int) -> None:
     assert np.array_equal(got, montecarlo._stream(29).random(w + 9)[w:])
 
 
+@pytest.mark.parametrize("w", [2**32 + 3, 2**64 + 5])
+def test_stream_opened_past_two_to_the_32_is_the_advanced_bit_generator(w: int) -> None:
+    # too far to draw up to: the reference steps the bit generator over w outputs itself
+    bits = np.random.PCG64DXSM(29)
+    bits.advance(w)
+    got = montecarlo._stream(29, w).random(9)
+    assert np.array_equal(got, np.random.Generator(bits).random(9))
+    assert np.array_equal(montecarlo._stream(29, w + 1).random(8), got[1:])  # one output per uniform there too
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 17, 2**64 - 1])
+def test_stream_shares_no_draws_with_default_rng(seed: int) -> None:
+    # verify and the tests take independent references from default_rng(seed), a PCG64 seeded
+    # alike; the stream's draws must not be a shifted copy of them
+    ours = montecarlo._stream(seed).random(100_000)
+    theirs = np.random.default_rng(seed).random(100_000)
+    assert np.intersect1d(ours, theirs).size == 0
+    assert abs(np.corrcoef(ours, theirs)[0, 1]) < 0.02  # 1/sqrt(1e5) = 0.0032: over 6 sigma
+
+
 # (grid, n, _BLOCK): SHIFTED and SMALL hold 45 cells, so lane 1 starts at
-# cell 23, at a word 23*n*3 that is not a multiple of 4 for n = 1 and 7;
+# cell 23, at an odd word 23*n*3 for n = 1 and 7;
 # SMALL holds both endpoints; n = 200 against a block of 64 takes sub-blocks
 LANE_CASES = [(SHIFTED, 1, 2**16), (SHIFTED, 7, 2**16), (SHIFTED, 2000, 2**16), (SHIFTED, 200, 64), (SMALL, 7, 2**16)]
 
@@ -397,7 +418,7 @@ def test_prob_zero_field_is_the_same_bits_on_one_and_two_lanes(
         values.append(fg.values.tobytes())
     assert values[0] == values[1]
     assert texts[0] == texts[1]
-    if n in (1, 7):  # lane 1 opens the stream inside a Philox counter
+    if n in (1, 7):  # lane 1 opens the stream at an odd word
         assert grid.nx * grid.ny == 45 and (23 * n * 3) % 4 != 0
 
 

@@ -424,13 +424,13 @@ def test_cli_policy_at_an_endpoint_node_prints_its_bounds(capsys) -> None:
 POLICY_TABLE = (
     "policy comparison at (0, 0): rho=0.1 alpha=2 p_t=100 n=20000 seed=5\n"
     " pj_db      constant      p2_bound      semi_dyn      p1_bound      pi_rho_4\n"
-    "     0  2.582721e-01  6.655242e-01  2.737837e-02  7.348089e-02  7.853982e-02\n"
-    "    10  6.572984e-02  1.712800e-01  2.737837e-02  7.348089e-02  7.853982e-02\n"
-    "    20  3.217189e-02  8.563062e-02  2.737837e-02  7.348089e-02  7.853982e-02\n"
-    "    30  2.790346e-02  7.485476e-02  2.737837e-02  7.348089e-02  7.853982e-02\n"
-    "    40  2.743209e-02  7.362549e-02  2.737837e-02  7.348089e-02  7.853982e-02\n"
-    "    50  2.738376e-02  7.349562e-02  2.737837e-02  7.348089e-02  7.853982e-02\n"
-    "    60  2.737891e-02  7.348237e-02  2.737837e-02  7.348089e-02  7.853982e-02\n"
+    "     0  2.581378e-01  6.652780e-01  2.717124e-02  7.291894e-02  7.853982e-02\n"
+    "    10  6.552421e-02  1.707397e-01  2.717124e-02  7.291894e-02  7.853982e-02\n"
+    "    20  3.196394e-02  8.506954e-02  2.717124e-02  7.291894e-02  7.853982e-02\n"
+    "    30  2.769596e-02  7.429171e-02  2.717124e-02  7.291894e-02  7.853982e-02\n"
+    "    40  2.722489e-02  7.306294e-02  2.717124e-02  7.291894e-02  7.853982e-02\n"
+    "    50  2.717663e-02  7.293357e-02  2.717124e-02  7.291894e-02  7.853982e-02\n"
+    "    60  2.717178e-02  7.292041e-02  2.717124e-02  7.291894e-02  7.853982e-02\n"
     "full-dynamic estimate = 0 (exact)\n"
 )
 

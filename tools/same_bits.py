@@ -5,19 +5,23 @@ Run from anywhere:
     python3 tools/same_bits.py --write   # store the digests in tools/same_bits.json
     python3 tools/same_bits.py --check   # print each case whose digest moved; exit 1 if any did
 
-Everything runs in this process on the src/ next to this file.  A CLI
-case is one or more `fdjam` command lines, run through `fdjam.cli.main`,
-each in a fresh temporary directory that is its working directory.  Its
-digest covers every run's command line, exit code, stdout and stderr, and
-the name and bytes of every file the run wrote.  An exception that escapes
-`main` counts as exit code 1 with its type and message on stderr.
-FDJAM_SEED is unset, so every seed comes from the command line or the
-declared default.  A policy case calls `policy_prob_zero` once, at seed 1,
-and its digest covers the `repr` of the report: every float of the
-estimate and its bound to the last bit, which the 7 digits that
-`fdjam policy` prints cannot show.  A per-draw case hashes the bytes of
-`cond_prob_zero_pair_array` on DRAW_N Exp(1) triples at seed 1, then on
-the edge rows DRAW_EDGES, each at A~ = w0/2.
+Run as a script, the tool runs everything in this process on the src/
+next to this file; imported, it uses the fdjam its importer's sys.path
+finds.  A CLI case is one or more `fdjam` command lines, run through
+`fdjam.cli.main`, each in a fresh temporary directory that is its working
+directory.  Its digest covers every run's command line, exit code, stdout
+and stderr, and the name and bytes of every file the run wrote.  An
+exception that escapes `main` counts as exit code 1 with its type and
+message on stderr.  FDJAM_SEED is unset, so every seed comes from the
+command line or the declared default.  A policy case calls
+`policy_prob_zero` once, at seed 1, and its digest covers the `repr` of
+the report: every float of the estimate and its bound to the last bit,
+which the 7 digits that `fdjam policy` prints cannot show.  A per-draw
+case hashes the bytes of `cond_prob_zero_pair_array` on DRAW_N Exp(1)
+triples, then on the edge rows DRAW_EDGES, each at A~ = w0/2.  The
+triples are -log1p(-u) of Generator(Philox(key=1)) uniforms, built here
+rather than by the package's stream, so these cases pin the kernel
+whatever that stream is.
 
 The CLI cases: the README's CLI commands; `policy --samples 20000 --seed 5`;
 `policy --ladder-db -30 -10 0 30 --p-accept 1e-3`; `verify --suite all` at
@@ -54,13 +58,14 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STORE = os.path.join(ROOT, "tools", "same_bits.json")
-sys.path.insert(0, os.path.join(ROOT, "src"))
+if __name__ == "__main__":  # an importer keeps its own sys.path, and so the fdjam it chose
+    sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
 from fdjam import cli  # noqa: E402
 from fdjam.geometry import SystemParams, gains  # noqa: E402
-from fdjam.montecarlo import MCConfig, sample_matrix  # noqa: E402
+from fdjam.montecarlo import MCConfig  # noqa: E402
 from fdjam.pairwise_fading import (  # noqa: E402
     JamPolicy,
     JamPolicyKind,
@@ -141,9 +146,9 @@ def policy_report(kind: JamPolicyKind, x: float, y: float, rho: float, p_j: floa
 
 
 def per_draw_bytes(x: float, y: float, rho: float, p_j: float) -> bytes:
-    """The bytes of cond_prob_zero_pair_array at (x, y) on DRAW_N Exp(1) triples at seed 1, then the edge rows."""
+    """The bytes of cond_prob_zero_pair_array at (x, y) on DRAW_N Exp(1) triples from Philox(key=1), then the edge rows."""
     params = SystemParams(p_t=1.0, p_j=p_j, rho=rho)
-    u = sample_matrix(MCConfig(1, DRAW_N), 3)
+    u = -np.log1p(-np.random.Generator(np.random.Philox(key=1)).random((DRAW_N, 3)))
     b1, b2 = np.array(DRAW_EDGES).T
     c0, c2, _, _ = _wedge_window(rho, p_j, b1, b2)
     a_t = np.concatenate((u[:, 0], 0.5 * np.sqrt(c0 / c2)))
