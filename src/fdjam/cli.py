@@ -205,12 +205,12 @@ def cmd_cdf(args: argparse.Namespace) -> int:
     if not 1e-6 <= step < 2.0 / 3.0:  # a larger step gives no level below 1, a smaller one over 10^6 levels
         raise _UsageError(f"--p-step must be in (0, 2/3) and at least 1e-6, got {step:g}")
     levels = np.arange(step, 1.0 - step / 2.0, step)
-    cond = sample_cond_prob_zero(g, params, mc)
-    empirical = ecdf(cond, levels)
+    # the bounds first: one that rejects the parameters stops the command before it draws or prints
+    bounds = [cdf_lower_bound(float(p), g.a, g.b, params.rho, params.p_j) for p in levels]
+    empirical = ecdf(sample_cond_prob_zero(g, params, mc), levels)
     print(f"cdf of conditional P(S=0) at ({x:g}, {y:g}) rho={params.rho:g} p_j={params.p_j:g} n={mc.n_samples}")
     print(f"{'p':>6}  {'lower_bound':>12}  {'empirical':>12}")
-    for p, emp in zip(levels, empirical):
-        bound = cdf_lower_bound(float(p), g.a, g.b, params.rho, params.p_j)
+    for p, bound, emp in zip(levels, bounds, empirical):
         print(f"{p:6.2f}  {bound:12.6f}  {emp:12.6f}")
     return 0
 
@@ -220,6 +220,7 @@ def cmd_policy(args: argparse.Namespace) -> int:
     mc = MCConfig(args.seed, args.samples)
     x, y = args.at
     g = gains(x, y, params.alpha)
+    general = None if args.p_accept is None else JamPolicy(JamPolicyKind.GENERAL_DYNAMIC, p_accept=args.p_accept)
     print(
         f"policy comparison at ({x:g}, {y:g}): rho={params.rho:g} alpha={params.alpha:g} "
         f"p_t={params.p_t:g} n={mc.n_samples} seed={mc.seed}"
@@ -236,9 +237,8 @@ def cmd_policy(args: argparse.Namespace) -> int:
             f"{semi.estimate.mean:12.6e}  {semi.p1.mean:12.6e}  {cap:12.6e}"
         )
     print("full-dynamic estimate = 0 (exact)")
-    if args.p_accept is not None:
-        policy = JamPolicy(JamPolicyKind.GENERAL_DYNAMIC, p_accept=args.p_accept)
-        rep = policy_prob_zero(policy, g, params, mc)
+    if general is not None:
+        rep = policy_prob_zero(general, g, params, mc)
         print(
             f"general-dynamic p={args.p_accept:g}: acceptance = {rep.acceptance.mean:.6f} "
             f"+- {rep.acceptance.stderr:.2e}, accepted-mean conditional P = {rep.residual.mean:.6e}"

@@ -15,6 +15,7 @@ temporaries whatever n is; only sample_matrix returns every draw at once
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -90,9 +91,13 @@ class MCConfig:
     n_samples: int
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.seed) < 2**64:
+        try:  # Python and numpy integers only: a float would be truncated, or fail later untyped
+            seed, n = operator.index(self.seed), operator.index(self.n_samples)
+        except TypeError:
+            raise InvalidParameterError(f"seed and n_samples must be integers, got {self.seed!r}, {self.n_samples!r}") from None
+        if not 0 <= seed < 2**64:
             raise InvalidParameterError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.n_samples < 1:
+        if n < 1:
             raise InvalidParameterError(f"n_samples must be >= 1, got {self.n_samples}")
 
 

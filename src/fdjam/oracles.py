@@ -1,8 +1,8 @@
 """Brute-force numeric oracles used to cross-check every closed form.
 
 Nothing here shares algebra with the formulas under test: the maximizer is
-a log-grid plus golden-section search over actual secrecy evaluations, or
-the bisected zero of the secrecy's slope taken from the raw SNRs, the
+the best point of a log grid of actual secrecy evaluations, refined by the
+bisected zero of the secrecy's slope taken from the raw SNRs, the
 wedge probability is a direct 2-D quadrature, the colluding outage is a
 2-D quadrature over both link fadings, and the Monte Carlo oracles count
 raw indicator events.  Every zero-secrecy event is read off the SINRs here
@@ -35,43 +35,9 @@ __all__ = [
     "second_diff",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_LANES = 1000  # lanes per block of _grid_argmax: its (lanes, grid) table stays near 16 MB
+_GRID_ROWS = 1000  # lanes per block of _search's (lanes, grid) table, which stays near 16 MB
 _GRID = np.concatenate(([0.0], np.geomspace(1e-6, 1e9, 2000)))  # the P_J grid of the maximizers
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)  # per panel of quad_prob_zero_colluding
-
-
-def _golden_section_lanes(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximization of a function unimodal on each lane's [lo, hi].
-
-    f(x, idx) evaluates lanes idx at points x.  Every lane takes the scalar
-    update and stops once its own bracket is within 1e-12 relative, or
-    after 200 steps.
-    """
-    lo, hi, every = lo.copy(), hi.copy(), np.arange(lo.size)
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1, every), f(x2, every)
-    live = every
-    for _ in range(200):
-        l, h = lo[live], hi[live]
-        live = live[~(h - l <= 1e-12 * np.maximum(1.0, np.abs(l) + np.abs(h)))]
-        if live.size == 0:
-            break
-        rise = f1[live] < f2[live]
-        up, down = live[rise], live[~rise]
-        lo[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
-        x2[up] = lo[up] + _GOLDEN * (hi[up] - lo[up])
-        f2[up] = f(x2[up], up)
-        hi[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
-        x1[down] = hi[down] - _GOLDEN * (hi[down] - lo[down])
-        f1[down] = f(x1[down], down)
-    xm = 0.5 * (lo + hi)
-    return xm, f(xm, every)
 
 
 def _secrecy_over_pj(g: LinkGains, rho, p_t, p_j: np.ndarray) -> np.ndarray:
@@ -85,60 +51,31 @@ def _secrecy_over_pj(g: LinkGains, rho, p_t, p_j: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, (np.log1p(snr_main) - np.log1p(snr_eve)) / math.log(2.0))
 
 
-def _grid_argmax(g, rho, p_t) -> tuple:
-    """(one, lanes, k, at_k, bracket): per lane the index k and value of the largest secrecy on _GRID.
+def _search(g, rho, p_t) -> tuple:
+    """(one, x, s, interior): per lane the best point of _GRID, refined by the bisected zero of the slope.
 
     g is one LinkGains, or a sequence of them run as lanes with rho and p_t
-    scalars or one per lane; lanes is (a, b, rho, p_t), one array each, and
-    bracket the grid points (lo, hi) on either side of k.
+    scalars or one per lane.  The grid pins down the basin (the objective
+    need not be unimodal on the whole axis once the positive part clips).
+    With SNR_AB = P_T/(1 + rho*P_J) and SNR_AE = a*P_T/(1 + b*P_J), each
+    rate falls as its receiver's jamming grows, and in nats
+    dS/dP_J = b*SNR_AE/((1 + b*P_J)*(1 + SNR_AE)) - rho*SNR_AB/((1 + rho*P_J)*(1 + SNR_AB)).
+    The bracket is the two grid cells around the lane's grid maximum, and
+    100 halvings take it to adjacent floats.  A lane is interior where the
+    secrecy there is positive and the slope falls from + to - across the
+    bracket; x is its root there and the grid maximum elsewhere (an end of
+    the grid, or zero secrecy), and s the secrecy at x.
     """
     one = isinstance(g, LinkGains)
     gs = [g] if one else list(g)
     a, b = np.array([x.a for x in gs]), np.array([x.b for x in gs])
     rho, p_t = (np.broadcast_to(np.asarray(v, dtype=float), (len(gs),)) for v in (rho, p_t))
     k, at_k = np.empty(len(gs), dtype=int), np.empty(len(gs))
-    for start in range(0, len(gs), _LANES):
-        blk = slice(start, start + _LANES)
+    for start in range(0, len(gs), _GRID_ROWS):
+        blk = slice(start, start + _GRID_ROWS)
         vals = _secrecy_over_pj(SimpleNamespace(a=a[blk, None], b=b[blk, None]), rho[blk, None], p_t[blk, None], _GRID)
         k[blk], at_k[blk] = np.argmax(vals, axis=1), vals.max(axis=1)
-    bracket = _GRID[np.maximum(k - 1, 0)], _GRID[np.minimum(k + 1, _GRID.size - 1)]
-    return one, (a, b, rho, p_t), k, at_k, bracket
-
-
-def golden_max_secrecy(
-    g: LinkGains | Sequence[LinkGains], rho, p_t
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """(argmax, max) of secrecy over P_J in [0, 1e9]: log grid then refinement.
-
-    The grid pins down the basin (the objective need not be unimodal on the
-    whole axis once the positive part clips), the golden section polishes it.
-    g is one LinkGains, or a sequence of them run as lanes with rho and p_t
-    scalars or one per lane; lanes give two arrays, each entry equal to the
-    lane's own scalar call.
-    """
-    one, (a, b, rho, p_t), k, at_k, (lo, hi) = _grid_argmax(g, rho, p_t)
-
-    def f(pj: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return _secrecy_over_pj(SimpleNamespace(a=a[idx], b=b[idx]), rho[idx], p_t[idx], pj)
-
-    x, fx = _golden_section_lanes(f, lo, np.where(hi <= lo, lo + 1.0, hi))
-    best_x, best_f = np.where(at_k > fx, _GRID[k], x), np.where(at_k > fx, at_k, fx)
-    return (float(best_x[0]), float(best_f[0])) if one else (best_x, best_f)
-
-
-def bisect_max_secrecy(g: LinkGains | Sequence[LinkGains], rho, p_t) -> float | np.ndarray:
-    """The interior maximizer of secrecy over P_J, bisected as the zero of its slope; NaN where there is none.
-
-    With SNR_AB = P_T/(1 + rho*P_J) and SNR_AE = a*P_T/(1 + b*P_J), each
-    rate falls as its receiver's jamming grows, and in nats
-    dS/dP_J = b*SNR_AE/((1 + b*P_J)*(1 + SNR_AE)) - rho*SNR_AB/((1 + rho*P_J)*(1 + SNR_AB)).
-    The bracket is the two grid cells around golden_max_secrecy's grid
-    maximum.  A lane whose slope does not fall from + to - across it (a
-    maximum at an end of the grid, or zero secrecy there) is NaN.  100
-    halvings take the bracket to adjacent floats.  Lanes as in
-    golden_max_secrecy: one LinkGains gives a float, a sequence an array.
-    """
-    one, (a, b, rho, p_t), _, at_k, (lo, hi) = _grid_argmax(g, rho, p_t)
+    lo, hi = _GRID[np.maximum(k - 1, 0)], _GRID[np.minimum(k + 1, _GRID.size - 1)]
 
     def slope(pj: np.ndarray) -> np.ndarray:
         snr_main, snr_eve = p_t / (1.0 + rho * pj), a * p_t / (1.0 + b * pj)
@@ -148,7 +85,32 @@ def bisect_max_secrecy(g: LinkGains | Sequence[LinkGains], rho, p_t) -> float | 
     for _ in range(100):
         rise = slope(mid := 0.5 * (lo + hi)) > 0.0
         lo, hi = np.where(rise, mid, lo), np.where(rise, hi, mid)
-    root = np.where(interior, 0.5 * (lo + hi), math.nan)
+    x = np.where(interior, 0.5 * (lo + hi), _GRID[k])
+    s = np.where(interior, _secrecy_over_pj(SimpleNamespace(a=a, b=b), rho, p_t, x), at_k)
+    return one, x, s, interior
+
+
+def golden_max_secrecy(
+    g: LinkGains | Sequence[LinkGains], rho, p_t
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """(argmax, max) of secrecy over P_J in [0, 1e9]: _search's root, or its grid point where there is none.
+
+    g is one LinkGains, or a sequence of them run as lanes with rho and p_t
+    scalars or one per lane; lanes give two arrays, each entry equal to the
+    lane's own scalar call.
+    """
+    one, x, s, _ = _search(g, rho, p_t)
+    return (float(x[0]), float(s[0])) if one else (x, s)
+
+
+def bisect_max_secrecy(g: LinkGains | Sequence[LinkGains], rho, p_t) -> float | np.ndarray:
+    """The interior maximizer of secrecy over P_J, _search's zero of the slope; NaN where there is none.
+
+    Lanes as in golden_max_secrecy: one LinkGains gives a float, a sequence
+    an array.
+    """
+    one, x, _, interior = _search(g, rho, p_t)
+    root = np.where(interior, x, math.nan)
     return float(root[0]) if one else root
 
 
@@ -367,26 +329,22 @@ def _axis_polynomial(alpha: int, p_t, p_j, d) -> tuple:
     """(N(d), D(d)) of deriv_x_axis_even_alpha, in the arithmetic of the given numbers."""
     e = d
     f = 1 - d
-
-    def pw(base, k: int):
-        return base**k
-
     n = (
-        -alpha * p_j * p_t**2 * (pw(e, alpha - 1) - pw(f, alpha - 1)) / (pw(e, 2 * alpha) * pw(f, 2 * alpha))
-        + alpha * p_t * (pw(e, alpha + 1) - pw(f, alpha + 1)) / (pw(e, alpha + 1) * pw(f, alpha + 1))
-        + 2 * alpha * p_j * p_t * (pw(e, 2 * alpha + 1) - pw(f, 2 * alpha + 1)) / (pw(e, 2 * alpha + 1) * pw(f, 2 * alpha + 1))
+        -alpha * p_j * p_t**2 * (e ** (alpha - 1) - f ** (alpha - 1)) / (e ** (2 * alpha) * f ** (2 * alpha))
+        + alpha * p_t * (e ** (alpha + 1) - f ** (alpha + 1)) / (e ** (alpha + 1) * f ** (alpha + 1))
+        + 2 * alpha * p_j * p_t * (e ** (2 * alpha + 1) - f ** (2 * alpha + 1)) / (e ** (2 * alpha + 1) * f ** (2 * alpha + 1))
         + alpha * p_j**2 * p_t * (
-            2 * (pw(e, alpha) - pw(f, alpha)) / (pw(e, 2 * alpha + 1) * pw(f, 2 * alpha + 1))
-            + (pw(e, 3 * alpha + 1) - pw(f, 3 * alpha + 1)) / (pw(e, 3 * alpha + 1) * pw(f, 3 * alpha + 1))
+            2 * (e**alpha - f**alpha) / (e ** (2 * alpha + 1) * f ** (2 * alpha + 1))
+            + (e ** (3 * alpha + 1) - f ** (3 * alpha + 1)) / (e ** (3 * alpha + 1) * f ** (3 * alpha + 1))
         )
-        + alpha * p_j**3 * p_t * (pw(e, 2 * alpha) - pw(f, 2 * alpha)) / (pw(e, 3 * alpha + 1) * pw(f, 3 * alpha + 1))
-        + alpha * p_t**2 * (2 * d - 1) / (pw(e, alpha + 1) * pw(f, alpha + 1))
+        + alpha * p_j**3 * p_t * (e ** (2 * alpha) - f ** (2 * alpha)) / (e ** (3 * alpha + 1) * f ** (3 * alpha + 1))
+        + alpha * p_t**2 * (2 * d - 1) / (e ** (alpha + 1) * f ** (alpha + 1))
     )
     dd = (
-        (1 + p_j / pw(f, alpha) + p_t / pw(e, alpha))
-        * (1 + p_j / pw(f, alpha))
-        * (1 + p_j / pw(e, alpha) + p_t / pw(f, alpha))
-        * (1 + p_j / pw(e, alpha))
+        (1 + p_j / f**alpha + p_t / e**alpha)
+        * (1 + p_j / f**alpha)
+        * (1 + p_j / e**alpha + p_t / f**alpha)
+        * (1 + p_j / e**alpha)
     )
     return n, dd
 

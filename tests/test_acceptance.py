@@ -109,7 +109,7 @@ def test_containment_threshold() -> None:
 
 
 def test_optimal_jamming_matches_search_oracle() -> None:
-    """opt_jam against the golden-section search, and its interior optima against the bisected slope to 1e-9."""
+    """opt_jam against the grid search, and its interior optima against the bisected slope to 1e-9."""
     rng = np.random.default_rng(7)
     t0 = time.perf_counter()
     bad = interior = 0

@@ -711,6 +711,19 @@ def test_cdf_rejects_a_step_that_gives_no_level(capsys, step: str) -> None:
     assert "level spacing, in (0, 2/3)" in " ".join(capsys.readouterr().out.split())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cdf", "--at", "-0.6", "0", "--rho", "0.01", "--pj", "0", "--samples", "1000"], "cdf_lower_bound needs P_J > 0"),
+        (["policy", "--samples", "2000", "--ladder-db", "0", "10", "--p-accept", "1.5"], "general-dynamic needs p_accept"),
+    ],
+)
+def test_parameter_errors_come_before_any_output(capsys, argv: list, message: str) -> None:
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"fdjam: error: {message}")
+
+
 def test_verify_takes_a_seed_and_no_samples(monkeypatch, capsys) -> None:
     assert cli.main(["verify", "--suite", "geometry", "--samples", "5"]) == 1
     assert "unrecognized arguments: --samples 5" in capsys.readouterr().err

@@ -22,6 +22,11 @@ def test_config_validation() -> None:
         MCConfig(seed=-1, n_samples=10)
     with pytest.raises(InvalidParameterError):
         MCConfig(seed=2**64, n_samples=10)
+    with pytest.raises(InvalidParameterError):
+        MCConfig(seed=1.5, n_samples=10)
+    with pytest.raises(InvalidParameterError):
+        MCConfig(seed=1, n_samples=10.5)
+    assert MCConfig(seed=np.uint64(2**64 - 1), n_samples=np.int32(10)).n_samples == 10
 
 
 def test_unit_mean_large_sample() -> None:

@@ -363,7 +363,8 @@ def test_policy_rows_past_the_overflow_stay_finite_and_bounded(p_j: float) -> No
         pytest.param(
             PAST_THE_OVERFLOW[3],
             marks=pytest.mark.xfail(
-                strict=True, reason="an overflowing layer rate c takes the least stretch, 1.4e-7 off (CHANGES.md FOUND)"
+                strict=True,
+                reason="at rho = 1 the rule has too few A~ nodes over L of 366-371 e-folds, 1.4e-7 off (ROADMAP item 19)",
             ),
         ),
     ],
