@@ -19,7 +19,7 @@ import numpy as np
 from .colluding import _at_optimum, opt_jam, secrecy_ab
 from .colluding_fading import _cond_prob_zero_array, cdf_lower_bound, sample_cond_prob_zero
 from .errors import FdjamError, UnboundedOptimumError
-from .fields import GridSpec, build_field, build_region_grid, grid_argmax, grid_argmin, write_csv, write_json
+from .fields import GridSpec, build_field, build_region_grid, draws_mc, grid_argmax, grid_argmin, write_csv, write_json
 from .geometry import LinkGains, SystemParams, gains, region_classify, rho_disk, sign_b_minus_rho_a
 from .montecarlo import MCConfig, ecdf, estimate
 from .pairwise import _coupled_power
@@ -260,7 +260,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_field(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     grid = GridSpec(args.x_min, args.x_max, args.y_min, args.y_max, args.step)
-    mc = MCConfig(args.seed, args.samples) if (args.fading or args.quantity == "prob-zero") else None
+    mc = MCConfig(args.seed, args.samples) if draws_mc(args.mode, args.quantity, args.fading) else None
     fg = build_field(
         args.mode,
         params,

@@ -97,6 +97,11 @@ def _params_meta(params: SystemParams) -> dict:
     }
 
 
+def draws_mc(mode: str, quantity: str, fading: bool) -> bool:
+    """Whether build_field draws from mc for this field: a fading field or a pairwise prob-zero one."""
+    return fading or (quantity == "prob-zero" and mode == "pairwise")
+
+
 def build_field(
     mode: str,
     params: SystemParams,
@@ -131,7 +136,7 @@ def build_field(
         raise InvalidParameterError("per-cell optimal jamming applies to colluding mode only")
     if fading and quantity == "prob-zero":
         raise InvalidParameterError("a prob-zero field already averages over the fading; fading applies to secrecy")
-    drawn = fading or (quantity == "prob-zero" and mode == "pairwise")
+    drawn = draws_mc(mode, quantity, fading)
     if drawn and mc is None:
         raise InvalidParameterError("fading or pairwise prob-zero sweeps need an MCConfig")
 

@@ -300,6 +300,54 @@ def test_cli_usage_errors(capsys) -> None:
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["field", "--step", "0.5"], "pj_opt = maybe\n", "expected a boolean, got 'maybe'"),
+        (["regions", "--step", "0.5", "--config", "no-such-dir/c.cfg"], None, "cannot read config no-such-dir/c.cfg: "),
+        (["regions", "--step", "0.5"], "alpha = 2\nrho 0.1\n", ":2: expected key=value, got 'rho 0.1'"),
+        (["optjam", "--a", "4", "--b", "1", "--pj-auto", "--rho", "0"], None, "--pj-auto needs rho > 0"),
+        (["prob-zero", "--samples", "10"], None, "--at X Y is required"),
+        (["cdf", "--samples", "10"], None, "--at X Y is required"),
+        (["optjam", "--a", "4"], None, "--a and --b must be given together"),
+    ],
+)
+def test_cli_usage_error_messages(tmp_path, monkeypatch, capsys, argv, config, message) -> None:
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        Path("c.cfg").write_text(config)
+        argv = [*argv, "--config", "c.cfg"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("fdjam: error: ") and message in captured.err
+
+
+def test_cli_false_config_boolean_and_rho_one_half_plane(tmp_path, capsys) -> None:
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("pj_opt = no\n")
+    assert cli.main(["field", "--step", "0.5"]) == 0
+    bare = capsys.readouterr().out
+    assert cli.main(["field", "--step", "0.5", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == bare
+    # rho = 1 turns the secrecy disk into the half-plane x > 0
+    assert cli.main(["regions", "--rho", "1", "--step", "0.5"]) == 0
+    assert "disk: half-plane x > 0" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("flag", [["--samples", "0"], ["--seed", "-1"]])
+def test_draw_flags_do_not_reach_a_colluding_prob_zero_field(capsys, flag) -> None:
+    # a colluding prob-zero field is a cubature: the flags that set draws cannot fail it
+    argv = ["field", "--quantity", "prob-zero", "--step", "0.5"]
+    assert cli.main(argv) == 0
+    bare = capsys.readouterr().out
+    assert cli.main([*argv, *flag]) == 0
+    assert capsys.readouterr().out == bare
+    # a pairwise prob-zero field draws, and rejects them
+    assert cli.main([*argv, "--mode", "pairwise", *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("fdjam: error: ")
+
+
 def test_cli_has_no_delta_flag(tmp_path, capsys) -> None:
     # no command's computation reads the exclusion radius, so neither a flag nor a config line sets it
     assert cli.main(["policy", "--delta", "7"]) == 1

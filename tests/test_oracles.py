@@ -7,12 +7,13 @@ and leave every oracle where it was, so the cross-checks see it.
 import math
 import types
 
+import numpy as np
 import pytest
 
 from fdjam import colluding_fading, oracles, pairwise_fading, verify
 from fdjam.errors import InvalidParameterError
 from fdjam.geometry import LinkGains, SystemParams, gains
-from fdjam.montecarlo import MCConfig
+from fdjam.montecarlo import Estimate, MCConfig
 from fdjam.oracles import mc_cond_prob_zero_colluding, mc_cond_prob_zero_pair, quad_prob_zero_pair
 
 CLOSED_FORMS = {"fdjam.colluding", "fdjam.colluding_fading", "fdjam.pairwise", "fdjam.pairwise_fading"}
@@ -66,3 +67,21 @@ def test_wedge_oracles_do_not_move_with_the_closed_form(monkeypatch) -> None:
     monkeypatch.setattr(pairwise_fading, "_window_coeffs", lambda *a: (2.0 * real(*a)[0], *real(*a)[1:]))
     assert pairwise_fading.cond_prob_zero_pair(*args) != before[2]  # the mutation reaches the closed form
     assert (quad_prob_zero_pair(*args), mc_cond_prob_zero_pair(*args, mc)) == before[:2]
+
+
+def test_early_returns_agree_with_the_closed_forms() -> None:
+    g, a, b = LinkGains(4.0, 1.0), 4.0, 1.0
+    # P_J = inf at rho = 0: the jamming drowns the eavesdropper and spares the link
+    drowned = SystemParams(p_t=1.0, p_j=math.inf, rho=0.0)
+    assert oracles.quad_prob_zero_colluding(g, drowned) == 0.0
+    assert colluding_fading._prob_zero_cubature(a, b, 0.0, math.inf)[0] == 0.0
+    # B1~ = 0 at P_J = inf: the policy window is empty
+    empty = SystemParams(p_t=1.0, p_j=math.inf, rho=0.1)
+    assert oracles.quad_policy_row(g, empty, 0.0, 1.0) == 0.0
+    assert pairwise_fading._policy_integrand(np.array([0.0]), np.array([1.0]), a, b, 0.1, math.inf)[0, 0] == 0.0
+    # an infinite slope leaves an event of probability 0, and nothing is drawn
+    mc = MCConfig(seed=3, n_samples=1000)
+    assert mc_cond_prob_zero_colluding(g, drowned, 1.0, 1.0, mc) == Estimate(0.0, 0.0, 1000)
+    assert colluding_fading.cond_prob_zero(g, drowned, 1.0, 1.0) == 0.0
+    assert mc_cond_prob_zero_pair(g, drowned, 1.0, 1.0, 1.0, mc) == Estimate(0.0, 0.0, 1000)
+    assert pairwise_fading.cond_prob_zero_pair(g, drowned, 1.0, 1.0, 1.0) == 0.0

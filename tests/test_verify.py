@@ -9,6 +9,8 @@ binomial with the closed form's p.  On these seeds the closed form is
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,3 +75,22 @@ def test_pair_secrecy_wiring_is_caught(monkeypatch) -> None:
     monkeypatch.setattr(verify, "_secrecy_pair_array", same_direction)
     failed = {r.name for r in verify.run_suite("pairwise", 0) if not r.passed}
     assert {"swap-symmetry", "t-factor-identity"} <= failed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+def test_all_suites_run_as_one(seed: int) -> None:
+    results = verify.run_suite("all", seed)
+    assert len(results) == 28 and all(r.passed for r in results)
+    order, suites = [r.suite for r in results], list(verify._SUITES)
+    assert order == sorted(order, key=suites.index) and list(dict.fromkeys(order)) == suites
+    assert len({(r.suite, r.name) for r in results}) == 28
+    # every check the README's verify paragraph names, bare or as suite/name
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("- `verify`: ") :].split("\n\n")[0]
+    listed = [t for t in re.findall(r"`([a-z][a-z/-]*)`", paragraph) if t != "verify"]
+    assert len(listed) == 14
+    for token in listed:
+        suite, _, name = token.rpartition("/")
+        assert any(r.name == name and suite in ("", r.suite) for r in results), token
+    with pytest.raises(KeyError, match="unknown suite 'nope'"):
+        verify.run_suite("nope", seed)
