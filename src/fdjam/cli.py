@@ -1,9 +1,11 @@
 """Command-line front end: grid sweeps, point queries, policy tables, self checks.
 
-Exit codes: 0 success, 1 usage error, 2 failed verify suite.  A flat
-key=value config file can preload any flag: its lines are read as flags
-placed before the command line's, so explicit flags win.  The FDJAM_SEED
-environment variable sets the default seed.
+Exit codes: 0 success, 1 usage error, 2 failed verify suite, 141 stdout
+closed by its reader (as `| head` does; the status of a SIGPIPE death),
+with nothing on stderr.  A flat key=value config file can preload any
+flag: its lines are read as flags placed before the command line's, so
+explicit flags win.  The FDJAM_SEED environment variable sets the default
+seed.
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ def _emit_grid(fg, args: argparse.Namespace) -> None:
     if args.out is not None:
         try:
             (write_json if args.json else write_csv)(fg, args.out)
+        except BrokenPipeError:
+            raise  # --out /dev/stdout with its reader gone: main's quiet exit, not a usage error
         except OSError as exc:
             raise _UsageError(f"cannot write {args.out!r}: {exc.strerror or exc}") from exc
         print(f"wrote {args.out}")
@@ -381,10 +385,16 @@ def main(argv: list[str] | None = None) -> int:
             at = argv.index(args.command) + 1
             argv[at:at] = _config_argv(args.config, parser.commands[args.command])
             args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return status
     except (_UsageError, FdjamError) as exc:
         print(f"fdjam: error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, or the flush at exit raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

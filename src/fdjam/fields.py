@@ -97,6 +97,11 @@ def _params_meta(params: SystemParams) -> dict:
     }
 
 
+def _grid_gains(grid: GridSpec, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """gain_fields on every cell, shape (ny, nx), from the x axis as a row and the y axis as a column."""
+    return gain_fields(grid.xs()[None, :], grid.ys()[:, None], alpha)
+
+
 def draws_mc(mode: str, quantity: str, fading: bool) -> bool:
     """Whether build_field draws from mc for this field: a fading field or a pairwise prob-zero one."""
     return fading or (quantity == "prob-zero" and mode == "pairwise")
@@ -140,7 +145,7 @@ def build_field(
     if drawn and mc is None:
         raise InvalidParameterError("fading or pairwise prob-zero sweeps need an MCConfig")
 
-    a_f, b_f = gain_fields(*np.meshgrid(grid.xs(), grid.ys()), params.alpha)
+    a_f, b_f = _grid_gains(grid, params.alpha)
     p_j = params.p_j
     if pj_per_cell == "opt":
         p_j = _at_optimum(b_f, p_j_opt_array(a_f, b_f, params.rho, params.p_t))
@@ -184,15 +189,14 @@ def build_field(
 
 def build_region_grid(grid: GridSpec, rho: float, alpha: float = 2.0) -> FieldGrid:
     """Region index (1..4) per cell."""
-    a_f, b_f = gain_fields(*np.meshgrid(grid.xs(), grid.ys()), alpha)
+    a_f, b_f = _grid_gains(grid, alpha)
     values = _region_array(a_f, b_f, rho)
     return FieldGrid(spec=grid, values=values, meta={"quantity": "region", "rho": rho, "alpha": alpha})
 
 
 def build_optjam_grid(grid: GridSpec, params: SystemParams) -> FieldGrid:
     """Optimal colluding jamming power per cell."""
-    xm, ym = np.meshgrid(grid.xs(), grid.ys())
-    a_f, b_f = gain_fields(xm, ym, params.alpha)
+    a_f, b_f = _grid_gains(grid, params.alpha)
     values = p_j_opt_array(a_f, b_f, params.rho, params.p_t)
     meta = {"quantity": "opt-jam", **_params_meta(params)}
     return FieldGrid(spec=grid, values=values, meta=meta)

@@ -3,7 +3,9 @@
 import argparse
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -365,6 +367,32 @@ def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys, where, fmt) -> No
     assert cli.main(["regions", "--step", "0.5", "--out", out, *fmt]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"fdjam: error: cannot write {out!r}: ") and err.count("\n") == 1
+
+
+def _fdjam(argv: list[str], stdout) -> subprocess.Popen:
+    """`python -m fdjam.cli argv` in a fresh process on this fdjam, stderr piped."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.Popen([sys.executable, "-m", "fdjam.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_cli_stops_quietly_when_its_reader_closes_the_pipe() -> None:
+    # the 201 x 201 CSV, over a megabyte, cannot all fit in the pipe, so the
+    # child is still writing when the reader closes its end two lines in
+    child = _fdjam(["field", "--step", "0.02", "--out", "/dev/stdout"], subprocess.PIPE)
+    assert all(child.stdout.readline().endswith(b"\n") for _ in range(2))
+    child.stdout.close()
+    assert (child.wait(timeout=60), child.stderr.read()) == (141, b"")
+    child.stderr.close()
+
+
+def test_cli_stops_quietly_when_stdout_is_closed_before_the_first_line() -> None:
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    child = _fdjam(["field", "--step", "0.5"], write_end)
+    os.close(write_end)
+    assert (child.wait(timeout=60), child.stderr.read()) == (141, b"")
+    child.stderr.close()
 
 
 def test_cli_prob_zero_pairwise_small_probability_mass(capsys) -> None:
